@@ -156,24 +156,11 @@ class MatrixUnitFamily:
     def unit(self, r: int, c: int) -> np.ndarray:
         return self.units[r * self.small_dim + c]
 
-    def proj_left(self, r: int, c: int) -> np.ndarray:
-        """p = e e^* of the unit at (r, c): the diagonal unit at (r, r)."""
-        return self.unit(r, r)
-
-    def proj_right(self, r: int, c: int) -> np.ndarray:
-        """q = e^* e of the unit at (r, c): the diagonal unit at (c, c)."""
-        return self.unit(c, c)
-
     def trace_pairings(self, x: np.ndarray) -> np.ndarray:
         """Tr(e_alpha^* x) for every unit, as a (2^k, 2^k) matrix."""
         d = self.small_dim
         flat = self.units.reshape(self.units.shape[0], -1)
         return (flat @ np.asarray(x).reshape(-1).conj()).conj().reshape(d, d)
-
-    def iso_to_small(self, x: np.ndarray) -> np.ndarray:
-        """The *-isomorphism onto M_{2^k}, for x in the span of the units."""
-        scale = self.alg.dim // self.small_dim
-        return self.trace_pairings(x) / scale
 
     def iso_from_small(self, m: np.ndarray) -> np.ndarray:
         """Inverse isomorphism: sum_rc m[r, c] e_(rc) in the big algebra."""

@@ -44,6 +44,7 @@ from .entropy import TOL_EQUALITY, StateDensity
 from .errors import FermarkovError, ParseError
 from .markov import analyze_triplet, decompose_even, factorize
 from .report import SCHEMA_VERSION, AnalysisDocument, Check, emit, state_digest
+from .spectral import EPS_FAITHFUL, TOL_HERM
 from .states import GeneratorSpec, generate, make_block_markov, make_product_markov, perturb, random_even_state, random_state
 from .subalgebra import TOL_MEMBER
 
@@ -366,8 +367,8 @@ def build_document(
         tolerances={
             "tol_equality": tol_equality,
             "tol_member": tol_member,
-            "tol_herm": 1e-10,
-            "eps_faithful": 1e-12,
+            "tol_herm": TOL_HERM,
+            "eps_faithful": EPS_FAITHFUL,
         },
         ssa=ssa_section,
         triplet=triplet_section,

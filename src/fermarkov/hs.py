@@ -12,11 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """tau(x^* y) = <x, y> / D."""
-    return complex(np.vdot(x, y) / x.shape[-1])
-
-
 def hs_norm(x: np.ndarray) -> float:
     """Frobenius norm normalized so that ||I|| = 1."""
     return float(np.linalg.norm(x) / np.sqrt(x.shape[-1]))

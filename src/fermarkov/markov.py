@@ -31,6 +31,7 @@ from . import hs
 from .car import (
     RegionPartition,
     cond_expect,
+    even_odd_split,
     parity_automorphism,
     parity_unitary,
     region_orthobasis,
@@ -59,7 +60,7 @@ from .subalgebra import (
     membership,
     minimal_central_projections,
     parity_split,
-    span_closure,
+    product_algebra,
     span_equality_residual,
     subalgebra_from_matrices,
 )
@@ -177,6 +178,34 @@ def _context(state: StateDensity, regions: RegionPartition, tol_equality: float)
     return _Context(state, regions, ssa, log_bc, ab_alg, b_alg, c_basis, b_basis)
 
 
+@dataclass(frozen=True)
+class _LemmaAlgebras:
+    """Structure-lemma algebras of an even Markov state, shared by the block
+    decomposition and the lemma validation.  join and c_tilde are certified
+    products of two graded-commuting *-subalgebras."""
+
+    a_stack: np.ndarray              # basis of A_A
+    c_even: np.ndarray               # basis of (A_C)_even
+    c_odd: np.ndarray                # basis of (A_C)_odd
+    v_b: np.ndarray                  # parity unitary of B
+    b_tilde: SubalgebraBasis         # B' within A_B
+    join: SubalgebraBasis            # A_A v B, which equals C
+    c_tilde: SubalgebraBasis         # B~ v ((A_C)_even + v_B (A_C)_odd)
+
+
+def _lemma_algebras(ctx: _Context) -> _LemmaAlgebras:
+    alg, regions = ctx.state.alg, ctx.regions
+    a_stack = region_orthobasis(alg, regions.A)
+    c_even, c_odd, _ = parity_split(
+        _region_subalgebra(ctx.state, regions.C), parity_unitary(alg, alg.sites)
+    )
+    v_b = parity_unitary(alg, regions.B)
+    b_tilde = commutant(ctx.b_basis, ambient=ctx.b_alg)
+    join = product_algebra(a_stack, ctx.b_basis.basis)
+    c_tilde = product_algebra(b_tilde.basis, np.concatenate([c_even, v_b @ c_odd]))
+    return _LemmaAlgebras(a_stack, c_even, c_odd, v_b, b_tilde, join, c_tilde)
+
+
 # --- analysis entry points ------------------------------------------------------
 
 def analyze_triplet(
@@ -250,7 +279,7 @@ def factorize(
     recon = hs.hs_norm(x @ y - state.rho)
     y_min = float(np.linalg.eigvalsh(y)[0])
 
-    _, y_odd = _parity_parts(state, y)
+    _, y_odd = even_odd_split(state.alg, y)
     y_odd_norm = hs.hs_norm(y_odd)
     y_parity = "even" if y_odd_norm <= TOL_PAIR * scale else "noneven"
 
@@ -284,11 +313,6 @@ def factorize(
         x_parity_defect=x_defect,
         y_parity_defect=y_defect,
     )
-
-
-def _parity_parts(state: StateDensity, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    tx = parity_automorphism(state.alg, x)
-    return (x + tx) / 2, (x - tx) / 2
 
 
 def _require_even_markov(
@@ -411,23 +435,13 @@ def decompose_even(
 
     alg = state.alg
     x, y = fact.x, fact.y
-    a_stack = region_orthobasis(alg, regions.A)
-    ac_stack = region_orthobasis(alg, regions.C)
-    c_even, c_odd, _ = parity_split(
-        subalgebra_from_matrices(ac_stack, parity_stable=True), parity_unitary(alg, alg.sites)
-    )
-    v_b = parity_unitary(alg, regions.B)
+    lem = _lemma_algebras(ctx)
+    b_stack, bt_stack = ctx.b_basis.basis, lem.b_tilde.basis
     eye = alg.identity()
     p_a = (eye + parity_unitary(alg, regions.A)) / 2
 
-    join = span_closure(list(a_stack) + list(ctx.b_basis.basis))
-    lemma_join = span_equality_residual(ctx.c_basis, join)
-
-    b_tilde = commutant(ctx.b_basis, ambient=ctx.b_alg)
-    c_tilde = span_closure(
-        list(b_tilde.basis) + list(c_even) + [v_b @ d for d in c_odd]
-    )
-    _, y_comm_res = membership(y, c_tilde, tol_member)
+    lemma_join = span_equality_residual(ctx.c_basis, lem.join)
+    _, y_comm_res = membership(y, lem.c_tilde, tol_member)
 
     blocks: list[Block] = []
     total = np.zeros_like(state.rho)
@@ -435,11 +449,11 @@ def decompose_even(
     for j in range(k):
         q = central.q_list[j]
         xj, yj = q @ x, q @ y
-        block_b = _cut_stack(central.p_list[j], ctx.b_basis.basis)
-        c_j = span_closure(list(a_stack) + block_b)
-        bt_j = _cut_stack(central.p_list[j], b_tilde.basis)
-        v_j = central.p_list[j] @ v_b
-        ct_j = span_closure(bt_j + list(c_even) + [v_j @ d for d in c_odd])
+        p_j = central.p_list[j]
+        c_j = product_algebra(lem.a_stack, _cut_stack(p_j, b_stack))
+        ct_j = product_algebra(
+            _cut_stack(p_j, bt_stack), np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd])
+        )
         _, rx = membership(xj, c_j, tol_member)
         _, ry = membership(yj, ct_j, tol_member)
         blocks.append(
@@ -462,13 +476,15 @@ def decompose_even(
         partner_x = hs.hs_norm(q2 @ x - parity_automorphism(alg, z))
         partner_y = hs.hs_norm(q2 @ y - parity_automorphism(alg, w))
         p1, p2 = central.p_list[i], central.p_list[j]
-        d_gen = [p_a @ (p1 @ b) for b in ctx.b_basis.basis]
-        d_gen += [(eye - p_a) @ (p2 @ b) for b in ctx.b_basis.basis]
-        d_l = span_closure(list(a_stack) + d_gen)
-        u_l = (p1 + p2) @ v_b
-        dt_gen = [p_a @ (p1 @ b) for b in b_tilde.basis]
-        dt_gen += [(eye - p_a) @ (p2 @ b) for b in b_tilde.basis]
-        dt_l = span_closure(dt_gen + list(c_even) + [u_l @ d for d in c_odd])
+        d_l = product_algebra(
+            lem.a_stack, np.concatenate([p_a @ p1 @ b_stack, (eye - p_a) @ p2 @ b_stack])
+        )
+        # u_l squares to p1 + p2, not 1: the cut even part keeps the right factor closed
+        u_l = (p1 + p2) @ lem.v_b
+        dt_l = product_algebra(
+            np.concatenate([p_a @ p1 @ bt_stack, (eye - p_a) @ p2 @ bt_stack]),
+            np.concatenate([lem.c_even, (p1 + p2) @ lem.c_even, u_l @ lem.c_odd]),
+        )
         _, rz = membership(z, d_l, tol_member)
         _, rw = membership(w, dt_l, tol_member)
         e_l = q1 + q2
@@ -514,10 +530,9 @@ def decompose_even(
     )
 
 
-def _cut_stack(p: np.ndarray, stack: np.ndarray) -> list[np.ndarray]:
+def _cut_stack(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
     cut = p @ stack
-    norms = np.linalg.norm(hs.flatten(cut), axis=1)
-    return [cut[i] for i in range(cut.shape[0]) if norms[i] > 1e-12]
+    return cut[np.linalg.norm(hs.flatten(cut), axis=1) > 1e-12]
 
 
 def validate_structure_lemmas(
@@ -536,13 +551,11 @@ def validate_structure_lemmas(
     """
     ctx = _require_even_markov(state, regions, tol_equality, "structure lemmas")
     alg = state.alg
-    a_stack = region_orthobasis(alg, regions.A)
+    lem = _lemma_algebras(ctx)
     v_all = parity_unitary(alg, alg.sites)
     v_a = parity_unitary(alg, regions.A)
-    v_b = parity_unitary(alg, regions.B)
 
-    join = span_closure(list(a_stack) + list(ctx.b_basis.basis))
-    join_res = span_equality_residual(ctx.c_basis, join)
+    join_res = span_equality_residual(ctx.c_basis, lem.join)
 
     c_comm = commutant(ctx.c_basis)
     bc_alg = _region_subalgebra(state, regions.BC)
@@ -552,12 +565,7 @@ def validate_structure_lemmas(
     rhs1 = subalgebra_from_matrices(np.stack(rhs_parts)) if rhs_parts else c_comm
     comm_res = span_equality_residual(c_comm, rhs1)
 
-    b_alg = ctx.b_alg
-    b_tilde = commutant(ctx.b_basis, ambient=b_alg)
-    ac = subalgebra_from_matrices(region_orthobasis(alg, regions.C), parity_stable=True)
-    c_even, c_odd, _ = parity_split(ac, v_all)
-    rhs2 = span_closure(list(b_tilde.basis) + list(c_even) + [v_b @ d for d in c_odd])
-    middle_res = span_equality_residual(kom, rhs2)
+    middle_res = span_equality_residual(kom, lem.c_tilde)
 
     return StructureLemmaReport(
         join_residual=float(join_res),

@@ -48,9 +48,6 @@ class SubalgebraBasis:
     def project(self, x: np.ndarray) -> np.ndarray:
         return hs.project(self.basis, x)
 
-    def membership(self, x: np.ndarray, tol: float = TOL_MEMBER) -> tuple[bool, float]:
-        return membership(x, self, tol)
-
 
 def subalgebra_from_matrices(
     mats: np.ndarray | list[np.ndarray],
@@ -138,6 +135,28 @@ def span_closure(
         frontier = hs.orthonormalize(res, rtol)
         basis = np.concatenate([basis, frontier])
     return SubalgebraBasis(dim, hs.orthonormalize(basis, rtol), True, None)
+
+
+def product_algebra(
+    left: list[np.ndarray] | np.ndarray, right: list[np.ndarray] | np.ndarray
+) -> SubalgebraBasis:
+    """Span of all products l r of two (graded-)commuting *-subalgebras.
+
+    When the spans of left and right are *-algebras whose elements commute
+    (odd elements may anticommute), the products l r with l, r ranging over
+    the unital spans already form the *-algebra the two generate, so one round
+    of products replaces the open-ended closure loop.  The result is certified
+    closed; a failure raises NotAnAlgebra.
+    """
+    left, right = np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)
+    dim = left.shape[-1]
+    eye = np.eye(dim, dtype=complex)[None]
+    lhs = hs.orthonormalize(np.concatenate([eye, left]), RANK_RTOL)
+    rhs = hs.orthonormalize(np.concatenate([eye, right]), RANK_RTOL)
+    products = (lhs[:, None] @ rhs[None, :]).reshape(-1, dim, dim)
+    result = SubalgebraBasis(dim, hs.orthonormalize(products, RANK_RTOL), True, None)
+    _verify_algebra_closure(result, TOL_MEMBER)
+    return result
 
 
 # --- commutant / center ------------------------------------------------------
@@ -275,15 +294,8 @@ def minimal_central_projections(
     if m == 0:
         raise DegenerateCenter("empty center basis")
 
-    herm = []
-    for b in z.basis:
-        herm.extend([hs.hermitian_part(b), hs.hermitian_part(1j * b)])
-    herm_basis = hs.orthonormalize(np.stack(herm), RANK_RTOL)
-
     for _ in range(retries):
-        weights = rng.normal(size=herm_basis.shape[0])
-        el = np.einsum("k,kij->ij", weights, herm_basis)
-        el = hs.hermitian_part(el)
+        [el] = _hermitian_combos(z.basis, 1, rng)
         w, u = np.linalg.eigh(el)
         spread = max(1.0, float(w[-1] - w[0]))
         splits = np.flatnonzero(np.diff(w) > gap * spread)

@@ -76,14 +76,9 @@ class QuantumChannel:
     def choi(self) -> np.ndarray:
         """sum_ij E_ij (x) Phi(E_ij); positive semidefinite iff the map is CP."""
         d_in, d_out = self.dim_in, self.dim_out
-        j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-        for r in range(d_in):
-            for c in range(d_in):
-                unit = np.zeros((d_in, d_in), dtype=complex)
-                unit[r, c] = 1.0
-                img = self.apply(unit)
-                j[r * d_out:(r + 1) * d_out, c * d_out:(c + 1) * d_out] = img
-        return j
+        # superop[(a, b), (r, c)] = Phi(E_rc)[a, b] in column stacking; reorder to [(r, a), (c, b)]
+        blocks = self.superop.reshape(d_out, d_out, d_in, d_in).transpose(3, 1, 2, 0)
+        return blocks.reshape(d_in * d_out, d_in * d_out)
 
     def choi_min_eig(self) -> float:
         return float(np.linalg.eigvalsh(hs.hermitian_part(self.choi()))[0])

@@ -251,3 +251,23 @@ def test_analyze_interleaved_regions():
     fact = factorize(state, regions)
     assert fact.reconstruction_residual <= 1e-8
     assert fact.y_region_residual <= 1e-9
+
+
+@pytest.mark.parametrize("k_fixed,n_pairs,seed", [(2, 1, 1013), (2, 1, 1027), (2, 1, 1028), (0, 2, 7)])
+def test_block_designs_that_grew_the_closure_decompose(k_fixed, n_pairs, seed):
+    # four central blocks of B, or two swapped pairs: every block must separate
+    # and every block algebra must close without picking up roundoff directions
+    regions = RegionPartition((0,), (1, 2), (3,))
+    state, _ = make_block_markov(regions, seed, k_fixed, n_pairs)
+    dec = decompose_even(state, regions)
+    assert dec.central.k == k_fixed
+    assert len(dec.central.pairs) == n_pairs
+    assert dec.reassembly_residual <= 1e-8
+    assert dec.lemma_join_residual <= 1e-8
+    assert dec.y_commutant_residual <= 1e-8
+    for b in dec.blocks:
+        assert b.x_membership_residual <= 1e-8
+        assert b.y_membership_residual <= 1e-8
+        if b.kind == "theta_pair":
+            assert b.partner_x_residual <= 1e-9
+            assert b.partner_y_residual <= 1e-9

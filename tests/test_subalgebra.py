@@ -6,7 +6,7 @@ import pytest
 
 from fermarkov import hs
 from fermarkov.car import build_algebra, cond_expect, parity_unitary, region_orthobasis
-from fermarkov.errors import DegenerateCenter
+from fermarkov.errors import DegenerateCenter, NotAnAlgebra
 from fermarkov.spectral import mat_log
 from fermarkov.subalgebra import (
     center,
@@ -15,6 +15,7 @@ from fermarkov.subalgebra import (
     membership,
     minimal_central_projections,
     parity_split,
+    product_algebra,
     span_closure,
     span_equality_residual,
     subalgebra_from_matrices,
@@ -222,3 +223,44 @@ def test_subalgebra_from_matrices_flags():
     assert s.contains_identity and s.size == 2
     s2 = subalgebra_from_matrices([ALG.annihilators[0]])
     assert not s2.contains_identity
+
+
+def test_product_algebra_of_disjoint_regions_is_their_union():
+    s = product_algebra(region_orthobasis(ALG, (0,)), region_orthobasis(ALG, (1, 2)))
+    assert s.size == 64 and s.contains_identity
+    assert span_equality_residual(s, region_alg((0, 1, 2))) <= 1e-10
+
+
+def _twisted_c(alg, b_sites, c_sites):
+    # (A_C)_even + v_B (A_C)_odd
+    v_b = parity_unitary(alg, b_sites)
+    c_even, c_odd, _ = parity_split(region_alg(c_sites, alg), parity_unitary(alg, alg.sites))
+    return np.concatenate([c_even, v_b @ c_odd])
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (lambda a: region_orthobasis(a, (0,)), lambda a: region_orthobasis(a, (2, 3))),
+        (lambda a: region_orthobasis(a, (0, 3)), lambda a: region_orthobasis(a, (1,))),
+        (lambda a: region_orthobasis(a, (1, 2)), lambda a: _twisted_c(a, (1, 2), (3,))),
+        (lambda a: region_orthobasis(a, (0,)), lambda a: _twisted_c(a, (1,), (2, 3))),
+    ],
+)
+def test_product_algebra_agrees_with_span_closure(left, right):
+    alg4 = build_algebra(4)
+    lhs, rhs = left(alg4), right(alg4)
+    prod = product_algebra(lhs, rhs)
+    closure = span_closure(list(lhs) + list(rhs))
+    assert prod.size == closure.size
+    assert span_equality_residual(prod, closure) <= 1e-10
+
+
+def test_product_algebra_rejects_noncommuting_factors():
+    rng = np.random.default_rng(3)
+    projections = []
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+        projections.append(q @ q.conj().T)
+    with pytest.raises(NotAnAlgebra):
+        product_algebra(projections[:1], projections[1:])

@@ -10,6 +10,7 @@ from fermarkov.errors import FlowUnstable, NotSufficient
 from fermarkov.states import make_product_markov, random_state
 from fermarkov.subalgebra import commutant, membership, subalgebra_from_matrices
 from fermarkov.sufficiency import (
+    QuantumChannel,
     factor_through,
     is_sufficient,
     petz_map,
@@ -174,3 +175,17 @@ def test_factor_through_rejects_unstable_flow():
     phi, psi = random_state(3, 15), random_state(3, 16)
     with pytest.raises(FlowUnstable):
         factor_through(phi, psi, ab_subalgebra())
+
+
+@pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (4, 4)])
+def test_choi_matches_unit_images(d_in, d_out):
+    rng = np.random.default_rng(d_in * 10 + d_out)
+    sup = rng.normal(size=(d_out**2, d_in**2)) + 1j * rng.normal(size=(d_out**2, d_in**2))
+    ch = QuantumChannel(d_in, d_out, sup, 0, False)
+    expected = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for r in range(d_in):
+        for c in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[r, c] = 1.0
+            expected[r * d_out:(r + 1) * d_out, c * d_out:(c + 1) * d_out] = ch.apply(unit)
+    assert np.array_equal(ch.choi(), expected)
