@@ -29,6 +29,7 @@ from .entropy import (
     vn_entropy,
 )
 from .markov import (
+    Analysis,
     Block,
     BlockDecomposition,
     CentralStructure,

@@ -50,9 +50,6 @@ class CarAlgebra:
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    def normalized_trace(self, x: np.ndarray) -> complex:
-        return complex(np.trace(x) / self.dim)
-
 
 @lru_cache(maxsize=MAX_SITES)
 def build_algebra(n: int) -> CarAlgebra:
@@ -157,14 +154,18 @@ class MatrixUnitFamily:
         return self.units[r * self.small_dim + c]
 
     def trace_pairings(self, x: np.ndarray) -> np.ndarray:
-        """Tr(e_alpha^* x) for every unit, as a (2^k, 2^k) matrix."""
-        d = self.small_dim
+        """Tr(e_alpha^* x) for every unit, as a (2^k, 2^k) matrix per matrix of x."""
+        x = np.asarray(x)
         flat = self.units.reshape(self.units.shape[0], -1)
-        return (flat @ np.asarray(x).reshape(-1).conj()).conj().reshape(d, d)
+        # conj the small stack, not the big unit stack
+        pairings = (x.reshape(-1, flat.shape[1]).conj() @ flat.T).conj()
+        return pairings.reshape(x.shape[:-2] + (self.small_dim, self.small_dim))
 
     def iso_from_small(self, m: np.ndarray) -> np.ndarray:
-        """Inverse isomorphism: sum_rc m[r, c] e_(rc) in the big algebra."""
-        return np.einsum("a,aij->ij", np.asarray(m, dtype=complex).reshape(-1), self.units)
+        """Inverse isomorphism: sum_rc m[r, c] e_(rc) in the big algebra, per matrix of m, as one GEMM."""
+        m = np.asarray(m, dtype=complex)
+        flat = self.units.reshape(self.units.shape[0], -1)
+        return (m.reshape(-1, flat.shape[0]) @ flat).reshape(m.shape[:-2] + self.units.shape[1:])
 
     def orthobasis(self) -> np.ndarray:
         """tau-orthonormal basis stack of the region algebra (the scaled units)."""
@@ -223,12 +224,15 @@ def cond_expect(alg: CarAlgebra, x: np.ndarray, region: Iterable[int]) -> np.nda
 
     Hilbert-Schmidt orthogonal projection of x onto the span of the region's
     matrix units; satisfies tau(x b) = tau(E_I(x) b) for b in the range.
+    x may be one matrix or a (m, D, D) stack, mapped elementwise.
     """
     region = tuple(sorted(int(i) for i in region))
+    x = np.asarray(x, dtype=complex)
     if not region:
-        return alg.normalized_trace(x) * alg.identity()
+        tau = np.trace(x, axis1=-2, axis2=-1) / alg.dim
+        return tau[..., None, None] * alg.identity()
     if region == alg.sites:
-        return np.array(x, dtype=complex)
+        return x.copy()
     family = matrix_units(alg, region)
     scale = alg.dim // family.small_dim
     return family.iso_from_small(family.trace_pairings(x) / scale)

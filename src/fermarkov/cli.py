@@ -42,7 +42,7 @@ from .car import (
 )
 from .entropy import TOL_EQUALITY, StateDensity
 from .errors import FermarkovError, ParseError
-from .markov import analyze_triplet, decompose_even, factorize
+from .markov import Analysis, BlockDecomposition, decompose_even, factorize
 from .report import SCHEMA_VERSION, AnalysisDocument, Check, emit, state_digest
 from .spectral import EPS_FAITHFUL, TOL_HERM
 from .states import GeneratorSpec, generate, make_block_markov, make_product_markov, perturb, random_even_state, random_state
@@ -270,10 +270,11 @@ def build_document(
     tol_equality: float = TOL_EQUALITY,
     tol_member: float = TOL_MEMBER,
 ) -> AnalysisDocument:
-    """Run the full analysis pipeline and collect one verdict document."""
+    """Run the full analysis pipeline on one shared Analysis into one verdict document."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    analysis = analyze_triplet(state, regions, tol_equality=tol_equality, tol_member=tol_member)
+    an = Analysis(state, regions, tol_equality=tol_equality, tol_member=tol_member)
+    analysis = an.triplet
     timings["analyze_s"] = time.perf_counter() - t0
 
     # contract checks only: saturation / markov are verdicts, not failures
@@ -308,7 +309,7 @@ def build_document(
     fact_section = None
     if analysis.ssa.saturated:
         t0 = time.perf_counter()
-        fact = factorize(state, regions, tol_equality=tol_equality, tol_member=tol_member)
+        fact = an.factorization
         timings["factorize_s"] = time.perf_counter() - t0
         fact_section = {
             "x_region_residual": fact.x_region_residual,
@@ -329,34 +330,9 @@ def build_document(
     dec_section = None
     if analysis.markov and state.is_even():
         t0 = time.perf_counter()
-        dec = decompose_even(state, regions, tol_equality=tol_equality, tol_member=tol_member)
+        dec = an.decomposition
         timings["decompose_s"] = time.perf_counter() - t0
-        dec_section = {
-            "m": len(dec.central.p_list),
-            "k_fixed": dec.central.k,
-            "n_pairs": len(dec.central.pairs),
-            "reassembly_residual": dec.reassembly_residual,
-            "lemma_join_residual": dec.lemma_join_residual,
-            "y_commutant_residual": dec.y_commutant_residual,
-            "blocks": [
-                {
-                    "kind": b.kind,
-                    "weight": b.weight,
-                    "rank": int(round(float(np.trace(b.projection).real))),
-                    "x_membership_residual": b.x_membership_residual,
-                    "y_membership_residual": b.y_membership_residual,
-                    **(
-                        {
-                            "partner_x_residual": b.partner_x_residual,
-                            "partner_y_residual": b.partner_y_residual,
-                        }
-                        if b.kind == "theta_pair"
-                        else {}
-                    ),
-                }
-                for b in dec.blocks
-            ],
-        }
+        dec_section = _decomposition_section(dec)
         checks.append(Check.of("decomposition.reassembly", dec.reassembly_residual, 1e-8))
         checks.append(Check.of("decomposition.lemma_join", dec.lemma_join_residual, 1e-8))
 
@@ -377,6 +353,37 @@ def build_document(
         factorization=fact_section,
         decomposition=dec_section,
     )
+
+
+def _decomposition_section(dec: BlockDecomposition) -> dict:
+    """The block-decomposition section of a verdict document, which is also
+    the body of the file `fermarkov decompose` writes."""
+    return {
+        "m": len(dec.central.p_list),
+        "k_fixed": dec.central.k,
+        "n_pairs": len(dec.central.pairs),
+        "reassembly_residual": dec.reassembly_residual,
+        "lemma_join_residual": dec.lemma_join_residual,
+        "y_commutant_residual": dec.y_commutant_residual,
+        "blocks": [
+            {
+                "kind": b.kind,
+                "weight": b.weight,
+                "rank": int(round(float(np.trace(b.projection).real))),
+                "x_membership_residual": b.x_membership_residual,
+                "y_membership_residual": b.y_membership_residual,
+                **(
+                    {
+                        "partner_x_residual": b.partner_x_residual,
+                        "partner_y_residual": b.partner_y_residual,
+                    }
+                    if b.kind == "theta_pair"
+                    else {}
+                ),
+            }
+            for b in dec.blocks
+        ],
+    }
 
 
 # --- subcommands ---------------------------------------------------------------------
@@ -454,24 +461,7 @@ def cmd_factorize(args) -> int:
 
 def cmd_decompose(args) -> int:
     state, regions, _ = read_state_file(args.infile)
-    dec = decompose_even(state, regions)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "m": len(dec.central.p_list),
-        "k_fixed": dec.central.k,
-        "n_pairs": len(dec.central.pairs),
-        "reassembly_residual": dec.reassembly_residual,
-        "blocks": [
-            {
-                "kind": b.kind,
-                "weight": b.weight,
-                "rank": int(round(float(np.trace(b.projection).real))),
-                "x_membership_residual": b.x_membership_residual,
-                "y_membership_residual": b.y_membership_residual,
-            }
-            for b in dec.blocks
-        ],
-    }
+    doc = {"schema_version": SCHEMA_VERSION, **_decomposition_section(decompose_even(state, regions))}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
     print(f"wrote {args.out}: {doc['k_fixed']} fixed + {doc['n_pairs']} pair blocks")
@@ -487,7 +477,8 @@ def cmd_sweep(args) -> int:
         spec = GeneratorSpec(args.kind, seed, regions, _sweep_params(args))
         t0 = time.perf_counter()
         state = generate(spec)
-        analysis = analyze_triplet(state, regions, tol_equality=args.tol_equality)
+        an = Analysis(state, regions, tol_equality=args.tol_equality)
+        analysis = an.triplet
         row = {
             "index": idx,
             "seed": seed,
@@ -502,7 +493,7 @@ def cmd_sweep(args) -> int:
             "elapsed_s": f"{time.perf_counter() - t0:.4f}",
         }
         if analysis.ssa.saturated:
-            fact = factorize(state, regions, tol_equality=args.tol_equality)
+            fact = an.factorization
             row["y_parity"] = fact.y_parity
             row["factor_residual"] = repr(fact.reconstruction_residual)
         rows.append(row)

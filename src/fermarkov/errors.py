@@ -103,5 +103,9 @@ class ParseError(FermarkovError, ValueError):
     """State file or flag value could not be parsed."""
 
 
+class NonFiniteNumber(FermarkovError):
+    """A document holds NaN or an infinity, which JSON cannot represent."""
+
+
 class InvariantViolation(FermarkovError):
     """A documented internal cross-check failed; indicates a bug or bad input."""

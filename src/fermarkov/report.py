@@ -19,7 +19,7 @@ import numpy as np
 
 from .car import RegionPartition
 from .entropy import StateDensity
-from .errors import ParseError
+from .errors import NonFiniteNumber, ParseError
 
 SCHEMA_VERSION = 1
 
@@ -79,9 +79,13 @@ def state_digest(state: StateDensity, regions: RegionPartition) -> str:
 
 
 def emit(doc: AnalysisDocument, fmt: str = "json") -> bytes:
-    """Serialize a document; json round-trips, text is one verdict per line."""
+    """Serialize a document; json round-trips (NaN or infinity raise
+    NonFiniteNumber), text is one verdict per line."""
     if fmt == "json":
-        return json.dumps(doc.to_dict(), indent=2, sort_keys=True).encode()
+        try:
+            return json.dumps(doc.to_dict(), indent=2, sort_keys=True, allow_nan=False).encode()
+        except ValueError as exc:
+            raise NonFiniteNumber(f"document holds NaN or infinity, which JSON cannot represent: {exc}") from exc
     if fmt == "text":
         lines = [
             f"schema_version {doc.schema_version}",

@@ -306,13 +306,14 @@ def minimal_central_projections(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             cols = u[:, lo:hi]
             projections.append(cols @ cols.conj().T)
-        if _validate_projection_family(projections, dim):
+        if is_projection_family(projections, dim):
             order = np.argsort([-float(np.trace(p).real) for p in projections], kind="stable")
             return [projections[i] for i in order]
     raise DegenerateCenter(f"failed to separate {m} central blocks in {retries} attempts")
 
 
-def _validate_projection_family(projections: list[np.ndarray], dim: int, tol: float = 1e-10) -> bool:
+def is_projection_family(projections: list[np.ndarray], dim: int, tol: float = 1e-10) -> bool:
+    """Orthogonal self-adjoint projections summing to the identity, within tol."""
     total = np.zeros((dim, dim), dtype=complex)
     for i, p in enumerate(projections):
         if np.max(np.abs(p @ p - p)) > tol or np.max(np.abs(p - p.conj().T)) > tol:

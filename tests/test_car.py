@@ -288,3 +288,26 @@ def test_interleaved_region_partition():
     r = RegionPartition((0, 3), (1,), (2, 4))
     assert r.AB == (0, 1, 3)
     assert r.BC == (1, 2, 4)
+
+
+@pytest.mark.parametrize("region", [(), (1, 3), (0, 1, 2, 3)])
+def test_cond_expect_stack_matches_loop(region):
+    alg = build_algebra(4)
+    rng = np.random.default_rng(71)
+    stack = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+    batched = cond_expect(alg, stack, region)
+    looped = np.stack([cond_expect(alg, x, region) for x in stack])
+    assert batched.shape == stack.shape
+    assert np.max(np.abs(batched - looped)) <= 1e-12
+    assert cond_expect(alg, stack[:0], region).shape == (0, 16, 16)
+
+
+def test_matrix_unit_stack_round_trip():
+    alg = build_algebra(4)
+    region = (0, 2)
+    fam = matrix_units(alg, region)
+    rng = np.random.default_rng(72)
+    stack = np.stack([random_region_element(alg, region, rng) for _ in range(3)])
+    coeff = fam.trace_pairings(stack) / (alg.dim // fam.small_dim)
+    assert coeff.shape == (3, fam.small_dim, fam.small_dim)
+    assert np.max(np.abs(fam.iso_from_small(coeff) - stack)) <= 1e-12

@@ -8,8 +8,10 @@ import json
 import numpy as np
 import pytest
 
+from fermarkov import markov
 from fermarkov.car import RegionPartition, build_algebra
 from fermarkov.cli import (
+    build_document,
     exact_algebra_residuals,
     main,
     parse_matrix_block,
@@ -23,6 +25,7 @@ from fermarkov.report import parse_document
 from fermarkov.states import make_product_markov, random_state
 
 REGIONS = RegionPartition((0,), (1,), (2,))
+REGIONS_4 = RegionPartition((0,), (1, 2), (3,))
 
 
 def test_parse_regions():
@@ -203,6 +206,10 @@ def test_decompose_command(tmp_path):
     doc = json.load(open(out))
     assert doc["k_fixed"] + 2 * doc["n_pairs"] == doc["m"]
     assert doc["reassembly_residual"] <= 1e-8
+    # the same block section as the verdict document
+    section = build_document(*read_state_file(state_path)[:2]).decomposition
+    assert set(doc) - {"schema_version"} == set(section)
+    assert doc["blocks"][0].keys() == section["blocks"][0].keys()
 
 
 def test_sweep_command(tmp_path):
@@ -261,3 +268,27 @@ def test_perturbed_kind_requires_base(tmp_path):
     state, _, meta = read_state_file(out)
     assert meta["epsilon"] == 0.01
     assert state.parity_defect() <= 1e-10
+
+
+def count_analysis_builds(monkeypatch):
+    calls = []
+    real = markov.invariant_subalgebra
+    monkeypatch.setattr(markov, "invariant_subalgebra", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_build_document_builds_the_analysis_once(monkeypatch):
+    calls = count_analysis_builds(monkeypatch)
+    doc = build_document(make_product_markov(REGIONS_4, 5), REGIONS_4)
+    assert doc.factorization is not None and doc.decomposition is not None
+    assert len(calls) == 2  # C and B, once each
+
+
+def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
+    calls = count_analysis_builds(monkeypatch)
+    csv_path = str(tmp_path / "rows.csv")
+    assert main(["sweep", "--kind", "product_markov", "--regions", "A=0:B=1,2:C=3",
+                 "--count", "1", "--seed0", "5", "--csv", csv_path]) == 0
+    (row,) = csv.DictReader(open(csv_path))
+    assert row["saturated"] == "True" and row["y_parity"] == "even"
+    assert len(calls) == 2

@@ -4,10 +4,12 @@ structure, block decomposition and the structural span identities."""
 import numpy as np
 import pytest
 
+from fermarkov import markov
 from fermarkov.car import RegionPartition, build_algebra, parity_automorphism, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import NotEven, NotMarkov, NotSaturated
 from fermarkov.markov import (
+    Analysis,
     analyze_triplet,
     central_structure,
     decompose_even,
@@ -271,3 +273,24 @@ def test_block_designs_that_grew_the_closure_decompose(k_fixed, n_pairs, seed):
         if b.kind == "theta_pair":
             assert b.partner_x_residual <= 1e-9
             assert b.partner_y_residual <= 1e-9
+
+
+def test_tol_member_reaches_triplet_factorization_and_blocks(monkeypatch):
+    regions = RegionPartition((0,), (1, 2), (3,))
+    state, _ = make_block_markov(regions, 41, 1, 1)
+    tols = []
+    real = markov.membership
+
+    def spy(x, s, tol):
+        tols.append(tol)
+        return real(x, s, tol)
+
+    monkeypatch.setattr(markov, "membership", spy)
+    an = Analysis(state, regions, tol_member=3e-9)
+    for step in ("triplet", "factorization", "decomposition"):
+        tols.clear()
+        getattr(an, step)
+        assert tols and set(tols) == {3e-9}, step
+    # the decomposition's Markov gate applies the caller's tolerance too
+    with pytest.raises(NotMarkov):
+        decompose_even(state, regions, tol_member=1e-30)

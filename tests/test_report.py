@@ -5,7 +5,7 @@ import pytest
 
 from fermarkov.car import RegionPartition
 from fermarkov.cli import build_document
-from fermarkov.errors import ParseError
+from fermarkov.errors import NonFiniteNumber, ParseError
 from fermarkov.report import AnalysisDocument, Check, emit, parse_document, recheck, state_digest
 from fermarkov.states import make_product_markov, random_state
 
@@ -104,3 +104,9 @@ def test_digest_tracks_input():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit(small_document(), "yaml")
+
+
+def test_emit_rejects_non_finite_numbers():
+    doc = small_document(checks=[Check.of("ssa.cross_check", float("nan"), 1e-8).__dict__])
+    with pytest.raises(NonFiniteNumber, match="NaN or infinity"):
+        emit(doc, "json")
