@@ -40,12 +40,12 @@ from .car import (
     parity_unitary,
     region_orthobasis,
 )
-from .entropy import TOL_EQUALITY, StateDensity
+from .entropy import TOL_CROSS, TOL_EQUALITY, StateDensity
 from .errors import FermarkovError, ParseError
-from .markov import Analysis, BlockDecomposition, decompose_even, factorize
+from .markov import TOL_BLOCK, TOL_PAIR, Analysis, BlockDecomposition, decompose_even, factorize
 from .report import SCHEMA_VERSION, AnalysisDocument, Check, emit, state_digest
 from .spectral import EPS_FAITHFUL, TOL_HERM
-from .states import GeneratorSpec, generate, make_block_markov, make_product_markov, perturb, random_even_state, random_state
+from .states import GeneratorSpec, generate, perturb
 from .subalgebra import TOL_MEMBER
 
 STATE_FILE_VERSION = 1
@@ -280,7 +280,7 @@ def build_document(
     # contract checks only: saturation / markov are verdicts, not failures
     checks = [
         Check.of("ssa.gap_nonnegative", -analysis.ssa.gap, 1e-9),
-        Check.of("ssa.cross_check", analysis.ssa.cross_residual, 1e-8),
+        Check.of("ssa.cross_check", analysis.ssa.cross_residual, TOL_CROSS),
         Check.of("triplet.cond_exp_in_b", analysis.cond_exp_residual, tol_member * 10),
     ]
     ssa_section = {
@@ -321,8 +321,8 @@ def build_document(
             "y_min_eig": fact.y_min_eig,
         }
         checks += [
-            Check.of("factorization.reconstruction", fact.reconstruction_residual, 1e-8),
-            Check.of("factorization.commute", fact.commute_residual, 1e-9),
+            Check.of("factorization.reconstruction", fact.reconstruction_residual, TOL_BLOCK),
+            Check.of("factorization.commute", fact.commute_residual, TOL_PAIR),
             Check.of("factorization.x_region", fact.x_region_residual, tol_member * 2),
             Check.of("factorization.y_region", fact.y_region_residual, tol_member * 2),
         ]
@@ -333,8 +333,8 @@ def build_document(
         dec = an.decomposition
         timings["decompose_s"] = time.perf_counter() - t0
         dec_section = _decomposition_section(dec)
-        checks.append(Check.of("decomposition.reassembly", dec.reassembly_residual, 1e-8))
-        checks.append(Check.of("decomposition.lemma_join", dec.lemma_join_residual, 1e-8))
+        checks.append(Check.of("decomposition.reassembly", dec.reassembly_residual, TOL_BLOCK))
+        checks.append(Check.of("decomposition.lemma_join", dec.lemma_join_residual, TOL_BLOCK))
 
     return AnalysisDocument(
         schema_version=SCHEMA_VERSION,
@@ -398,27 +398,18 @@ def _gen_state(args) -> tuple[StateDensity, RegionPartition, dict]:
     if args.n is not None and args.n != regions.n_sites:
         raise ParseError(f"--n {args.n} disagrees with regions covering {regions.n_sites} sites")
     seed = args.seed if args.seed is not None else _default_seed()
-    meta = {"kind": args.kind, "seed": seed}
-    if args.kind == "random":
-        return random_state(regions.n_sites, seed, args.floor), regions, meta
-    if args.kind == "random_even":
-        return random_even_state(regions.n_sites, seed, args.floor), regions, meta
-    if args.kind == "product_markov":
-        meta["parity_mode"] = args.parity_mode
-        return make_product_markov(regions, seed, args.parity_mode), regions, meta
-    if args.kind == "block_markov":
-        meta.update({"k_fixed": args.k_fixed, "n_pairs": args.n_pairs})
-        state, _ = make_block_markov(regions, seed, args.k_fixed, args.n_pairs)
-        return state, regions, meta
-    if args.kind == "perturbed":
-        if not args.base:
-            raise ParseError("--kind perturbed requires --base STATEFILE")
-        base, base_regions, _ = read_state_file(args.base)
-        if base_regions != regions:
-            raise ParseError("--regions disagrees with the base state file")
-        meta.update({"epsilon": args.epsilon, "base": args.base, "keep_even": args.keep_even})
-        return perturb(base, args.epsilon, seed, keep_even=args.keep_even), regions, meta
-    raise ParseError(f"unknown kind {args.kind!r}")
+    params = _generator_params(args)
+    meta = {"kind": args.kind, "seed": seed, **params}
+    if args.kind != "perturbed":
+        spec = GeneratorSpec(args.kind, seed, regions, {**params, "floor": args.floor})
+        return generate(spec), regions, meta
+    # a perturbed state perturbs the state of its --base file, not a generated one
+    if not args.base:
+        raise ParseError("--kind perturbed requires --base STATEFILE")
+    base, base_regions, _ = read_state_file(args.base)
+    if base_regions != regions:
+        raise ParseError("--regions disagrees with the base state file")
+    return perturb(base, args.epsilon, seed, keep_even=args.keep_even), regions, meta
 
 
 def cmd_gen(args) -> int:
@@ -474,7 +465,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for idx in range(args.count):
         seed = seed0 + idx
-        spec = GeneratorSpec(args.kind, seed, regions, _sweep_params(args))
+        spec = GeneratorSpec(args.kind, seed, regions, _generator_params(args))
         t0 = time.perf_counter()
         state = generate(spec)
         an = Analysis(state, regions, tol_equality=args.tol_equality)
@@ -505,15 +496,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_params(args) -> dict:
-    params: dict = {}
+def _generator_params(args) -> dict:
+    """The flags --kind reads, in the order a state file's metadata lists
+    them; `generate` ignores the ones it does not use (`base`)."""
     if args.kind == "product_markov":
-        params["parity_mode"] = args.parity_mode
+        return {"parity_mode": args.parity_mode}
     if args.kind == "block_markov":
-        params.update({"k_fixed": args.k_fixed, "n_pairs": args.n_pairs})
+        return {"k_fixed": args.k_fixed, "n_pairs": args.n_pairs}
     if args.kind == "perturbed":
-        params.update({"epsilon": args.epsilon, "keep_even": args.keep_even})
-    return params
+        return {"epsilon": args.epsilon, "base": args.base, "keep_even": args.keep_even}
+    return {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -570,6 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pairs", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--keep-even", action="store_true")
+    p.set_defaults(base=None)
 
     return parser
 

@@ -32,6 +32,7 @@ from .spectral import EPS_FAITHFUL, TOL_HERM, eig_hermitian, mat_imaginary_pow, 
 TOL_EQUALITY = 1e-8   # gap below which the entropy inequality counts as saturated
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-12
+TOL_CROSS = 1e-8      # entropy gap against its relative-entropy cross-check
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +142,12 @@ def ssa_gap(
     regions: RegionPartition,
     *,
     tol_equality: float = TOL_EQUALITY,
-    cross_check: bool = True,
 ) -> SsaReport:
     """Gap of the strong subadditivity combination for the given regions.
 
     The gap is computed from the four restriction entropies and cross-checked
     against the equivalent difference of relative entropies of the embedded
-    restrictions; a disagreement beyond 1e-8 raises InvariantViolation.
+    restrictions; a disagreement beyond TOL_CROSS raises InvariantViolation.
     """
     state.require_faithful()
     if regions.n_sites != state.alg.n_sites:
@@ -158,17 +158,15 @@ def ssa_gap(
     s_b = vn_entropy(restrict_density(state, regions.B))
     gap = s_ab + s_bc - s_total - s_b
 
-    cross_residual = 0.0
-    if cross_check:
-        rho_bc = embedded_restriction(state, regions.BC)
-        rho_ab = embedded_restriction(state, regions.AB)
-        rho_b = embedded_restriction(state, regions.B)
-        alt = rel_entropy(state.rho, rho_bc) - rel_entropy(rho_ab, rho_b)
-        cross_residual = abs(gap - alt)
-        if cross_residual > 1e-8:
-            raise InvariantViolation(
-                f"entropy gap {gap:.3e} disagrees with relative-entropy route by {cross_residual:.3e}"
-            )
+    rho_bc = embedded_restriction(state, regions.BC)
+    rho_ab = embedded_restriction(state, regions.AB)
+    rho_b = embedded_restriction(state, regions.B)
+    alt = rel_entropy(state.rho, rho_bc) - rel_entropy(rho_ab, rho_b)
+    cross_residual = abs(gap - alt)
+    if cross_residual > TOL_CROSS:
+        raise InvariantViolation(
+            f"entropy gap {gap:.3e} disagrees with relative-entropy route by {cross_residual:.3e}"
+        )
     return SsaReport(
         gap=float(gap),
         s_total=s_total,

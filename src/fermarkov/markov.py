@@ -394,10 +394,14 @@ class Analysis:
             q = central.q_list[j]
             xj, yj = q @ x, q @ y
             p_j = central.p_list[j]
-            c_j = product_algebra(lem.a_stack, _cut_stack(p_j, b_stack))
-            ct_j = product_algebra(
-                _cut_stack(p_j, bt_stack), np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd])
-            )
+            if len(central.p_list) == 1:
+                # p_1 = 1: the block algebras are the join and C~ themselves
+                c_j, ct_j = lem.join, lem.c_tilde
+            else:
+                c_j = product_algebra(lem.a_stack, _cut_stack(p_j, b_stack))
+                ct_j = product_algebra(
+                    _cut_stack(p_j, bt_stack), np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd])
+                )
             _, rx = membership(xj, c_j, tol_member)
             _, ry = membership(yj, ct_j, tol_member)
             blocks.append(

@@ -19,7 +19,8 @@ certificates checked here:
         superoperators.
 
 Channels are stored as dense superoperator matrices in the column-stacking
-convention; complete positivity is certified through the Choi matrix.
+convention and nothing else; complete positivity is certified through the
+Choi matrix when asked, and no verdict here asks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .subalgebra import (
     RANK_RTOL,
     TOL_MEMBER,
     SubalgebraBasis,
-    commutant,
+    _worst_commutator,
     invariant_subalgebra,
     invariant_subspace_under,
     membership,
@@ -55,20 +56,33 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim, order="F")
 
 
-def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of x -> a x b (column stacking)."""
-    return np.kron(b.T, a)
+def _basis_superop(recover: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """Superoperator of x -> sum_b recover_b tau(read_b^* x) for two (m, D, D)
+    stacks: one (D^2 x m)(m x D^2) product of their column-stacked rows."""
+    dim = recover.shape[-1]
+    rows_recover = hs.flatten(np.swapaxes(recover, 1, 2))
+    rows_read = hs.flatten(np.swapaxes(read, 1, 2))
+    return rows_recover.T @ rows_read.conj() / dim
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """Linear map on matrix space with its complete-positivity certificate."""
+    """Linear map on matrix space, held as its superoperator only; the
+    certificates below are computed from it when they are read."""
 
     dim_in: int
     dim_out: int
     superop: np.ndarray        # (dim_out^2, dim_in^2), column-stacking
-    kraus_rank: int
-    unital: bool
+
+    @property
+    def unital(self) -> bool:
+        image = self.apply(np.eye(self.dim_in, dtype=complex))
+        return bool(np.max(np.abs(image - np.eye(self.dim_out))) <= TOL_CHANNEL)
+
+    @property
+    def kraus_rank(self) -> int:
+        ev = np.linalg.eigvalsh(hs.hermitian_part(self.choi()))
+        return int(np.sum(ev > RANK_RTOL * max(float(ev[-1]), 1.0)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _unvec(self.superop @ _vec(x), self.dim_out)
@@ -87,18 +101,7 @@ class QuantumChannel:
 def projection_channel(s: SubalgebraBasis) -> QuantumChannel:
     """The trace-preserving conditional expectation onto the span of s."""
     dim = s.dim_ambient
-    cols = np.stack([_vec(b) for b in s.basis], axis=1) / np.sqrt(dim)
-    sup = cols @ cols.conj().T
-    return _finish_channel(sup, dim)
-
-
-def _finish_channel(sup: np.ndarray, dim: int) -> QuantumChannel:
-    eye = np.eye(dim, dtype=complex)
-    unital = bool(np.max(np.abs(_unvec(sup @ _vec(eye), dim) - eye)) <= TOL_CHANNEL)
-    ch = QuantumChannel(dim, dim, sup, 0, unital)
-    ev = np.linalg.eigvalsh(hs.hermitian_part(ch.choi()))
-    rank = int(np.sum(ev > RANK_RTOL * max(float(ev[-1]), 1.0)))
-    return QuantumChannel(dim, dim, sup, rank, unital)
+    return QuantumChannel(dim, dim, _basis_superop(s.basis, s.basis))
 
 
 def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS_FAITHFUL) -> QuantumChannel:
@@ -107,7 +110,9 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS
     trace-preserving conditional expectation onto the subalgebra.
 
     Completely positive and unital; composing with the restricted state
-    reproduces psi.
+    reproduces psi.  With E = sum_b |b><b| / D over the tau-orthonormal basis,
+    the map is sum_b vec(K b K) vec(H b H)^* / D with K = r0^{-1/2} and
+    H = r^{1/2}, built from the two stacks of basis images.
     """
     psi.require_faithful("recovery-map state")
     if not s.contains_identity:
@@ -121,9 +126,8 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS
         )
     half = mat_pow(rho, 0.5)
     inv_half0 = mat_pow(rho0, -0.5)
-    proj = projection_channel(s).superop
-    sup = _sandwich(inv_half0, inv_half0) @ proj @ _sandwich(half, half)
-    return _finish_channel(sup, psi.dim)
+    sup = _basis_superop(inv_half0 @ s.basis @ inv_half0, half @ s.basis @ half)
+    return QuantumChannel(psi.dim, psi.dim, sup)
 
 
 @dataclass(frozen=True)
@@ -256,9 +260,9 @@ def factor_through(
     if min_eig < -1e-9:
         raise InvariantViolation(f"factor has negative eigenvalue {min_eig:.3e}")
 
-    rel_comm = commutant(s)
-    inside, res = membership(d, rel_comm, tol_member)
-    if not inside:
+    # the relative commutant by its defining property: [d, b] = 0 for every b
+    res = _worst_commutator(d, s.basis)
+    if res > tol_member * (1.0 + hs.hs_norm(d)):
         raise InvariantViolation(f"factor outside the relative commutant: residual {res:.3e}")
 
     rho_psi0 = hs.hermitian_part(s.project(psi.rho))

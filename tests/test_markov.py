@@ -294,3 +294,18 @@ def test_tol_member_reaches_triplet_factorization_and_blocks(monkeypatch):
     # the decomposition's Markov gate applies the caller's tolerance too
     with pytest.raises(NotMarkov):
         decompose_even(state, regions, tol_member=1e-30)
+
+
+def test_single_block_decomposition_reuses_the_lemma_algebras(monkeypatch):
+    # a product state has one central block, p_1 = 1, whose block algebras are
+    # the join A_A v B and C~ that the lemma algebras already built
+    regions = RegionPartition((0,), (1, 2), (3,))
+    state = make_product_markov(regions, 49)
+    calls = []
+    real = markov.product_algebra
+    monkeypatch.setattr(markov, "product_algebra", lambda *a: calls.append(1) or real(*a))
+    dec = decompose_even(state, regions)
+    assert (dec.central.k, len(dec.central.pairs)) == (1, 0)
+    assert len(calls) == 2
+    assert dec.blocks[0].x_membership_residual <= 1e-9
+    assert dec.blocks[0].y_membership_residual <= 1e-9

@@ -1,13 +1,17 @@
 """Tests for recovery maps, the three sufficiency certificates and the
 common-factor construction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fermarkov.car import RegionPartition, build_algebra, region_orthobasis
+from fermarkov import subalgebra, sufficiency
+from fermarkov.car import RegionPartition, build_algebra, even_odd_split, parity_unitary, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
-from fermarkov.errors import FlowUnstable, NotSufficient
-from fermarkov.states import make_product_markov, random_state
+from fermarkov.errors import FlowUnstable, InvariantViolation, NotSufficient
+from fermarkov.spectral import mat_pow
+from fermarkov.states import make_product_markov, random_even_state, random_state
 from fermarkov.subalgebra import commutant, membership, subalgebra_from_matrices
 from fermarkov.sufficiency import (
     QuantumChannel,
@@ -181,7 +185,7 @@ def test_factor_through_rejects_unstable_flow():
 def test_choi_matches_unit_images(d_in, d_out):
     rng = np.random.default_rng(d_in * 10 + d_out)
     sup = rng.normal(size=(d_out**2, d_in**2)) + 1j * rng.normal(size=(d_out**2, d_in**2))
-    ch = QuantumChannel(d_in, d_out, sup, 0, False)
+    ch = QuantumChannel(d_in, d_out, sup)
     expected = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
     for r in range(d_in):
         for c in range(d_in):
@@ -189,3 +193,69 @@ def test_choi_matches_unit_images(d_in, d_out):
             unit[r, c] = 1.0
             expected[r * d_out:(r + 1) * d_out, c * d_out:(c + 1) * d_out] = ch.apply(unit)
     assert np.array_equal(ch.choi(), expected)
+
+
+def kron_petz_superop(psi, s):
+    """Reference: r0^{-1/2} E(r^{1/2} . r^{1/2}) r0^{-1/2} as Kronecker sandwiches
+    around the superoperator of the trace-preserving projection E."""
+    inv_half0 = mat_pow(s.project(psi.rho), -0.5)
+    half = mat_pow(psi.rho, 0.5)
+    proj = projection_channel(s).superop
+    return np.kron(inv_half0.T, inv_half0) @ proj @ np.kron(half.T, half)
+
+
+@pytest.mark.parametrize("regions", [REGIONS, RegionPartition((0,), (1, 2), (3,))], ids=["n3", "n4"])
+@pytest.mark.parametrize("which", ["ab", "b", "even_ab"])
+def test_petz_superop_matches_kronecker_sandwich(regions, which):
+    alg = build_algebra(regions.n_sites)
+    if which == "even_ab":
+        # the even part of A_AB: a subalgebra that is no region algebra
+        stack, _ = even_odd_split(alg, region_orthobasis(alg, regions.AB))
+    else:
+        stack = region_orthobasis(alg, regions.AB if which == "ab" else regions.B)
+    s = subalgebra_from_matrices(stack)
+    for psi in (random_state(regions.n_sites, 71), random_even_state(regions.n_sites, 72)):
+        expected = kron_petz_superop(psi, s)
+        got = petz_map(psi, s).superop
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+
+def test_is_sufficient_builds_no_choi_matrix(monkeypatch):
+    calls = []
+    real = QuantumChannel.choi
+    monkeypatch.setattr(QuantumChannel, "choi", lambda self: calls.append(1) or real(self))
+    phi, psi = sufficient_pair(18)
+    assert is_sufficient(phi, psi, ab_subalgebra()).overall
+    assert calls == []
+
+
+def test_factor_through_builds_no_commutant(monkeypatch):
+    calls = []
+    real = subalgebra.commutant
+    spy = lambda *a, **k: calls.append(1) or real(*a, **k)
+    monkeypatch.setattr(subalgebra, "commutant", spy)
+    monkeypatch.setattr(sufficiency, "commutant", spy, raising=False)
+    phi, psi = sufficient_pair(19)
+    factor_through(phi, psi, ab_subalgebra())
+    assert calls == []
+
+
+@pytest.mark.parametrize("regions", [REGIONS, RegionPartition((0,), (1, 2), (3,))], ids=["n3", "n4"])
+def test_factor_lies_in_the_commutant_oracle(regions):
+    alg = build_algebra(regions.n_sites)
+    phi, psi = sufficient_pair(21, regions)
+    s = ab_subalgebra(alg, regions)
+    d = factor_through(phi, psi, s)
+    ok, res = membership(d, commutant(s))
+    assert ok, f"factor escaped the relative commutant: {res:.3e}"
+
+
+def test_factor_through_rejects_factor_outside_relative_commutant(monkeypatch):
+    # with the sufficiency verdict forced, phi = (1 + Z_1 Z_2 / 2) / 8 against
+    # the tracial state gives the factor d = 1 + Z_1 Z_2 / 2: self-adjoint and
+    # positive, but Z_1 anticommutes with the site-1 generators of A_AB
+    monkeypatch.setattr(sufficiency, "is_sufficient", lambda *a, **k: SimpleNamespace(overall=True))
+    z1z2 = parity_unitary(ALG, (1,)) @ parity_unitary(ALG, (2,))
+    phi = StateDensity.from_matrix(ALG, (np.eye(8) + 0.5 * z1z2) / 8)
+    with pytest.raises(InvariantViolation, match="relative commutant"):
+        factor_through(phi, tracial(), ab_subalgebra())
