@@ -40,7 +40,7 @@ from .car import (
     parity_unitary,
     region_orthobasis,
 )
-from .entropy import TOL_CROSS, TOL_EQUALITY, StateDensity
+from .entropy import TOL_CROSS, TOL_EQUALITY, TOL_GAP_NEG, StateDensity
 from .errors import FermarkovError, ParseError
 from .markov import TOL_BLOCK, TOL_PAIR, Analysis, BlockDecomposition, decompose_even, factorize
 from .report import SCHEMA_VERSION, AnalysisDocument, Check, emit, state_digest
@@ -279,7 +279,7 @@ def build_document(
 
     # contract checks only: saturation / markov are verdicts, not failures
     checks = [
-        Check.of("ssa.gap_nonnegative", -analysis.ssa.gap, 1e-9),
+        Check.of("ssa.gap_nonnegative", -analysis.ssa.gap, TOL_GAP_NEG),
         Check.of("ssa.cross_check", analysis.ssa.cross_residual, TOL_CROSS),
         Check.of("triplet.cond_exp_in_b", analysis.cond_exp_residual, tol_member * 10),
     ]

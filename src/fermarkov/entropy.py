@@ -33,6 +33,7 @@ TOL_EQUALITY = 1e-8   # gap below which the entropy inequality counts as saturat
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-12
 TOL_CROSS = 1e-8      # entropy gap against its relative-entropy cross-check
+TOL_GAP_NEG = 1e-9    # negative entropy gap still accepted as roundoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +150,13 @@ def ssa_gap(
     against the equivalent difference of relative entropies of the embedded
     restrictions; a disagreement beyond TOL_CROSS raises InvariantViolation.
     """
+    return _ssa_report(state, regions, tol_equality)[0]
+
+
+def _ssa_report(
+    state: StateDensity, regions: RegionPartition, tol_equality: float
+) -> tuple[SsaReport, np.ndarray]:
+    """ssa_gap's report together with the E_BC(rho) its cross-check computed."""
     state.require_faithful()
     if regions.n_sites != state.alg.n_sites:
         raise ValueError("regions do not match the state's site count")
@@ -167,7 +175,7 @@ def ssa_gap(
         raise InvariantViolation(
             f"entropy gap {gap:.3e} disagrees with relative-entropy route by {cross_residual:.3e}"
         )
-    return SsaReport(
+    report = SsaReport(
         gap=float(gap),
         s_total=s_total,
         s_ab=s_ab,
@@ -177,6 +185,7 @@ def ssa_gap(
         tol_equality=tol_equality,
         cross_residual=float(cross_residual),
     )
+    return report, rho_bc
 
 
 def cocycle(rho: np.ndarray, sigma: np.ndarray, t: float, *, eps_faithful: float = EPS_FAITHFUL) -> np.ndarray:

@@ -28,16 +28,22 @@ def unflatten(rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 def orthonormal_rows(rows: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (standard inner product) of the row span via SVD.
+    """Orthonormal basis (standard inner product) of the row span: the right
+    singular vectors whose singular value exceeds rtol * s_max.
 
-    Rows with singular value <= rtol * s_max are treated as dependent.
+    The stack is factored as rows^H = Q R first.  Then rows = R^H Q^H, so the
+    small SVD R^H = U S W^H gives the singular values of rows and their right
+    singular vectors as the rows of W^H Q^H; only the kept ones are formed.
+    Neither step squares the rows into a Gram matrix, so the cut stays a cut
+    on singular values.
     """
     if rows.shape[0] == 0:
         return rows
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    q, r = np.linalg.qr(rows.conj().T)
+    _, s, wh = np.linalg.svd(r.conj().T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return vh[:0]
-    return vh[s > rtol * s[0]]
+        return wh[:0] @ q.conj().T
+    return wh[s > rtol * s[0]] @ q.conj().T
 
 
 def orthonormalize(stack: np.ndarray, rtol: float = 1e-9) -> np.ndarray:

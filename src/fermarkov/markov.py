@@ -41,8 +41,7 @@ from .entropy import (
     TOL_EQUALITY,
     SsaReport,
     StateDensity,
-    embedded_restriction,
-    ssa_gap,
+    _ssa_report,
 )
 from .errors import (
     BlockCertificationFailed,
@@ -188,8 +187,7 @@ class Analysis:
         state.require_faithful()
         self.state, self.regions = state, regions
         self.tol_equality, self.tol_member = tol_equality, tol_member
-        self.ssa: SsaReport = ssa_gap(state, regions, tol_equality=tol_equality)
-        rho_bc = embedded_restriction(state, regions.BC)
+        self.ssa, rho_bc = _ssa_report(state, regions, tol_equality)
         log_bc = mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / state.alg.dim)
         self.ab_alg = _region_subalgebra(state, regions.AB)
         self.b_alg = _region_subalgebra(state, regions.B)

@@ -17,6 +17,7 @@ certify a universally quantified condition; the descending iteration can.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ TOL_MEMBER = 1e-9    # membership residual accepted as "inside the span"
 
 _DEFAULT_SEED = 0x5EED  # reproducible extraction of central projections
 _SKETCH_SIZE = 4        # random constraints tried before falling back to the basis
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,8 +348,9 @@ def invariant_subalgebra(
     require_hermitian(h, what="flow generator")
     try:
         return _invariant_iteration(h, ambient, rtol, tol_member, validate, flow_times)
-    except NotAnAlgebra:
+    except NotAnAlgebra as err:
         # closure verification failure signals a rank misjudgment: tighten once
+        logger.warning("invariant subalgebra retried with rtol %.1e after: %s", rtol / 100, err)
         return _invariant_iteration(h, ambient, rtol / 100, tol_member, validate, flow_times)
 
 
@@ -362,9 +366,18 @@ def invariant_subspace_under(
     V_{k+1} = {x in V_k : apply_map(x) in V_k}.
 
     apply_map acts on stacks (m, D, D) -> (m, D, D) and must be linear.
+
+    Each round drops the directions of V_k whose image leaves V_k by more than
+    rtol * max(s_max, scale, 1), where the s are the singular values of the
+    out-of-span image rows g.  A round whose Frobenius norm |g|_F is at most
+    rtol * max(scale, 1) keeps every row and factors nothing: every singular
+    value is at most |g|_F, so none can exceed the cut.  Otherwise only the
+    left factor is read: with g^H = Q R, g = R^H Q^H has the left singular
+    vectors and singular values of the m x m R^H, and Q is never formed.
     """
     dim = ambient_basis.shape[-1]
     basis = ambient_basis
+    floor = rtol * max(scale, 1.0)
     for _ in range(ambient_basis.shape[0] + 1):
         m = basis.shape[0]
         if m == 0:
@@ -372,9 +385,11 @@ def invariant_subspace_under(
         image = apply_map(basis)
         out = image - hs.project_stack(basis, image)
         g = hs.flatten(out) / np.sqrt(dim)
-        u, sing, _ = np.linalg.svd(g, full_matrices=False)
-        sing = np.concatenate([sing, np.zeros(m - sing.size)])
-        cut = rtol * max(float(sing[0]) if sing.size else 0.0, scale, 1.0)
+        if np.linalg.norm(g) <= floor:
+            return basis
+        r = np.linalg.qr(g.conj().T, mode="r")
+        u, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
+        cut = rtol * max(float(sing[0]), scale, 1.0)
         keep = sing <= cut
         if keep.all():
             return basis

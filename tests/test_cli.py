@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from fermarkov import markov
+from fermarkov import entropy, markov
 from fermarkov.car import RegionPartition, build_algebra
 from fermarkov.cli import (
     build_document,
@@ -292,3 +292,14 @@ def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
     (row,) = csv.DictReader(open(csv_path))
     assert row["saturated"] == "True" and row["y_parity"] == "even"
     assert len(calls) == 2
+
+
+def test_build_document_takes_e_bc_of_rho_once(monkeypatch):
+    # E_BC(rho) is shared by the SSA cross-check and the flow generator:
+    # E_BC, E_AB and E_B of rho, plus E_BC of the stack of C for the triplet
+    calls = []
+    real = entropy.cond_expect
+    for module in (entropy, markov):
+        monkeypatch.setattr(module, "cond_expect", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    build_document(make_product_markov(REGIONS_4, 5), REGIONS_4)
+    assert sorted(calls) == sorted([REGIONS_4.BC, REGIONS_4.AB, REGIONS_4.B, REGIONS_4.BC])

@@ -1,17 +1,23 @@
 """Tests for span closures, commutants, centers, central projections and the
 flow-invariant subalgebra solver."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from fermarkov import hs
-from fermarkov.car import build_algebra, cond_expect, parity_unitary, region_orthobasis
+from fermarkov import hs, subalgebra
+from fermarkov.car import RegionPartition, build_algebra, cond_expect, parity_unitary, region_orthobasis
+from fermarkov.entropy import embedded_restriction
 from fermarkov.errors import DegenerateCenter, NotAnAlgebra
 from fermarkov.spectral import mat_log
+from fermarkov.states import make_product_markov
 from fermarkov.subalgebra import (
+    SubalgebraBasis,
     center,
     commutant,
     invariant_subalgebra,
+    invariant_subspace_under,
     membership,
     minimal_central_projections,
     parity_split,
@@ -264,3 +270,161 @@ def test_product_algebra_rejects_noncommuting_factors():
         projections.append(q @ q.conj().T)
     with pytest.raises(NotAnAlgebra):
         product_algebra(projections[:1], projections[1:])
+
+
+def test_invariant_subalgebra_logs_its_retry(monkeypatch, caplog):
+    real = subalgebra._invariant_iteration
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args[2])
+        if len(calls) == 1:
+            raise NotAnAlgebra("planted closure failure")
+        return real(*args)
+
+    monkeypatch.setattr(subalgebra, "_invariant_iteration", fail_first)
+    amb = region_alg((1, 2))
+    with caplog.at_level(logging.WARNING, logger="fermarkov.subalgebra"):
+        out = invariant_subalgebra(0.7 * np.eye(8, dtype=complex), amb)
+    assert out.size == amb.size
+    assert calls == [subalgebra.RANK_RTOL, subalgebra.RANK_RTOL / 100]
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING and record.name == "fermarkov.subalgebra"
+    assert "planted closure failure" in record.getMessage()
+
+
+# --- rank decisions against a full-SVD reference --------------------------------
+
+def svd_orthonormal_rows(rows, rtol=1e-9):
+    """Right singular vectors above rtol * s_max, from one full SVD."""
+    if rows.shape[0] == 0:
+        return rows
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return vh[:0]
+    return vh[s > rtol * s[0]]
+
+
+def svd_invariant_subspace_under(apply_map, ambient_basis, *, rtol=1e-9, scale=1.0):
+    """The descending iteration with every round decided by one full SVD."""
+    dim = ambient_basis.shape[-1]
+    basis = ambient_basis
+    for _ in range(ambient_basis.shape[0] + 1):
+        m = basis.shape[0]
+        if m == 0:
+            return basis
+        image = apply_map(basis)
+        g = hs.flatten(image - hs.project_stack(basis, image)) / np.sqrt(dim)
+        u, sing, _ = np.linalg.svd(g, full_matrices=False)
+        sing = np.concatenate([sing, np.zeros(m - sing.size)])
+        keep = sing <= rtol * max(float(sing[0]) if sing.size else 0.0, scale, 1.0)
+        if keep.all():
+            return basis
+        basis = hs.unflatten(u[:, keep].conj().T @ hs.flatten(basis), dim)
+    raise AssertionError("reference iteration did not stabilize")
+
+
+def rows_as_span(rows, dim):
+    return SubalgebraBasis(dim, hs.unflatten(rows * np.sqrt(dim), dim), False)
+
+
+def random_isometry(rng, n, k):
+    q, _ = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+    return q
+
+
+def planted(rng, m, k, rel, s_max=10.0):
+    """(m, k) matrix with singular values s_max * rel and random singular vectors."""
+    r = len(rel)
+    return random_isometry(rng, m, r) @ np.diag(s_max * np.asarray(rel)) @ random_isometry(rng, k, r).conj().T
+
+
+# Relative singular values on both sides of the 1e-9 cut, with the span
+# tolerance each spectrum allows.  Any backward-stable factorization fixes a
+# direction only to about eps / (its distance to the other side of the cut),
+# so a kept 1e-8 next to a dropped 1e-10 is resolved to about 2e-8 by the SVD
+# and the triangular path alike; with 1e-2 against 1e-10 it is about 2e-14.
+SPECTRA = [
+    ([1.0, 1e-6, 1e-8, 1e-10, 1e-12], 1e-6),
+    ([1.0, 1e-2, 1e-10, 1e-12], 1e-12),
+]
+
+
+@pytest.mark.parametrize("rel,span_tol", SPECTRA)
+@pytest.mark.parametrize("m,dim", [(6, 8), (16, 4), (40, 8), (64, 8), (30, 4), (5, 2)])
+def test_orthonormal_rows_matches_full_svd(m, dim, rel, span_tol):
+    # wide (m < D^2), square and tall stacks
+    n = dim * dim
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        r = min(len(rel), m, n)
+        rows = planted(rng, m, n, rel[:r])
+        got, want = hs.orthonormal_rows(rows), svd_orthonormal_rows(rows)
+        assert got.shape == want.shape
+        assert np.allclose(got @ got.conj().T, np.eye(got.shape[0]), atol=1e-12)
+        assert span_equality_residual(rows_as_span(got, dim), rows_as_span(want, dim)) <= span_tol
+
+
+@pytest.mark.parametrize("m", [0, 3, 16, 20])
+def test_orthonormal_rows_of_zero_and_empty_stacks(m):
+    rows = np.zeros((m, 16), dtype=complex)
+    got = hs.orthonormal_rows(rows)
+    assert got.shape == (0, 16) and got.shape == svd_orthonormal_rows(rows).shape
+
+
+def planted_flow(rng, dim, m, k, rel, s_max):
+    """A tau-orthonormal ambient of m elements and a linear map that sends its
+    span into k directions orthogonal to it with the planted singular values."""
+    full = random_isometry(rng, dim * dim, m + k).T
+    stack = hs.unflatten(full * np.sqrt(dim), dim)
+    ambient, outside = stack[:m], stack[m:]
+    mix = planted(rng, m, k, rel, s_max)
+
+    def apply_map(x):
+        coeff = hs.flatten(x) @ hs.flatten(ambient).conj().T / dim
+        return hs.unflatten(coeff @ mix @ hs.flatten(outside), dim)
+
+    return ambient, apply_map
+
+
+@pytest.mark.parametrize("rel,span_tol", SPECTRA)
+@pytest.mark.parametrize("m,k", [(8, 5), (5, 5), (5, 8)])
+@pytest.mark.parametrize("s_max,scale", [(10.0, 10.0), (3e-7, 1.0)])
+def test_invariant_subspace_under_matches_full_svd(m, k, rel, span_tol, s_max, scale):
+    # the planted map is tall, square and wide in (ambient, outside) shape; at
+    # s_max = 3e-7 the cut is set by the scale and the first round's Frobenius
+    # norm lies between the cut and the largest singular value
+    dim = 4
+    rel = rel[: min(len(rel), m, k)]
+    for seed in range(4):
+        ambient, apply_map = planted_flow(np.random.default_rng(seed), dim, m, k, rel, s_max)
+        got = invariant_subspace_under(apply_map, ambient, scale=scale)
+        want = svd_invariant_subspace_under(apply_map, ambient, scale=scale)
+        assert got.shape == want.shape
+        cut = 1e-9 * max(s_max, scale, 1.0)
+        assert got.shape[0] == m - sum(s_max * x > cut for x in rel)
+        spans = (SubalgebraBasis(dim, got, False), SubalgebraBasis(dim, want, False))
+        assert span_equality_residual(*spans) <= span_tol
+
+
+def test_invariant_subspace_under_zero_map_and_empty_ambient():
+    ambient = region_orthobasis(ALG, (0, 1))
+    assert invariant_subspace_under(np.zeros_like, ambient) is ambient
+    empty = ambient[:0]
+    assert invariant_subspace_under(lambda x: x @ x, empty) is empty
+
+
+def test_invariant_span_is_decided_without_a_factorization(monkeypatch):
+    regions = RegionPartition((0,), (1, 2), (3,))
+    state = make_product_markov(regions, 5)
+    h = mat_log(embedded_restriction(state, regions.BC))
+    ambient = region_orthobasis(state.alg, regions.AB)
+    scale = float(np.linalg.norm(h, 2))
+    factored = []
+    for name in ("svd", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(subalgebra.np.linalg, name,
+                            lambda *a, _real=real, _name=name, **k: factored.append(_name) or _real(*a, **k))
+    out = invariant_subspace_under(lambda x: h @ x - x @ h, ambient, scale=scale)
+    assert out is ambient
+    assert factored == []
