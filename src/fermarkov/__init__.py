@@ -69,7 +69,6 @@ from .subalgebra import (
     invariant_subalgebra,
     membership,
     minimal_central_projections,
-    span_closure,
     span_equality_residual,
     subalgebra_from_matrices,
 )

@@ -8,10 +8,12 @@ Conventions:
     The number operator a_j^* a_j is diag(0, 1) on site j.
   - tau is the normalized trace tau(x) = Tr(x) / 2^n; Tr is the plain matrix
     trace.  State densities elsewhere are normalized against Tr.
-  - The conditional expectation onto a site set I is the Hilbert-Schmidt
-    orthogonal projection onto the span of the algebra generated by that set;
-    this works for interleaved (non-contiguous) regions where the subalgebra
-    is not a plain tensor factor.
+  - The algebra of a site set I is a tensor factor up to a signed
+    permutation: for interleaved (non-contiguous) regions as well, a unitary
+    W that only permutes and signs the basis carries it onto M_{2^|I|} x 1
+    (a fermionic swap is a signed permutation).  The conditional expectation
+    onto it is a gather by W, a partial trace over the complement factor and
+    a scatter back; no basis of the region algebra is formed to compute it.
 """
 
 from __future__ import annotations
@@ -134,105 +136,108 @@ def even_odd_split(alg: CarAlgebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class MatrixUnitFamily:
-    """Mutually commuting 2x2 matrix units generating the algebra of a region.
+    """The algebra of a site set I as a tensor factor up to a signed permutation.
 
-    units[r * 2^k + c] realizes the elementary matrix unit E_rc of
-    M_{2^k}; row/column bits follow ascending site order, first region site
-    most significant.  parity holds +1 / -1 per unit.
+    W|a> = sign[a] |perm[a]>, a = r * 2^(n-k) + j, satisfies W^* e_rc W = E_rc x 1
+    for the matrix units e_rc of the region (E_rc elementary in M_{2^k}, k = |I|).
+    perm[a] puts the bits of r on the region sites and those of j on the rest,
+    each in ascending site order; sign[a] is -1 to the number of pairs of an
+    occupied region site s and an occupied complement site u < s.  W = 1 for
+    every prefix region.  parity holds +1 / -1 per unit, index r * 2^k + c.
     """
 
     alg: CarAlgebra
     region: tuple[int, ...]
-    units: np.ndarray        # (4^k, D, D)
+    perm: np.ndarray         # (D,) of basis indices
+    sign: np.ndarray         # (D,) of +-1
     parity: np.ndarray       # (4^k,) of +-1
 
     @property
     def small_dim(self) -> int:
         return 2 ** len(self.region)
 
-    def unit(self, r: int, c: int) -> np.ndarray:
-        return self.units[r * self.small_dim + c]
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and signs of the entries of every e_rc, as (r, c, j) arrays."""
+        p = self.perm.reshape(self.small_dim, -1)
+        s = self.sign.reshape(self.small_dim, -1)
+        return p[:, None, :], p[None, :, :], s[:, None, :] * s[None, :, :]
 
     def trace_pairings(self, x: np.ndarray) -> np.ndarray:
-        """Tr(e_alpha^* x) for every unit, as a (2^k, 2^k) matrix per matrix of x."""
-        x = np.asarray(x)
-        flat = self.units.reshape(self.units.shape[0], -1)
-        # conj the small stack, not the big unit stack
-        pairings = (x.reshape(-1, flat.shape[1]).conj() @ flat.T).conj()
-        return pairings.reshape(x.shape[:-2] + (self.small_dim, self.small_dim))
+        """Tr(e_rc^* x) for every unit, as a (2^k, 2^k) matrix per matrix of x:
+        the partial trace of W^* x W over the 2^(n-k) complement factor."""
+        rows, cols, signs = self._blocks()
+        return (np.asarray(x)[..., rows, cols] * signs).sum(axis=-1)
 
     def iso_from_small(self, m: np.ndarray) -> np.ndarray:
-        """Inverse isomorphism: sum_rc m[r, c] e_(rc) in the big algebra, per matrix of m, as one GEMM."""
+        """sum_rc m[r, c] e_rc = W (m x 1) W^*, per matrix of m, by one scatter."""
         m = np.asarray(m, dtype=complex)
-        flat = self.units.reshape(self.units.shape[0], -1)
-        return (m.reshape(-1, flat.shape[0]) @ flat).reshape(m.shape[:-2] + self.units.shape[1:])
+        rows, cols, signs = self._blocks()
+        out = np.zeros(m.shape[:-2] + (self.alg.dim, self.alg.dim), dtype=complex)
+        out[..., rows, cols] = m[..., None] * signs
+        return out
+
+    @property
+    def units(self) -> np.ndarray:
+        """(4^k, D, D) stack with units[r * 2^k + c] = e_rc, one scatter on every read."""
+        d = self.small_dim
+        rows, cols, signs = self._blocks()
+        out = np.zeros((d * d, self.alg.dim, self.alg.dim), dtype=complex)
+        out[np.arange(d * d).reshape(d, d, 1), rows, cols] = signs
+        return out
+
+    def unit(self, r: int, c: int) -> np.ndarray:
+        m = np.zeros((self.small_dim, self.small_dim))
+        m[r, c] = 1.0
+        return self.iso_from_small(m)
 
     def orthobasis(self) -> np.ndarray:
         """tau-orthonormal basis stack of the region algebra (the scaled units)."""
-        return self.units * np.sqrt(self.small_dim)
+        basis = self.units
+        basis *= np.sqrt(self.small_dim)
+        return basis
 
 
 @lru_cache(maxsize=32)
 def matrix_units(alg: CarAlgebra, region: tuple[int, ...]) -> MatrixUnitFamily:
-    """Matrix-unit family of a nonempty sorted site set."""
+    """Signed permutation of a strictly sorted site set in range(n); the empty
+    set gives the scalars, the full set W = 1."""
     region = tuple(int(i) for i in region)
-    if not region:
-        raise ValueError("region must be nonempty")
+    n = alg.n_sites
     if sorted(set(region)) != list(region):
         raise ValueError(f"region must be strictly sorted: {region}")
+    if region and not 0 <= region[0] <= region[-1] < n:
+        raise ValueError(f"region sites must lie in range({n}): {region}")
     k = len(region)
-    eye = alg.identity()
+    in_region = np.isin(np.arange(n), region)
+    weights = 1 << np.arange(n - 1, -1, -1)         # site 0 most significant
 
-    # per-site 2x2 unit families; the off-diagonal units carry the string
-    # V = prod over earlier region sites of (I - 2 a^* a)
-    local = []
-    v_prev = eye
-    for site in region:
-        a, ad = alg.annihilators[site], alg.creators[site]
-        local.append((a @ ad, v_prev @ a, v_prev @ ad, ad @ a))
-        v_prev = v_prev @ (eye - 2 * ad @ a)
+    # bit t of the index (r, j) sits on site order[t]: region sites, then the rest
+    order = np.argsort(~in_region, kind="stable")
+    occ = np.empty((alg.dim, n), dtype=np.int64)
+    occ[:, order] = (np.arange(alg.dim)[:, None] // weights) % 2
+    perm = occ @ weights
+    complement_below = np.cumsum(occ * ~in_region, axis=1)
+    crossings = (occ * in_region * complement_below).sum(axis=1)
+    sign = 1 - 2 * (crossings % 2)
 
-    # products in base-4 digit order (site-major), then reorder to (row, col)
-    stack = eye[None, :, :]
-    for e in local:
-        stack = np.einsum("mij,fjk->mfik", stack, np.stack(e)).reshape(-1, alg.dim, alg.dim)
-
-    dsmall = 2 ** k
-    units = np.empty_like(stack)
-    for idx4 in range(4 ** k):
-        digits = [(idx4 // 4 ** (k - 1 - j)) % 4 for j in range(k)]
-        r = sum(((d >> 1) & 1) << (k - 1 - j) for j, d in enumerate(digits))
-        c = sum((d & 1) << (k - 1 - j) for j, d in enumerate(digits))
-        units[r * dsmall + c] = stack[idx4]
-
-    rows = np.arange(4 ** k) // dsmall
-    cols = np.arange(4 ** k) % dsmall
+    rows, cols = np.divmod(np.arange(4 ** k), 2 ** k)
     parity = np.where(np.bitwise_count(rows ^ cols) % 2 == 0, 1, -1)
-    return MatrixUnitFamily(alg, region, units, parity)
+    return MatrixUnitFamily(alg, region, perm, sign, parity)
 
 
 def region_orthobasis(alg: CarAlgebra, region: Iterable[int]) -> np.ndarray:
     """tau-orthonormal basis stack of the algebra of a site set (I for empty)."""
-    region = tuple(sorted(int(i) for i in region))
-    if not region:
-        return alg.identity()[None, :, :]
-    return matrix_units(alg, region).orthobasis()
+    return matrix_units(alg, tuple(sorted(int(i) for i in region))).orthobasis()
 
 
 def cond_expect(alg: CarAlgebra, x: np.ndarray, region: Iterable[int]) -> np.ndarray:
     """Trace-preserving conditional expectation onto the algebra of a site set.
 
-    Hilbert-Schmidt orthogonal projection of x onto the span of the region's
-    matrix units; satisfies tau(x b) = tau(E_I(x) b) for b in the range.
-    x may be one matrix or a (m, D, D) stack, mapped elementwise.
+    Up to the signed permutation W of the region, the algebra is the tensor
+    factor M_{2^k} x 1, so E_I(x) = W (Tr_{2^(n-k)}(W^* x W) / 2^(n-k) x 1) W^*:
+    one gather, partial trace and scatter, and tau(x b) = tau(E_I(x) b) for b
+    in the range.  x may be one matrix or a (m, D, D) stack, mapped elementwise.
     """
-    region = tuple(sorted(int(i) for i in region))
-    x = np.asarray(x, dtype=complex)
-    if not region:
-        tau = np.trace(x, axis1=-2, axis2=-1) / alg.dim
-        return tau[..., None, None] * alg.identity()
-    if region == alg.sites:
-        return x.copy()
-    family = matrix_units(alg, region)
+    family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
     scale = alg.dim // family.small_dim
     return family.iso_from_small(family.trace_pairings(x) / scale)

@@ -204,6 +204,12 @@ def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0
                 for c2 in range(d):
                     want = e_a if (r1, c1) == (r2, c2) else 0
                     worst = max(worst, float(np.max(np.abs(p @ family.unit(r2, c2) @ q - want))))
+    # the family is built from the site layout alone; tie it to the generators
+    for s in sites:
+        a = alg.annihilators[s]
+        worst = max(worst, float(np.max(np.abs(cond_expect(alg, a, (s,)) - a))))
+        want = a if s in region else 0
+        worst = max(worst, float(np.max(np.abs(cond_expect(alg, a, region) - want))))
     out["matrix_units"] = worst
 
     worst = 0.0

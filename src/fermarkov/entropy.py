@@ -2,17 +2,16 @@
 
 """State densities, restrictions, entropies and the strong-subadditivity gap.
 
-Two pictures of a restriction coexist and the scale conventions between them
-matter:
+Two pictures of a restriction to a site set I coexist, and the scale between
+them matters.  Up to the signed permutation W of I (car.matrix_units), the
+algebra of I is the tensor factor M_{2^|I|} x 1:
 
-  - small picture: the restriction to the algebra of a site set I is a
-    2^|I| x 2^|I| density with unit trace, obtained from the trace pairings
-    with the matrix units (used for entropies);
-  - embedded picture: E_I(rho) is an element of the full algebra and is the
+  - small picture: the partial trace of W^* rho W over the complement
+    factor, a 2^|I| x 2^|I| density with unit trace (used for entropies);
+  - embedded picture: E_I(rho) = W (small x 1) W^* / 2^{n - |I|}, the
     density (unit trace w.r.t. the full Tr) of the state composed with the
     conditional expectation (used for logs, modular flows and cocycles).
 
-The two differ by the factor 2^{n - |I|} through the matrix-unit isomorphism.
 All entropies are in nats.
 """
 
@@ -95,13 +94,7 @@ class SsaReport:
 def restrict_density(state: StateDensity, region: Iterable[int]) -> np.ndarray:
     """Unit-trace density of the restriction on the 2^|I|-dimensional algebra."""
     region = tuple(sorted(int(i) for i in region))
-    if region == state.alg.sites:
-        return state.rho.copy()
-    if not region:
-        return np.ones((1, 1), dtype=complex)
-    family = matrix_units(state.alg, region)
-    small = family.trace_pairings(state.rho)
-    small = hs.hermitian_part(small)
+    small = hs.hermitian_part(matrix_units(state.alg, region).trace_pairings(state.rho))
     w = np.linalg.eigvalsh(small)
     if w[0] < -1e-10 or abs(np.trace(small).real - 1.0) > 1e-8:
         raise InvariantViolation(

@@ -170,13 +170,8 @@ class BlockDesign:
 
 def _diag_projection(alg: CarAlgebra, region: tuple[int, ...], patterns: list[int]) -> np.ndarray:
     """Even projection selecting occupation patterns of the region sites."""
-    if not region:
-        return alg.identity()
     family = matrix_units(alg, region)
-    p = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for s in patterns:
-        p += family.unit(s, s)
-    return p
+    return family.iso_from_small(np.diag(np.bincount(patterns, minlength=family.small_dim)))
 
 
 def make_block_markov(
@@ -264,8 +259,7 @@ def make_block_markov(
             p_minus = r @ (eye - w_cen) / 2
             pair_projs.append((p_plus, p_minus))
     else:
-        family = matrix_units(alg, b_sites)
-        n_full = family.small_dim
+        n_full = 2 ** len(b_sites)
         groups = [[j] for j in range(k_fixed)]
         groups[-1].extend(range(k_fixed, n_full))
         for group in groups:

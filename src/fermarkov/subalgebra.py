@@ -89,7 +89,7 @@ def span_equality_residual(s1: SubalgebraBasis, s2: SubalgebraBasis) -> float:
     return float(both.max()) if both.size else 0.0
 
 
-# --- span closure ------------------------------------------------------------
+# --- span closure: the generic reference for product_algebra, not exported ----
 
 def span_closure(
     generators: list[np.ndarray] | np.ndarray,

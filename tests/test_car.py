@@ -1,6 +1,8 @@
 """Tests for the Jordan-Wigner construction, parity machinery, matrix units
 and conditional expectations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -311,3 +313,62 @@ def test_matrix_unit_stack_round_trip():
     coeff = fam.trace_pairings(stack) / (alg.dim // fam.small_dim)
     assert coeff.shape == (3, fam.small_dim, fam.small_dim)
     assert np.max(np.abs(fam.iso_from_small(coeff) - stack)) <= 1e-12
+
+
+def reference_units(alg, region):
+    """e_rc from the Jordan-Wigner generators, in the row-major (r, c) order:
+    the product over region sites of a a^*, V a, V a^*, a^* a (digit 2 r_j + c_j),
+    where V is the product of (1 - 2 a^* a) over the earlier region sites."""
+    eye = alg.identity()
+    local = []
+    v_prev = eye
+    for site in region:
+        a, ad = alg.annihilators[site], alg.creators[site]
+        local.append((a @ ad, v_prev @ a, v_prev @ ad, ad @ a))
+        v_prev = v_prev @ (eye - 2 * ad @ a)
+    k = len(region)
+    units = []
+    for r in range(2 ** k):
+        for c in range(2 ** k):
+            e = eye
+            for j, factors in enumerate(local):
+                shift = k - 1 - j
+                e = e @ factors[2 * ((r >> shift) & 1) + ((c >> shift) & 1)]
+            units.append(e)
+    return np.stack(units)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_signed_permutation_against_reference_units(n):
+    alg = build_algebra(n)
+    rng = np.random.default_rng(73)
+    x = rng.normal(size=(2, alg.dim, alg.dim)) + 1j * rng.normal(size=(2, alg.dim, alg.dim))
+    for k in range(n + 1):
+        for region in itertools.combinations(range(n), k):
+            fam = matrix_units(alg, region)
+            assert np.array_equal(np.sort(fam.perm), np.arange(alg.dim))
+            assert set(np.unique(fam.sign)) <= {-1, 1}
+            w = np.zeros((alg.dim, alg.dim))
+            w[fam.perm, np.arange(alg.dim)] = fam.sign
+            if region == tuple(range(k)):
+                assert np.array_equal(w, np.eye(alg.dim))
+            ref = reference_units(alg, region)
+            d = 2 ** k
+            small = np.eye(d * d).reshape(-1, d, d)
+            for e, e_small in zip(ref, small):
+                assert np.array_equal(w.T @ e @ w, np.kron(e_small, np.eye(alg.dim // d)))
+            # HS projection onto the reference span; the units are orthogonal
+            # with squared Frobenius norm 2^(n-k)
+            flat = ref.reshape(d * d, -1)
+            want = (x.reshape(2, -1) @ flat.T / (alg.dim // d)) @ flat
+            got = cond_expect(alg, x, region)
+            assert np.max(np.abs(got - want.reshape(x.shape))) <= 1e-15
+
+
+@pytest.mark.parametrize("region", [(-1,), (3,), (0, 3)])
+def test_out_of_range_sites_rejected(region):
+    alg = build_algebra(3)
+    with pytest.raises(ValueError, match="range"):
+        matrix_units(alg, region)
+    with pytest.raises(ValueError, match="range"):
+        cond_expect(alg, alg.annihilators[0], region)

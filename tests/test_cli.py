@@ -113,7 +113,10 @@ def test_selftest_negative_control():
     buf = io.StringIO()
     assert run_selftest(3, algebra_factory=broken_algebra, out=buf) == 1
     text = buf.getvalue()
-    assert "FAIL" in text and "car_relations" in text.split("FAILED identities:")[-1]
+    failed = text.split("FAILED identities:")[-1]
+    assert "FAIL" in text and "car_relations" in failed
+    # the family is built without the generators; its generator check must see the missing strings
+    assert "matrix_units" in failed
 
 
 def test_exact_algebra_residuals_keys():
