@@ -69,6 +69,7 @@ from .subalgebra import (
     invariant_subalgebra,
     membership,
     minimal_central_projections,
+    region_subalgebra,
     span_equality_residual,
     subalgebra_from_matrices,
 )

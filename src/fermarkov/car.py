@@ -107,25 +107,34 @@ class RegionPartition:
         return tuple(sorted(self.B + self.C))
 
 
+def _parity_diagonal(alg: CarAlgebra, region: Iterable[int]) -> np.ndarray:
+    """Diagonal of v_I: a_i^* a_i - a_i a_i^* is +1 on an occupied site i and
+    -1 on an empty one, so v_I is -1 to the number of empty sites of I."""
+    region = tuple(region)
+    mask = sum(1 << (alg.n_sites - 1 - i) for i in region)  # site 0 most significant
+    filled = np.bitwise_count(np.arange(alg.dim) & mask)
+    return 1.0 - 2.0 * ((len(region) - filled) % 2)
+
+
 def parity_unitary(alg: CarAlgebra, region: Iterable[int]) -> np.ndarray:
     """v_I = prod_{i in I} (a_i^* a_i - a_i a_i^*); self-adjoint unitary
     implementing the sign flip of the generators in I by conjugation."""
-    v = alg.identity()
-    for i in region:
-        a, ad = alg.annihilators[i], alg.creators[i]
-        v = v @ (ad @ a - a @ ad)
-    return v
+    return np.diag(_parity_diagonal(alg, region)).astype(complex)
 
 
 @lru_cache(maxsize=32)
-def _global_parity(alg: CarAlgebra) -> np.ndarray:
-    return parity_unitary(alg, alg.sites)
+def _global_parity_signs(alg: CarAlgebra) -> np.ndarray:
+    d = _parity_diagonal(alg, alg.sites)
+    return np.outer(d, d)
 
 
 def parity_automorphism(alg: CarAlgebra, x: np.ndarray, region: Iterable[int] | None = None) -> np.ndarray:
-    """v_I x v_I; with region omitted, the global parity automorphism."""
-    v = _global_parity(alg) if region is None else parity_unitary(alg, region)
-    return v @ x @ v
+    """v_I x v_I, entrywise x * (v v^T) for the diagonal v of v_I; with region
+    omitted, the global parity automorphism."""
+    if region is None:
+        return x * _global_parity_signs(alg)
+    d = _parity_diagonal(alg, region)
+    return x * np.outer(d, d)
 
 
 def even_odd_split(alg: CarAlgebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

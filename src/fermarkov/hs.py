@@ -72,7 +72,13 @@ def project_stack(basis: np.ndarray, stack: np.ndarray) -> np.ndarray:
     dim = stack.shape[-1]
     rows = flatten(stack)
     b = flatten(basis)
-    return unflatten((rows @ b.conj().T / dim) @ b, dim)
+    # conj the smaller operand: a conjugated copy of a large basis is the
+    # largest allocation of a projection
+    if rows.shape[0] < b.shape[0]:
+        c = (rows.conj() @ b.T).conj()
+    else:
+        c = rows @ b.conj().T
+    return unflatten((c / dim) @ b, dim)
 
 
 def residual_norms(basis: np.ndarray, stack: np.ndarray) -> np.ndarray:

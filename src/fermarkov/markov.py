@@ -62,6 +62,7 @@ from .subalgebra import (
     minimal_central_projections,
     parity_split,
     product_algebra,
+    region_subalgebra,
     span_equality_residual,
     subalgebra_from_matrices,
 )
@@ -150,11 +151,6 @@ class StructureLemmaReport:
 
 # --- shared analysis -------------------------------------------------------------
 
-def _region_subalgebra(state: StateDensity, region: tuple[int, ...]) -> SubalgebraBasis:
-    stack = region_orthobasis(state.alg, region)
-    return SubalgebraBasis(state.alg.dim, stack, True, True)
-
-
 @dataclass(frozen=True)
 class _LemmaAlgebras:
     """Structure-lemma algebras of an even Markov state, shared by the block
@@ -189,8 +185,8 @@ class Analysis:
         self.tol_equality, self.tol_member = tol_equality, tol_member
         self.ssa, rho_bc = _ssa_report(state, regions, tol_equality)
         log_bc = mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / state.alg.dim)
-        self.ab_alg = _region_subalgebra(state, regions.AB)
-        self.b_alg = _region_subalgebra(state, regions.B)
+        self.ab_alg = region_subalgebra(state.alg, regions.AB)
+        self.b_alg = region_subalgebra(state.alg, regions.B)
         self.c_basis = invariant_subalgebra(log_bc, self.ab_alg)
         self.b_basis = invariant_subalgebra(log_bc, self.b_alg)
 
@@ -249,7 +245,7 @@ class Analysis:
 
         scale = 1.0 + hs.hs_norm(y)
         x_ok, x_res = membership(x, self.ab_alg, tol_member)
-        y_ok, y_res = membership(y, _region_subalgebra(state, regions.BC), tol_member)
+        y_ok, y_res = membership(y, region_subalgebra(state.alg, regions.BC), tol_member)
         commute = hs.hs_norm(x @ y - y @ x)
         recon = hs.hs_norm(x @ y - state.rho)
         y_min = float(np.linalg.eigvalsh(y)[0])
@@ -351,12 +347,12 @@ class Analysis:
         alg, regions = self.state.alg, self.regions
         a_stack = region_orthobasis(alg, regions.A)
         c_even, c_odd, _ = parity_split(
-            _region_subalgebra(self.state, regions.C), parity_unitary(alg, alg.sites)
+            region_subalgebra(alg, regions.C), parity_unitary(alg, alg.sites)
         )
         v_b = parity_unitary(alg, regions.B)
         b_tilde = commutant(self.b_basis, ambient=self.b_alg)
-        join = product_algebra(a_stack, self.b_basis.basis)
-        c_tilde = product_algebra(b_tilde.basis, np.concatenate([c_even, v_b @ c_odd]))
+        join = product_algebra(a_stack, self.b_basis.basis, regions.AB)
+        c_tilde = product_algebra(b_tilde.basis, np.concatenate([c_even, v_b @ c_odd]), regions.BC)
         return _LemmaAlgebras(a_stack, c_even, c_odd, v_b, b_tilde, join, c_tilde)
 
     @cached_property
@@ -396,9 +392,11 @@ class Analysis:
                 # p_1 = 1: the block algebras are the join and C~ themselves
                 c_j, ct_j = lem.join, lem.c_tilde
             else:
-                c_j = product_algebra(lem.a_stack, _cut_stack(p_j, b_stack))
+                c_j = product_algebra(lem.a_stack, _cut_stack(p_j, b_stack), regions.AB)
                 ct_j = product_algebra(
-                    _cut_stack(p_j, bt_stack), np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd])
+                    _cut_stack(p_j, bt_stack),
+                    np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd]),
+                    regions.BC,
                 )
             _, rx = membership(xj, c_j, tol_member)
             _, ry = membership(yj, ct_j, tol_member)
@@ -423,7 +421,7 @@ class Analysis:
             partner_y = hs.hs_norm(q2 @ y - parity_automorphism(alg, w))
             p1, p2 = central.p_list[i], central.p_list[j]
             d_l = product_algebra(
-                lem.a_stack, np.concatenate([p_a @ p1 @ b_stack, (eye - p_a) @ p2 @ b_stack])
+                lem.a_stack, np.concatenate([p_a @ p1 @ b_stack, (eye - p_a) @ p2 @ b_stack]), regions.AB
             )
             # u_l squares to p1 + p2, not 1: the cut even part keeps the right factor closed
             u_l = (p1 + p2) @ lem.v_b
@@ -495,7 +493,7 @@ class Analysis:
         join_res = span_equality_residual(self.c_basis, lem.join)
 
         c_comm = commutant(self.c_basis)
-        kom = commutant(self.b_basis, ambient=_region_subalgebra(state, regions.BC))
+        kom = commutant(self.b_basis, ambient=region_subalgebra(state.alg, regions.BC))
         k_even, k_odd, _ = parity_split(kom, v_all)
         rhs_parts = list(k_even) + [k @ v_a for k in k_odd]
         rhs1 = subalgebra_from_matrices(np.stack(rhs_parts)) if rhs_parts else c_comm

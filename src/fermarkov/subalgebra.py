@@ -2,11 +2,25 @@
 
 """Generic *-subalgebra machinery on matrix space.
 
-Subalgebras are represented by tau-orthonormal basis stacks.  Commutants and
-centers are solved as joint commutator nullspaces with a sketch-verify-refine
-loop: a few random self-adjoint combinations of the basis act as constraints,
-every candidate is then verified against the full basis, and failing
-constraints are fed back until the candidate span is exact.
+A subalgebra is a tau-orthonormal basis stack together with the site set
+whose algebra holds it.  The algebra A_I of a site set I is the tensor factor
+M_{2^k} x 1 up to the signed permutation W of the region (``car.matrix_units``),
+a *-isomorphism that keeps tau-norms, so every certificate of a subalgebra of
+A_I runs on its (m, 2^k, 2^k) small picture, tr_{2^(n-k)}(W^* b W) / 2^(n-k),
+instead of on D x D matrices: the closure check, the products of
+``product_algebra``, span identities and commutants inside an ambient.  Each
+certificate also bounds the leak, the tau-norm of what lies outside A_I: the
+parts of a matrix inside and outside A_I are orthogonal, so a residual in the
+small picture and the leak add in quadrature to the residual of the full
+matrices.  The region is a fact carried by construction: region algebras set
+it, invariant subalgebras and commutants inherit it from their ambient,
+products get the union of their factors' regions, and anything else holds the
+whole lattice, where W = 1 and the same code runs uncompressed.
+
+Commutants and centers are solved as joint commutator nullspaces with a
+sketch-verify-refine loop: a few random self-adjoint combinations of the basis
+act as constraints, every candidate is then verified against the full basis,
+and failing constraints are fed back until the candidate span is exact.
 
 The invariant-subalgebra solver decides the "stable under e^{itH} . e^{-itH}
 for all t" condition algebraically: the largest subspace V of the ambient span
@@ -19,10 +33,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from . import hs
+from .car import CarAlgebra, MatrixUnitFamily, build_algebra, matrix_units
 from .errors import DegenerateCenter, InvariantViolation, NotAnAlgebra
 from .spectral import eig_hermitian, require_hermitian
 
@@ -37,12 +54,23 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
-    """tau-orthonormal basis of a *-subalgebra of the D x D matrices."""
+    """A *-subalgebra of the D x D matrices: a tau-orthonormal basis stack and
+    the site set whose algebra holds it (by default every site, D = 2^n).
+
+    ``small`` is the basis in the region's 2^k x 2^k tensor factor and
+    ``leak`` the tau-norm of each basis element outside the region algebra,
+    both computed on first read.
+    """
 
     dim_ambient: int
     basis: np.ndarray            # (size, D, D)
     contains_identity: bool
     parity_stable: bool | None = field(default=None)
+    region: tuple[int, ...] | None = None  # sorted sites; None reads as every site
+
+    def __post_init__(self):
+        sites = _lattice(self.dim_ambient) if self.region is None else self.region
+        object.__setattr__(self, "region", tuple(sorted(int(i) for i in sites)))
 
     @property
     def size(self) -> int:
@@ -51,19 +79,96 @@ class SubalgebraBasis:
     def project(self, x: np.ndarray) -> np.ndarray:
         return hs.project(self.basis, x)
 
+    @cached_property
+    def family(self) -> MatrixUnitFamily:
+        return _family(self.dim_ambient, self.region)
+
+    @cached_property
+    def small(self) -> np.ndarray:
+        """(size, 2^k, 2^k) basis in the region's tensor factor."""
+        return _small(self.family, self.basis)
+
+    @cached_property
+    def leak(self) -> np.ndarray:
+        """tau-norm of each basis element outside the region algebra."""
+        return _leak(self.family, self.basis, self.small)
+
+
+def _lattice(dim: int) -> tuple[int, ...]:
+    """Every site of the lattice whose matrices are D x D, D = 2^n."""
+    return tuple(range(dim.bit_length() - 1))
+
+
+def _union(*regions: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set().union(*regions)))
+
+
+def _family(dim: int, region: tuple[int, ...]) -> MatrixUnitFamily:
+    n = dim.bit_length() - 1
+    if dim != 2 ** n:
+        raise ValueError(f"matrix size {dim} is not a power of two")
+    return matrix_units(build_algebra(n), region)
+
+
+def _small(family: MatrixUnitFamily, stack: np.ndarray) -> np.ndarray:
+    """Partial trace of W^* x W over the complement factor, per matrix: the
+    image of E_I(x) in M_{2^k}, with the same tau-norm and products."""
+    return family.trace_pairings(stack) / (family.alg.dim // family.small_dim)
+
+
+def _leak(family: MatrixUnitFamily, stack: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """tau-norm of x - E_I(x) for every matrix of the stack."""
+    out = stack - family.iso_from_small(small)
+    return np.linalg.norm(hs.flatten(out), axis=1) / np.sqrt(stack.shape[-1])
+
+
+def _picture(s: SubalgebraBasis, family: MatrixUnitFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(small picture, leak) of a basis in the factor of a region holding s's."""
+    if family.region == s.region:
+        return s.small, s.leak
+    small = _small(family, s.basis)
+    return small, _leak(family, s.basis, small)
+
+
+def _require_inside(leak: np.ndarray, bound, region: tuple[int, ...], what: str) -> None:
+    """NotAnAlgebra unless every leak is within its bound (one, or one per matrix)."""
+    if np.any(leak > bound):
+        raise NotAnAlgebra(f"{what} leaves the algebra of sites {region}: leak {leak.max():.3e}")
+
+
+def _from_small(family: MatrixUnitFamily, small: np.ndarray, contains_identity: bool,
+                parity_stable: bool | None = None, basis: np.ndarray | None = None) -> SubalgebraBasis:
+    """The subalgebra of a region with the given small picture.  Its basis is
+    the scatter of that picture (passed in when the caller has it), so
+    nothing of it leaks."""
+    basis = family.iso_from_small(small) if basis is None else basis
+    s = SubalgebraBasis(family.alg.dim, basis, contains_identity, parity_stable, family.region)
+    s.__dict__.update(family=family, small=small, leak=np.zeros(small.shape[0]))
+    return s
+
+
+def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis:
+    """The algebra of a site set: the scaled matrix units of its factor."""
+    family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
+    d = family.small_dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * np.sqrt(d)
+    return _from_small(family, units, True, True, basis=family.orthobasis())
+
 
 def subalgebra_from_matrices(
     mats: np.ndarray | list[np.ndarray],
     *,
     rtol: float = RANK_RTOL,
     parity_stable: bool | None = None,
+    region: Iterable[int] | None = None,
 ) -> SubalgebraBasis:
-    """Orthonormalize a spanning set into a SubalgebraBasis (span only; no closure)."""
+    """Orthonormalize a spanning set into a SubalgebraBasis (span only; no
+    closure) held by the algebra of region (default: the whole lattice)."""
     stack = np.stack([np.asarray(m, dtype=complex) for m in mats]) if isinstance(mats, list) else np.asarray(mats, dtype=complex)
     dim = stack.shape[-1]
     basis = hs.orthonormalize(stack, rtol)
     has_id = _contains_identity(basis, dim)
-    return SubalgebraBasis(dim, basis, has_id, parity_stable)
+    return SubalgebraBasis(dim, basis, has_id, parity_stable, region)
 
 
 def _contains_identity(basis: np.ndarray, dim: int) -> bool:
@@ -81,11 +186,18 @@ def membership(x: np.ndarray, s: SubalgebraBasis, tol: float = TOL_MEMBER) -> tu
     return residual <= tol * (1.0 + hs.hs_norm(x)), float(residual)
 
 
+def inclusion_defects(s1: SubalgebraBasis, s2: SubalgebraBasis) -> np.ndarray:
+    """tau-norm of the part of each basis element of s1 orthogonal to the span
+    of s2, computed in the factor of the union of their regions: the small
+    picture's residual and the leak add in quadrature."""
+    family = _family(s1.dim_ambient, _union(s1.region, s2.region))
+    (a, leak), (b, _) = _picture(s1, family), _picture(s2, family)
+    return np.hypot(hs.residual_norms(b, a), leak)
+
+
 def span_equality_residual(s1: SubalgebraBasis, s2: SubalgebraBasis) -> float:
     """Two-sided inclusion defect of the spans (max basis-element residual)."""
-    r12 = hs.residual_norms(s2.basis, s1.basis)
-    r21 = hs.residual_norms(s1.basis, s2.basis)
-    both = np.concatenate([r12, r21])
+    both = np.concatenate([inclusion_defects(s1, s2), inclusion_defects(s2, s1)])
     return float(both.max()) if both.size else 0.0
 
 
@@ -141,23 +253,35 @@ def span_closure(
 
 
 def product_algebra(
-    left: list[np.ndarray] | np.ndarray, right: list[np.ndarray] | np.ndarray
+    left: list[np.ndarray] | np.ndarray,
+    right: list[np.ndarray] | np.ndarray,
+    region: Iterable[int] | None = None,
 ) -> SubalgebraBasis:
     """Span of all products l r of two (graded-)commuting *-subalgebras.
 
     When the spans of left and right are *-algebras whose elements commute
     (odd elements may anticommute), the products l r with l, r ranging over
     the unital spans already form the *-algebra the two generate, so one round
-    of products replaces the open-ended closure loop.  The result is certified
-    closed; a failure raises NotAnAlgebra.
+    of products replaces the open-ended closure loop.  region is the union of
+    the factors' regions (default: the whole lattice); the products are taken
+    in its tensor factor, and a factor element that leaks out of it by more
+    than TOL_MEMBER * (1 + its norm) raises NotAnAlgebra.  The result is
+    certified closed; a failure raises NotAnAlgebra.
     """
     left, right = np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)
     dim = left.shape[-1]
-    eye = np.eye(dim, dtype=complex)[None]
-    lhs = hs.orthonormalize(np.concatenate([eye, left]), RANK_RTOL)
-    rhs = hs.orthonormalize(np.concatenate([eye, right]), RANK_RTOL)
-    products = (lhs[:, None] @ rhs[None, :]).reshape(-1, dim, dim)
-    result = SubalgebraBasis(dim, hs.orthonormalize(products, RANK_RTOL), True, None)
+    family = _family(dim, _lattice(dim) if region is None else _union(region))
+    d = family.small_dim
+    eye = np.eye(d, dtype=complex)[None]
+    spans = []
+    for stack in (left, right):
+        small = _small(family, stack)
+        norms = np.linalg.norm(hs.flatten(stack), axis=1) / np.sqrt(dim)
+        _require_inside(_leak(family, stack, small), TOL_MEMBER * (1 + norms), family.region, "product factor")
+        spans.append(hs.orthonormalize(np.concatenate([eye, small]), RANK_RTOL))
+    lhs, rhs = spans
+    products = (lhs[:, None] @ rhs[None, :]).reshape(-1, d, d)
+    result = _from_small(family, hs.orthonormalize(products, RANK_RTOL), True)
     _verify_algebra_closure(result, TOL_MEMBER)
     return result
 
@@ -238,35 +362,46 @@ def commutant(
     """Elements of the ambient algebra (default: everything) commuting with s.
 
     Solves the linear system [x, b] = 0 against a sketch of constraints and
-    refines with directly verified commutator residuals until exact.
+    refines with directly verified commutator residuals until exact.  Inside
+    an ambient the system is solved in the factor of the union of the two
+    regions (the ambient's own whenever it holds s), which the result then
+    holds; a basis element of s or of the ambient that leaks out of it by more
+    than tol raises NotAnAlgebra.
     """
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     dim = s.dim_ambient
-    if s.size <= _SKETCH_SIZE:
-        constraints = [b / hs.hs_norm(b) for b in s.basis]
+    family = _family(dim, _lattice(dim) if ambient is None else _union(s.region, ambient.region))
+    basis, leak = _picture(s, family)
+    _require_inside(leak, tol, family.region, "commutant argument")
+    if ambient is None:
+        solve = lambda cons: _nullspace_full(cons, family.small_dim, rtol)  # noqa: E731
     else:
-        constraints = _hermitian_combos(s.basis, _SKETCH_SIZE, rng)
+        amb, amb_leak = _picture(ambient, family)
+        _require_inside(amb_leak, tol, family.region, "commutant ambient")
+        solve = lambda cons: _nullspace_in_ambient(cons, amb, rtol)  # noqa: E731
+
+    if basis.shape[0] <= _SKETCH_SIZE:
+        constraints = [b / hs.hs_norm(b) for b in basis]
+    else:
+        constraints = _hermitian_combos(basis, _SKETCH_SIZE, rng)
 
     for _ in range(max_rounds):
-        if ambient is None:
-            stack = _nullspace_full(constraints, dim, rtol)
-        else:
-            stack = _nullspace_in_ambient(constraints, ambient.basis, rtol)
+        stack = solve(constraints)
         if stack.shape[0] == 0:
             break
-        worst = np.array([_worst_commutator(x, s.basis) for x in stack])
+        worst = np.array([_worst_commutator(x, basis) for x in stack])
         if worst.max() <= tol:
             break
         # feed the worst offender's most violated constraint back in
         bad = stack[int(worst.argmax())]
-        comms = s.basis @ bad - bad @ s.basis
+        comms = basis @ bad - bad @ basis
         k = int(np.linalg.norm(hs.flatten(comms), axis=1).argmax())
-        constraints = constraints + [s.basis[k] / hs.hs_norm(s.basis[k])]
+        constraints = constraints + [basis[k] / hs.hs_norm(basis[k])]
     else:
         raise InvariantViolation("commutant refinement did not converge")
 
-    has_id = _contains_identity(stack, dim) if stack.shape[0] else False
-    return SubalgebraBasis(dim, stack, has_id, None)
+    has_id = _contains_identity(stack, family.small_dim) if stack.shape[0] else False
+    return _from_small(family, stack, has_id)
 
 
 def center(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> SubalgebraBasis:
@@ -404,30 +539,44 @@ def _invariant_iteration(h, ambient, rtol, tol_member, validate, flow_times) -> 
     basis = invariant_subspace_under(
         lambda stack: h @ stack - stack @ h, ambient.basis, rtol=rtol, scale=scale
     )
-    result = SubalgebraBasis(dim, basis, _contains_identity(basis, dim), None)
+    result = SubalgebraBasis(dim, basis, _contains_identity(basis, dim), None, ambient.region)
     if validate and basis.shape[0]:
         _verify_algebra_closure(result, tol_member)
         _verify_flow_stability(h, result, flow_times, tol_member)
     return result
 
 
+def _closure_pairs(m: int, max_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of the products a closure check samples: all m^2 in
+    row-major order, or max_pairs of them drawn without replacement."""
+    flat = np.arange(m * m)
+    if m * m > max_pairs:
+        flat = np.random.default_rng(_DEFAULT_SEED).choice(m * m, size=max_pairs, replace=False)
+    return np.divmod(flat, m)
+
+
+def _closure_residuals(s: SubalgebraBasis, max_pairs: int = 400) -> tuple[float, float]:
+    """(product, adjoint) residuals of a basis, in its region's factor: the
+    largest residual of a sampled product b_i b_j against the span, relative
+    to 1 + its norm, and the largest residual of an adjoint."""
+    small = s.small
+    i, j = _closure_pairs(s.size, max_pairs)
+    products = small[i] @ small[j]
+    res = hs.residual_norms(small, products)
+    scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(small.shape[-1])
+    adj = np.conj(np.transpose(small, (0, 2, 1)))
+    return float((res / scale).max()), float(hs.residual_norms(small, adj).max())
+
+
 def _verify_algebra_closure(s: SubalgebraBasis, tol: float, max_pairs: int = 400) -> None:
-    m = s.size
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    if len(pairs) > max_pairs:
-        rng = np.random.default_rng(_DEFAULT_SEED)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in idx]
-    products = np.stack([s.basis[i] @ s.basis[j] for i, j in pairs])
-    res = hs.residual_norms(s.basis, products)
-    scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(s.dim_ambient)
-    worst = float((res / scale).max())
-    if worst > tol:
-        raise NotAnAlgebra(f"product closure residual {worst:.3e} exceeds {tol:.1e}")
-    adj = np.conj(np.transpose(s.basis, (0, 2, 1)))
-    adj_res = float(hs.residual_norms(s.basis, adj).max())
-    if adj_res > 2 * tol:
-        raise NotAnAlgebra(f"adjoint closure residual {adj_res:.3e} exceeds {tol:.1e}")
+    """Closure under sampled products and adjoints, and a leak out of the
+    region of at most tol; NotAnAlgebra otherwise."""
+    _require_inside(s.leak, tol, s.region, "basis")
+    products, adjoints = _closure_residuals(s, max_pairs)
+    if products > tol:
+        raise NotAnAlgebra(f"product closure residual {products:.3e} exceeds {tol:.1e}")
+    if adjoints > 2 * tol:
+        raise NotAnAlgebra(f"adjoint closure residual {adjoints:.3e} exceeds {tol:.1e}")
 
 
 def _verify_flow_stability(h, s: SubalgebraBasis, times, tol: float) -> None:

@@ -125,6 +125,25 @@ def test_parity_unitary_properties():
     assert np.max(np.abs(v0 @ v1 - v1 @ v0)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_parity_from_bit_counts_matches_the_generator_products(n):
+    # v_I as the product of the dense a_i^* a_i - a_i a_i^*, and v_I x v_I as
+    # two dense products, are reproduced exactly for every region
+    alg = build_algebra(n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, alg.dim, alg.dim)) + 1j * rng.normal(size=(2, alg.dim, alg.dim))
+    for k in range(n + 1):
+        for region in itertools.combinations(range(n), k):
+            v = alg.identity()
+            for i in region:
+                a, ad = alg.annihilators[i], alg.creators[i]
+                v = v @ (ad @ a - a @ ad)
+            assert np.array_equal(parity_unitary(alg, region), v)
+            assert np.array_equal(parity_automorphism(alg, x, region), v @ x @ v)
+            assert np.array_equal(parity_automorphism(alg, x[0], region), v @ x[0] @ v)
+    assert np.array_equal(parity_automorphism(alg, x), v @ x @ v)
+
+
 def test_parity_automorphism_is_multiplicative_involution():
     alg = build_algebra(3)
     rng = np.random.default_rng(2)

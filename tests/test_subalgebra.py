@@ -5,23 +5,36 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermarkov import hs, subalgebra
-from fermarkov.car import RegionPartition, build_algebra, cond_expect, parity_unitary, region_orthobasis
+from fermarkov.car import (
+    RegionPartition,
+    build_algebra,
+    cond_expect,
+    matrix_units,
+    parity_unitary,
+    region_orthobasis,
+)
 from fermarkov.entropy import embedded_restriction
 from fermarkov.errors import DegenerateCenter, NotAnAlgebra
+from fermarkov.markov import Analysis
 from fermarkov.spectral import mat_log
-from fermarkov.states import make_product_markov
+from fermarkov.states import make_block_markov, make_product_markov
 from fermarkov.subalgebra import (
+    TOL_MEMBER,
     SubalgebraBasis,
     center,
     commutant,
+    inclusion_defects,
     invariant_subalgebra,
     invariant_subspace_under,
     membership,
     minimal_central_projections,
     parity_split,
     product_algebra,
+    region_subalgebra,
     span_closure,
     span_equality_residual,
     subalgebra_from_matrices,
@@ -428,3 +441,198 @@ def test_invariant_span_is_decided_without_a_factorization(monkeypatch):
     out = invariant_subspace_under(lambda x: h @ x - x @ h, ambient, scale=scale)
     assert out is ambient
     assert factored == []
+
+
+# --- projections conjugate the smaller operand --------------------------------------
+
+@pytest.mark.parametrize("rows,size,dim", [(3, 40, 4), (40, 40, 4), (64, 5, 4), (400, 256, 16), (7, 100, 8)])
+def test_project_stack_is_bit_identical_to_conjugating_the_basis(rows, size, dim):
+    # wide (fewer matrices than basis elements), square and tall stacks
+    rng = np.random.default_rng(rows + size)
+    stack = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
+    basis = rng.normal(size=(size, dim, dim)) + 1j * rng.normal(size=(size, dim, dim))
+    r, b = hs.flatten(stack), hs.flatten(basis)
+    reference = hs.unflatten((r @ b.conj().T / dim) @ b, dim)
+    assert np.array_equal(hs.project_stack(basis, stack), reference)
+
+
+# --- region-local certificates ------------------------------------------------------
+
+def whole_lattice(s):
+    """The same basis held by the whole lattice, where W = 1 and every
+    certificate runs on the full D x D matrices."""
+    return SubalgebraBasis(s.dim_ambient, s.basis, s.contains_identity, s.parity_stable)
+
+
+def full_closure_residuals(s, max_pairs=400):
+    """Product and adjoint residuals of the same sampled pairs, on D x D matrices."""
+    i, j = subalgebra._closure_pairs(s.size, max_pairs)
+    products = s.basis[i] @ s.basis[j]
+    res = hs.residual_norms(s.basis, products)
+    scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(s.dim_ambient)
+    adj = np.conj(np.transpose(s.basis, (0, 2, 1)))
+    return float((res / scale).max()), float(hs.residual_norms(s.basis, adj).max())
+
+
+CERTIFIED_CASES = [
+    (RegionPartition((0,), (1, 2), (3,)), None, 0),
+    (RegionPartition((0,), (1, 2), (3,)), (1, 1), 0),
+    (RegionPartition((0,), (1, 2, 3), (4,)), None, 1),
+    (RegionPartition((0,), (1, 2, 3), (4,)), (1, 1), 0),
+]
+
+
+@pytest.fixture(scope="module", params=CERTIFIED_CASES, ids=["n4-product", "n4-block", "n5-product", "n5-block"])
+def certified(request):
+    """The algebras an even Markov decomposition certifies, plus region
+    algebras and random sub-spans of A_AB and A_BC."""
+    regions, design, seed = request.param
+    if design is None:
+        state = make_product_markov(regions, seed)
+    else:
+        state = make_block_markov(regions, seed, *design)[0]
+    an = Analysis(state, regions)
+    lem = an._lemma_algebras
+    rng = np.random.default_rng(seed)
+    spans = {
+        "A_AB": region_subalgebra(state.alg, regions.AB),
+        "A_B": region_subalgebra(state.alg, regions.B),
+        "A_BC": region_subalgebra(state.alg, regions.BC),
+        "C": an.c_basis,
+        "B": an.b_basis,
+        "join": lem.join,
+        "C~": lem.c_tilde,
+        "B~": lem.b_tilde,
+    }
+    for name in ("A_AB", "A_BC"):
+        amb = spans[name]
+        coeff = rng.normal(size=(7, amb.size)) + 1j * rng.normal(size=(7, amb.size))
+        mats = hs.unflatten(coeff @ hs.flatten(amb.basis), state.alg.dim)
+        spans[f"sub {name}"] = subalgebra_from_matrices(mats, region=amb.region)
+    return state, regions, spans
+
+
+ALGEBRAS = ["A_AB", "A_B", "C", "B", "join", "C~", "B~"]
+SPAN_PAIRS = [
+    ("C", "join"), ("C", "A_AB"), ("B", "A_B"), ("B", "C"), ("C~", "A_BC"), ("B~", "B"),
+    ("sub A_AB", "C"), ("sub A_AB", "sub A_BC"), ("sub A_BC", "C~"), ("join", "sub A_AB"),
+]
+
+
+def test_regions_are_carried_by_construction(certified):
+    state, regions, spans = certified
+    assert spans["C"].region == spans["join"].region == regions.AB
+    assert spans["B"].region == spans["B~"].region == regions.B
+    assert spans["C~"].region == regions.BC
+    assert subalgebra_from_matrices([state.alg.identity()]).region == state.alg.sites
+
+
+def test_small_picture_closure_equals_the_full_one(certified):
+    _, _, spans = certified
+    for name in ALGEBRAS + ["sub A_AB", "sub A_BC"]:
+        s = spans[name]
+        products, adjoints = subalgebra._closure_residuals(s)
+        full_products, full_adjoints = full_closure_residuals(s)
+        assert abs(products - full_products) <= 1e-14, name
+        assert abs(adjoints - full_adjoints) <= 1e-14, name
+        assert s.leak.max() <= 1e-14, name
+    for name in ALGEBRAS:
+        subalgebra._verify_algebra_closure(spans[name], TOL_MEMBER)
+
+
+def test_small_picture_span_residuals_equal_the_full_ones(certified):
+    _, _, spans = certified
+    for a, b in SPAN_PAIRS:
+        s1, s2 = spans[a], spans[b]
+        for x, y in ((s1, s2), (s2, s1)):
+            got = inclusion_defects(x, y)
+            want = hs.residual_norms(y.basis, x.basis)
+            assert np.max(np.abs(got - want)) <= 1e-14, (a, b)
+        full = span_equality_residual(whole_lattice(s1), whole_lattice(s2))
+        assert abs(span_equality_residual(s1, s2) - full) <= 1e-14
+
+
+def test_small_picture_commutants_equal_the_full_ones(certified):
+    state, regions, spans = certified
+    bc = spans["A_BC"]
+    for s, amb in ((spans["B"], spans["A_B"]), (spans["B"], spans["B"]), (spans["B"], bc), (spans["C"], spans["A_AB"])):
+        got = commutant(s, ambient=amb)
+        want = commutant(whole_lattice(s), ambient=whole_lattice(amb))
+        assert got.region == amb.region and want.region == state.alg.sites
+        assert got.size == want.size and got.contains_identity == want.contains_identity
+        assert span_equality_residual(whole_lattice(got), want) <= 1e-12
+
+
+def test_out_of_region_component_is_not_an_algebra(certified):
+    # a 1e-6 component outside A_AB on one basis element of C: invisible in the
+    # small picture, so only the leak bound can see it
+    state, regions, spans = certified
+    c = spans["C"]
+    outside = state.alg.annihilators[regions.C[0]]
+    basis = c.basis.copy()
+    basis[0] += 1e-6 * outside / hs.hs_norm(outside)
+    leaky = SubalgebraBasis(c.dim_ambient, basis, True, None, c.region)
+    products, adjoints = subalgebra._closure_residuals(leaky)
+    assert products <= 1e-12 and adjoints <= 1e-12
+    assert abs(leaky.leak.max() - 1e-6) <= 1e-12
+    with pytest.raises(NotAnAlgebra, match="leaves the algebra"):
+        subalgebra._verify_algebra_closure(leaky, TOL_MEMBER)
+    with pytest.raises(NotAnAlgebra, match="leaves the algebra"):
+        commutant(leaky, ambient=spans["A_AB"])
+    # span identities add the leak in quadrature, as the full residual does
+    assert abs(span_equality_residual(leaky, c) - span_equality_residual(whole_lattice(leaky), c)) <= 1e-14
+    assert span_equality_residual(leaky, c) >= 1e-6 * (1 - 1e-6)
+
+
+def test_out_of_region_product_factor_raises():
+    alg = build_algebra(4)
+    outside = alg.annihilators[3] / hs.hs_norm(alg.annihilators[3])
+    left = region_orthobasis(alg, (0,)).copy()
+    left[1] += 1e-6 * outside
+    with pytest.raises(NotAnAlgebra, match="leaves the algebra"):
+        product_algebra(left, region_orthobasis(alg, (1, 2)), (0, 1, 2))
+
+
+def test_non_closed_span_inside_a_region_raises():
+    alg = build_algebra(4)
+    s = subalgebra_from_matrices([alg.identity(), alg.annihilators[1], alg.annihilators[2]], region=(1, 2))
+    assert s.leak.max() <= 1e-15
+    with pytest.raises(NotAnAlgebra, match="product closure"):
+        subalgebra._verify_algebra_closure(s, TOL_MEMBER)
+
+
+@pytest.mark.parametrize("m", [1, 7, 20, 21, 64, 256])
+def test_closure_pairs_match_the_list_enumeration(m):
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    if len(pairs) > 400:
+        idx = np.random.default_rng(subalgebra._DEFAULT_SEED).choice(len(pairs), size=400, replace=False)
+        pairs = [pairs[k] for k in idx]
+    i, j = subalgebra._closure_pairs(m, 400)
+    assert list(zip(i.tolist(), j.tolist())) == pairs
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_small_picture_residuals_property(data):
+    # random stacks inside A_I against a random sub-span, for a random region I
+    n = data.draw(st.integers(1, 5), label="n")
+    region = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="region")))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    family = matrix_units(build_algebra(n), region)
+    d = family.small_dim
+    size = data.draw(st.integers(1, min(d * d, 24)), label="size")
+    kept = data.draw(st.integers(0, size), label="kept")
+    extra = data.draw(st.integers(0 if kept else 1, 4), label="extra")
+    rng = np.random.default_rng(seed)
+
+    def inside(count):
+        small = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        return family.iso_from_small(small)
+
+    stack = subalgebra_from_matrices(inside(size), region=region)
+    mix = rng.normal(size=(kept, size)) @ hs.flatten(stack.basis)
+    sub = subalgebra_from_matrices(np.concatenate([hs.unflatten(mix, 2**n), inside(extra)]), region=region)
+    for x, y in ((stack, sub), (sub, stack)):
+        got = inclusion_defects(x, y)
+        want = hs.residual_norms(y.basis, x.basis)
+        assert np.max(np.abs(got - want)) <= 1e-14
