@@ -1,21 +1,25 @@
 # src/fermarkov/subalgebra.py
 
-"""Generic *-subalgebra machinery on matrix space.
+"""*-subalgebras of a D x D matrix space: commutants, centers, central
+projections, products and flow-invariant subalgebras.
 
-A subalgebra is a tau-orthonormal basis stack together with the site set
-whose algebra holds it.  The algebra A_I of a site set I is the tensor factor
-M_{2^k} x 1 up to the signed permutation W of the region (``car.matrix_units``),
-a *-isomorphism that keeps tau-norms, so every certificate of a subalgebra of
-A_I runs on its (m, 2^k, 2^k) small picture, tr_{2^(n-k)}(W^* b W) / 2^(n-k),
-instead of on D x D matrices: the closure check, the products of
-``product_algebra``, span identities and commutants inside an ambient.  Each
-certificate also bounds the leak, the tau-norm of what lies outside A_I: the
-parts of a matrix inside and outside A_I are orthogonal, so a residual in the
-small picture and the leak add in quadrature to the residual of the full
-matrices.  The region is a fact carried by construction: region algebras set
-it, invariant subalgebras and commutants inherit it from their ambient,
-products get the union of their factors' regions, and anything else holds the
-whole lattice, where W = 1 and the same code runs uncompressed.
+A subalgebra is a tau-orthonormal basis stack plus the region that holds it.
+The region is None for the whole matrix space, of any size D; on the 2^n x 2^n
+matrices of a CAR lattice it may be a proper site set I instead.  Its algebra
+A_I is the tensor factor M_{2^k} x 1 up to the signed permutation W of the
+region (``car.matrix_units``), a *-isomorphism that keeps tau-norms, so every
+certificate of a subalgebra of A_I runs on its (m, 2^k, 2^k) small picture,
+tr_{2^(n-k)}(W^* b W) / 2^(n-k), instead of on D x D matrices: the closure
+check, the products of ``product_algebra``, span identities and commutants
+inside an ambient.  Each certificate also bounds the leak, the tau-norm of
+what lies outside A_I: the parts of a matrix inside and outside A_I are
+orthogonal, so a residual in the small picture and the leak add in quadrature
+to the residual of the full matrices.  The whole space is the case W = 1: its
+small picture is the basis itself and nothing leaks, so the same code runs
+with no gather.  The region is a fact carried by construction: region
+algebras set it, invariant subalgebras and commutants inherit it from their
+ambient, products get the union of their factors' regions, and anything else
+is held by the whole space.
 
 Commutants and centers are solved as joint commutator nullspaces with a
 sketch-verify-refine loop: a few random self-adjoint combinations of the basis
@@ -55,22 +59,25 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
     """A *-subalgebra of the D x D matrices: a tau-orthonormal basis stack and
-    the site set whose algebra holds it (by default every site, D = 2^n).
+    the region that holds it, None for the whole matrix space.  A proper
+    region is a sorted site set of the 2^n lattice (D = 2^n); every site
+    reads as None.
 
-    ``small`` is the basis in the region's 2^k x 2^k tensor factor and
-    ``leak`` the tau-norm of each basis element outside the region algebra,
-    both computed on first read.
+    ``small`` is the basis in the region's 2^k x 2^k tensor factor (the basis
+    itself for the whole space) and ``leak`` the tau-norm of each basis
+    element outside the region algebra, both computed on first read.
     """
 
     dim_ambient: int
     basis: np.ndarray            # (size, D, D)
     contains_identity: bool
     parity_stable: bool | None = field(default=None)
-    region: tuple[int, ...] | None = None  # sorted sites; None reads as every site
+    region: tuple[int, ...] | None = None
+    # the small picture the basis was scattered from, when known: nothing leaks
+    _scattered_from: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
-        sites = _lattice(self.dim_ambient) if self.region is None else self.region
-        object.__setattr__(self, "region", tuple(sorted(int(i) for i in sites)))
+        object.__setattr__(self, "region", _normal_region(self.dim_ambient, self.region))
 
     @property
     def size(self) -> int:
@@ -80,71 +87,74 @@ class SubalgebraBasis:
         return hs.project(self.basis, x)
 
     @cached_property
-    def family(self) -> MatrixUnitFamily:
-        return _family(self.dim_ambient, self.region)
+    def _picture(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.region is not None and self._scattered_from is not None:
+            return self._scattered_from, np.zeros(self.size)
+        return _gather(self.dim_ambient, self.region, self.basis)
 
-    @cached_property
+    @property
     def small(self) -> np.ndarray:
         """(size, 2^k, 2^k) basis in the region's tensor factor."""
-        return _small(self.family, self.basis)
+        return self._picture[0]
 
-    @cached_property
+    @property
     def leak(self) -> np.ndarray:
         """tau-norm of each basis element outside the region algebra."""
-        return _leak(self.family, self.basis, self.small)
+        return self._picture[1]
 
 
-def _lattice(dim: int) -> tuple[int, ...]:
-    """Every site of the lattice whose matrices are D x D, D = 2^n."""
-    return tuple(range(dim.bit_length() - 1))
+def _normal_region(dim: int, sites: Iterable[int] | None) -> tuple[int, ...] | None:
+    """Sorted sites of a region of the 2^n lattice, or None when it is every
+    site (W = 1) or already the whole space."""
+    if sites is None:
+        return None
+    n = dim.bit_length() - 1
+    if dim != 2 ** n:
+        raise ValueError(f"a region needs a 2^n x 2^n matrix space, not D = {dim}")
+    region = tuple(sorted({int(i) for i in sites}))
+    return None if region == tuple(range(n)) else region
 
 
-def _union(*regions: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set().union(*regions)))
+def _union(dim: int, *regions: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    if any(r is None for r in regions):
+        return None
+    return _normal_region(dim, set().union(*regions))
 
 
 def _family(dim: int, region: tuple[int, ...]) -> MatrixUnitFamily:
-    n = dim.bit_length() - 1
-    if dim != 2 ** n:
-        raise ValueError(f"matrix size {dim} is not a power of two")
-    return matrix_units(build_algebra(n), region)
+    return matrix_units(build_algebra(dim.bit_length() - 1), region)
 
 
-def _small(family: MatrixUnitFamily, stack: np.ndarray) -> np.ndarray:
-    """Partial trace of W^* x W over the complement factor, per matrix: the
-    image of E_I(x) in M_{2^k}, with the same tau-norm and products."""
-    return family.trace_pairings(stack) / (family.alg.dim // family.small_dim)
-
-
-def _leak(family: MatrixUnitFamily, stack: np.ndarray, small: np.ndarray) -> np.ndarray:
-    """tau-norm of x - E_I(x) for every matrix of the stack."""
+def _gather(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(small picture, leak) of a stack in the factor of a region: per matrix,
+    the partial trace of W^* x W over the complement factor, the image of
+    E_I(x) in M_{2^k} with the same tau-norm and products, and the tau-norm of
+    x - E_I(x).  The whole space gives the stack itself and no leak."""
+    if region is None:
+        return stack, np.zeros(stack.shape[0])
+    family = _family(dim, region)
+    small = family.trace_pairings(stack) / (dim // family.small_dim)
     out = stack - family.iso_from_small(small)
-    return np.linalg.norm(hs.flatten(out), axis=1) / np.sqrt(stack.shape[-1])
+    return small, np.linalg.norm(hs.flatten(out), axis=1) / np.sqrt(dim)
 
 
-def _picture(s: SubalgebraBasis, family: MatrixUnitFamily) -> tuple[np.ndarray, np.ndarray]:
+def _picture_in(s: SubalgebraBasis, region: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """(small picture, leak) of a basis in the factor of a region holding s's."""
-    if family.region == s.region:
-        return s.small, s.leak
-    small = _small(family, s.basis)
-    return small, _leak(family, s.basis, small)
+    return (s.small, s.leak) if region == s.region else _gather(s.dim_ambient, region, s.basis)
 
 
-def _require_inside(leak: np.ndarray, bound, region: tuple[int, ...], what: str) -> None:
+def _from_small(dim: int, region: tuple[int, ...] | None, small: np.ndarray,
+                contains_identity: bool) -> SubalgebraBasis:
+    """The subalgebra of a region with the given small picture: its basis is
+    the scatter W (small x 1) W^*, so nothing of it leaks."""
+    basis = small if region is None else _family(dim, region).iso_from_small(small)
+    return SubalgebraBasis(dim, basis, contains_identity, None, region, _scattered_from=small)
+
+
+def _require_inside(leak: np.ndarray, bound, region: tuple[int, ...] | None, what: str) -> None:
     """NotAnAlgebra unless every leak is within its bound (one, or one per matrix)."""
     if np.any(leak > bound):
         raise NotAnAlgebra(f"{what} leaves the algebra of sites {region}: leak {leak.max():.3e}")
-
-
-def _from_small(family: MatrixUnitFamily, small: np.ndarray, contains_identity: bool,
-                parity_stable: bool | None = None, basis: np.ndarray | None = None) -> SubalgebraBasis:
-    """The subalgebra of a region with the given small picture.  Its basis is
-    the scatter of that picture (passed in when the caller has it), so
-    nothing of it leaks."""
-    basis = family.iso_from_small(small) if basis is None else basis
-    s = SubalgebraBasis(family.alg.dim, basis, contains_identity, parity_stable, family.region)
-    s.__dict__.update(family=family, small=small, leak=np.zeros(small.shape[0]))
-    return s
 
 
 def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis:
@@ -152,7 +162,7 @@ def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis
     family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
     d = family.small_dim
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * np.sqrt(d)
-    return _from_small(family, units, True, True, basis=family.orthobasis())
+    return SubalgebraBasis(alg.dim, family.orthobasis(), True, True, family.region, _scattered_from=units)
 
 
 def subalgebra_from_matrices(
@@ -160,15 +170,13 @@ def subalgebra_from_matrices(
     *,
     rtol: float = RANK_RTOL,
     parity_stable: bool | None = None,
-    region: Iterable[int] | None = None,
 ) -> SubalgebraBasis:
-    """Orthonormalize a spanning set into a SubalgebraBasis (span only; no
-    closure) held by the algebra of region (default: the whole lattice)."""
+    """Orthonormalize a spanning set into a SubalgebraBasis (span only; no closure)."""
     stack = np.stack([np.asarray(m, dtype=complex) for m in mats]) if isinstance(mats, list) else np.asarray(mats, dtype=complex)
     dim = stack.shape[-1]
     basis = hs.orthonormalize(stack, rtol)
     has_id = _contains_identity(basis, dim)
-    return SubalgebraBasis(dim, basis, has_id, parity_stable, region)
+    return SubalgebraBasis(dim, basis, has_id, parity_stable)
 
 
 def _contains_identity(basis: np.ndarray, dim: int) -> bool:
@@ -186,20 +194,19 @@ def membership(x: np.ndarray, s: SubalgebraBasis, tol: float = TOL_MEMBER) -> tu
     return residual <= tol * (1.0 + hs.hs_norm(x)), float(residual)
 
 
-def inclusion_defects(s1: SubalgebraBasis, s2: SubalgebraBasis) -> np.ndarray:
+def _inclusion_defects(s1: SubalgebraBasis, s2: SubalgebraBasis) -> np.ndarray:
     """tau-norm of the part of each basis element of s1 orthogonal to the span
     of s2, computed in the factor of the union of their regions: the small
     picture's residual and the leak add in quadrature."""
-    family = _family(s1.dim_ambient, _union(s1.region, s2.region))
-    (a, leak), (b, _) = _picture(s1, family), _picture(s2, family)
+    region = _union(s1.dim_ambient, s1.region, s2.region)
+    (a, leak), (b, _) = _picture_in(s1, region), _picture_in(s2, region)
     return np.hypot(hs.residual_norms(b, a), leak)
 
 
 def span_equality_residual(s1: SubalgebraBasis, s2: SubalgebraBasis) -> float:
     """Two-sided inclusion defect of the spans (max basis-element residual)."""
-    both = np.concatenate([inclusion_defects(s1, s2), inclusion_defects(s2, s1)])
+    both = np.concatenate([_inclusion_defects(s1, s2), _inclusion_defects(s2, s1)])
     return float(both.max()) if both.size else 0.0
-
 
 # --- span closure: the generic reference for product_algebra, not exported ----
 
@@ -263,25 +270,25 @@ def product_algebra(
     (odd elements may anticommute), the products l r with l, r ranging over
     the unital spans already form the *-algebra the two generate, so one round
     of products replaces the open-ended closure loop.  region is the union of
-    the factors' regions (default: the whole lattice); the products are taken
+    the factors' regions (default: the whole space); the products are taken
     in its tensor factor, and a factor element that leaks out of it by more
     than TOL_MEMBER * (1 + its norm) raises NotAnAlgebra.  The result is
     certified closed; a failure raises NotAnAlgebra.
     """
     left, right = np.asarray(left, dtype=complex), np.asarray(right, dtype=complex)
     dim = left.shape[-1]
-    family = _family(dim, _lattice(dim) if region is None else _union(region))
-    d = family.small_dim
-    eye = np.eye(d, dtype=complex)[None]
+    region = _normal_region(dim, region)
     spans = []
     for stack in (left, right):
-        small = _small(family, stack)
+        small, leak = _gather(dim, region, stack)
         norms = np.linalg.norm(hs.flatten(stack), axis=1) / np.sqrt(dim)
-        _require_inside(_leak(family, stack, small), TOL_MEMBER * (1 + norms), family.region, "product factor")
+        _require_inside(leak, TOL_MEMBER * (1 + norms), region, "product factor")
+        eye = np.eye(small.shape[-1], dtype=complex)[None]
         spans.append(hs.orthonormalize(np.concatenate([eye, small]), RANK_RTOL))
     lhs, rhs = spans
+    d = lhs.shape[-1]
     products = (lhs[:, None] @ rhs[None, :]).reshape(-1, d, d)
-    result = _from_small(family, hs.orthonormalize(products, RANK_RTOL), True)
+    result = _from_small(dim, region, hs.orthonormalize(products, RANK_RTOL), True)
     _verify_algebra_closure(result, TOL_MEMBER)
     return result
 
@@ -370,14 +377,14 @@ def commutant(
     """
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     dim = s.dim_ambient
-    family = _family(dim, _lattice(dim) if ambient is None else _union(s.region, ambient.region))
-    basis, leak = _picture(s, family)
-    _require_inside(leak, tol, family.region, "commutant argument")
+    region = None if ambient is None else _union(dim, s.region, ambient.region)
+    basis, leak = _picture_in(s, region)
+    _require_inside(leak, tol, region, "commutant argument")
     if ambient is None:
-        solve = lambda cons: _nullspace_full(cons, family.small_dim, rtol)  # noqa: E731
+        solve = lambda cons: _nullspace_full(cons, basis.shape[-1], rtol)  # noqa: E731
     else:
-        amb, amb_leak = _picture(ambient, family)
-        _require_inside(amb_leak, tol, family.region, "commutant ambient")
+        amb, amb_leak = _picture_in(ambient, region)
+        _require_inside(amb_leak, tol, region, "commutant ambient")
         solve = lambda cons: _nullspace_in_ambient(cons, amb, rtol)  # noqa: E731
 
     if basis.shape[0] <= _SKETCH_SIZE:
@@ -400,8 +407,8 @@ def commutant(
     else:
         raise InvariantViolation("commutant refinement did not converge")
 
-    has_id = _contains_identity(stack, family.small_dim) if stack.shape[0] else False
-    return _from_small(family, stack, has_id)
+    has_id = _contains_identity(stack, stack.shape[-1]) if stack.shape[0] else False
+    return _from_small(dim, region, stack, has_id)
 
 
 def center(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> SubalgebraBasis:

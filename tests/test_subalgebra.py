@@ -5,15 +5,11 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from fermarkov import hs, subalgebra
 from fermarkov.car import (
     RegionPartition,
     build_algebra,
     cond_expect,
-    matrix_units,
     parity_unitary,
     region_orthobasis,
 )
@@ -23,11 +19,11 @@ from fermarkov.markov import Analysis
 from fermarkov.spectral import mat_log
 from fermarkov.states import make_block_markov, make_product_markov
 from fermarkov.subalgebra import (
+    RANK_RTOL,
     TOL_MEMBER,
     SubalgebraBasis,
     center,
     commutant,
-    inclusion_defects,
     invariant_subalgebra,
     invariant_subspace_under,
     membership,
@@ -459,9 +455,16 @@ def test_project_stack_is_bit_identical_to_conjugating_the_basis(rows, size, dim
 # --- region-local certificates ------------------------------------------------------
 
 def whole_lattice(s):
-    """The same basis held by the whole lattice, where W = 1 and every
+    """The same basis held by the whole space, where W = 1 and every
     certificate runs on the full D x D matrices."""
     return SubalgebraBasis(s.dim_ambient, s.basis, s.contains_identity, s.parity_stable)
+
+
+def span_in(region, mats):
+    """The span of a stack, held by the algebra of a site set."""
+    basis = hs.orthonormalize(np.asarray(mats, dtype=complex), RANK_RTOL)
+    dim = basis.shape[-1]
+    return SubalgebraBasis(dim, basis, subalgebra._contains_identity(basis, dim), None, region)
 
 
 def full_closure_residuals(s, max_pairs=400):
@@ -508,7 +511,7 @@ def certified(request):
         amb = spans[name]
         coeff = rng.normal(size=(7, amb.size)) + 1j * rng.normal(size=(7, amb.size))
         mats = hs.unflatten(coeff @ hs.flatten(amb.basis), state.alg.dim)
-        spans[f"sub {name}"] = subalgebra_from_matrices(mats, region=amb.region)
+        spans[f"sub {name}"] = span_in(amb.region, mats)
     return state, regions, spans
 
 
@@ -524,7 +527,8 @@ def test_regions_are_carried_by_construction(certified):
     assert spans["C"].region == spans["join"].region == regions.AB
     assert spans["B"].region == spans["B~"].region == regions.B
     assert spans["C~"].region == regions.BC
-    assert subalgebra_from_matrices([state.alg.identity()]).region == state.alg.sites
+    assert subalgebra_from_matrices([state.alg.identity()]).region is None
+    assert region_subalgebra(state.alg, state.alg.sites).region is None
 
 
 def test_small_picture_closure_equals_the_full_one(certified):
@@ -545,7 +549,7 @@ def test_small_picture_span_residuals_equal_the_full_ones(certified):
     for a, b in SPAN_PAIRS:
         s1, s2 = spans[a], spans[b]
         for x, y in ((s1, s2), (s2, s1)):
-            got = inclusion_defects(x, y)
+            got = subalgebra._inclusion_defects(x, y)
             want = hs.residual_norms(y.basis, x.basis)
             assert np.max(np.abs(got - want)) <= 1e-14, (a, b)
         full = span_equality_residual(whole_lattice(s1), whole_lattice(s2))
@@ -558,7 +562,7 @@ def test_small_picture_commutants_equal_the_full_ones(certified):
     for s, amb in ((spans["B"], spans["A_B"]), (spans["B"], spans["B"]), (spans["B"], bc), (spans["C"], spans["A_AB"])):
         got = commutant(s, ambient=amb)
         want = commutant(whole_lattice(s), ambient=whole_lattice(amb))
-        assert got.region == amb.region and want.region == state.alg.sites
+        assert got.region == amb.region and want.region is None
         assert got.size == want.size and got.contains_identity == want.contains_identity
         assert span_equality_residual(whole_lattice(got), want) <= 1e-12
 
@@ -595,7 +599,7 @@ def test_out_of_region_product_factor_raises():
 
 def test_non_closed_span_inside_a_region_raises():
     alg = build_algebra(4)
-    s = subalgebra_from_matrices([alg.identity(), alg.annihilators[1], alg.annihilators[2]], region=(1, 2))
+    s = span_in((1, 2), [alg.identity(), alg.annihilators[1], alg.annihilators[2]])
     assert s.leak.max() <= 1e-15
     with pytest.raises(NotAnAlgebra, match="product closure"):
         subalgebra._verify_algebra_closure(s, TOL_MEMBER)
@@ -611,28 +615,33 @@ def test_closure_pairs_match_the_list_enumeration(m):
     assert list(zip(i.tolist(), j.tolist())) == pairs
 
 
-@settings(derandomize=True, max_examples=30, deadline=None, database=None)
-@given(data=st.data())
-def test_small_picture_residuals_property(data):
-    # random stacks inside A_I against a random sub-span, for a random region I
-    n = data.draw(st.integers(1, 5), label="n")
-    region = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="region")))
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    family = matrix_units(build_algebra(n), region)
-    d = family.small_dim
-    size = data.draw(st.integers(1, min(d * d, 24)), label="size")
-    kept = data.draw(st.integers(0, size), label="kept")
-    extra = data.draw(st.integers(0 if kept else 1, 4), label="extra")
-    rng = np.random.default_rng(seed)
+def test_whole_space_certificates_gather_nothing(monkeypatch):
+    # W = 1 for the whole space: its small picture is the basis itself, so no
+    # matrix-unit family is built and nothing is gathered or scattered
+    s = region_alg((0, 1, 2))
+    assert s.region is None and s.small is s.basis and not s.leak.any()
+    monkeypatch.setattr(subalgebra, "matrix_units", lambda *a: pytest.fail("gathered"))
+    subalgebra._verify_algebra_closure(s, TOL_MEMBER)
+    assert commutant(s).size == 1
+    assert span_equality_residual(s, commutant(commutant(s))) <= 1e-10
 
-    def inside(count):
-        small = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
-        return family.iso_from_small(small)
 
-    stack = subalgebra_from_matrices(inside(size), region=region)
-    mix = rng.normal(size=(kept, size)) @ hs.flatten(stack.basis)
-    sub = subalgebra_from_matrices(np.concatenate([hs.unflatten(mix, 2**n), inside(extra)]), region=region)
-    for x, y in ((stack, sub), (sub, stack)):
-        got = inclusion_defects(x, y)
-        want = hs.residual_norms(y.basis, x.basis)
-        assert np.max(np.abs(got - want)) <= 1e-14
+def test_any_matrix_size_is_a_whole_space():
+    # D = 6 is no CAR lattice: every algebra is held by the whole space
+    dim = 6
+    p = np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    rng = np.random.default_rng(3)
+    mats = [q @ (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) @ q for q in (p, np.eye(dim) - p)]
+    s = span_closure(mats)                     # M_2 + M_4
+    assert s.size == 4 + 16 and s.region is None
+    z = center(s)
+    assert z.size == 2 and z.region is None
+    assert commutant(s).size == 2
+    assert span_equality_residual(commutant(s), z) <= 1e-10
+    prod = product_algebra(np.eye(dim, dtype=complex)[None], s.basis)
+    assert span_equality_residual(prod, s) <= 1e-10
+    h = np.kron(np.diag([0.0, 1.0, 2.0]), np.eye(2)).astype(complex)
+    inv = invariant_subalgebra(h, s)
+    assert inv.region is None and inv.size > 0
+    with pytest.raises(ValueError, match="2\\^n"):
+        SubalgebraBasis(dim, s.basis, True, None, (0,))
