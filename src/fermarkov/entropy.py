@@ -26,7 +26,13 @@ from scipy.special import xlogy
 from . import hs
 from .car import CarAlgebra, RegionPartition, cond_expect, matrix_units, parity_automorphism
 from .errors import InvariantViolation, NotFaithful, SingularReference
-from .spectral import EPS_FAITHFUL, TOL_HERM, eig_hermitian, mat_imaginary_pow, require_hermitian
+from .spectral import (
+    EPS_FAITHFUL,
+    TOL_HERM,
+    SpectralDecomposition,
+    eig_hermitian,
+    require_hermitian,
+)
 
 TOL_EQUALITY = 1e-8   # gap below which the entropy inequality counts as saturated
 TOL_TRACE = 1e-10
@@ -120,6 +126,11 @@ def rel_entropy(rho: np.ndarray, sigma: np.ndarray, *, eps_faithful: float = EPS
     """Tr rho (log rho - log sigma) in nats; sigma must be faithful."""
     dr = eig_hermitian(np.asarray(rho, dtype=complex))
     ds = eig_hermitian(np.asarray(sigma, dtype=complex))
+    return _rel_entropy_of(dr, ds, eps_faithful)
+
+
+def _rel_entropy_of(dr: SpectralDecomposition, ds: SpectralDecomposition, eps_faithful: float) -> float:
+    """rel_entropy from the decompositions of rho and sigma."""
     if ds.eigenvalues[0] <= eps_faithful:
         raise SingularReference(
             f"reference density min eigenvalue {ds.eigenvalues[0]:.3e} <= {eps_faithful:.1e}"
@@ -187,10 +198,16 @@ def cocycle(rho: np.ndarray, sigma: np.ndarray, t: float, *, eps_faithful: float
     Any positive rescaling of either input only changes u_t by a phase, so
     membership tests against subalgebra spans are scale independent.
     """
-    wr = np.linalg.eigvalsh(hs.hermitian_part(np.asarray(rho, dtype=complex)))
-    ws = np.linalg.eigvalsh(hs.hermitian_part(np.asarray(sigma, dtype=complex)))
+    dr = eig_hermitian(np.asarray(rho, dtype=complex))
+    ds = eig_hermitian(np.asarray(sigma, dtype=complex))
+    return _cocycle_of(dr, ds, t, eps_faithful)
+
+
+def _cocycle_of(dr: SpectralDecomposition, ds: SpectralDecomposition, t: float, eps_faithful: float) -> np.ndarray:
+    """cocycle from the decompositions of rho and sigma."""
+    wr, ws = dr.eigenvalues, ds.eigenvalues
     if wr[0] <= eps_faithful or ws[0] <= eps_faithful:
         raise NotFaithful(
             f"cocycle needs faithful densities: min eigs {wr[0]:.3e}, {ws[0]:.3e}"
         )
-    return mat_imaginary_pow(rho, t) @ mat_imaginary_pow(sigma, -t)
+    return dr.func("imaginary_pow", t) @ ds.func("imaginary_pow", -t)

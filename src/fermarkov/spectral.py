@@ -36,6 +36,42 @@ class SpectralDecomposition:
         u = self.eigenvectors
         return (u * values) @ u.conj().T
 
+    def func(
+        self,
+        kind: str,
+        param: float | None = None,
+        *,
+        eps_faithful: float = EPS_FAITHFUL,
+        tol_herm: float = TOL_HERM,
+    ) -> np.ndarray:
+        """mat_func of the decomposed matrix, from this decomposition: a caller
+        that needs several functions of one matrix decomposes it once."""
+        w = self.eigenvalues
+        if kind == "exp":
+            return self.apply(np.exp(w))
+        if kind == "log":
+            _require_floor(w, eps_faithful, "log")
+            return self.apply(np.log(w))
+        if kind == "imaginary_pow":
+            if param is None:
+                raise ValueError("imaginary_pow requires the exponent t")
+            _require_floor(w, eps_faithful, "imaginary_pow")
+            return self.apply(np.exp(1j * param * np.log(w)))
+        if kind == "pow":
+            if param is None:
+                raise ValueError("pow requires the exponent s")
+            s = float(param)
+            if s < 0:
+                _require_floor(w, eps_faithful, f"pow({s})")
+            elif s != int(s):
+                if w.size and w[0] < -tol_herm:
+                    raise SingularMatrix(
+                        f"pow({s}) of indefinite matrix: min eigenvalue {w[0]:.3e}"
+                    )
+                w = np.clip(w, 0.0, None)
+            return self.apply(np.power(w, s))
+        raise ValueError(f"unknown matrix function tag {kind!r}")
+
 
 def require_hermitian(m: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> None:
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -44,14 +80,18 @@ def require_hermitian(m: np.ndarray, tol: float = TOL_HERM, what: str = "matrix"
 
 
 def _fix_phases(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first component above tol is real positive."""
+    """Rotate each column so its first component above tol is real positive;
+    a column with no such component is left as it is."""
     u = u.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        nz = np.flatnonzero(np.abs(col) > tol)
-        if nz.size:
-            pivot = col[nz[0]]
-            u[:, k] = col * (abs(pivot) / pivot)
+    if u.size == 0:
+        return u
+    big = np.abs(u) > tol
+    first = big.argmax(axis=0)
+    cols = np.flatnonzero(big[first, np.arange(u.shape[1])])
+    pivot = u[first[cols], cols]
+    # np.hypot rounds |pivot| as Python's scalar abs() does; np.abs on a
+    # complex array can differ in the last bit
+    u[:, cols] *= np.hypot(pivot.real, pivot.imag) / pivot
     return u
 
 
@@ -81,32 +121,7 @@ def mat_func(
     "imaginary_pow" (param = t, returning the unitary m^{it}).  log, negative
     and imaginary powers require the spectrum to stay above eps_faithful.
     """
-    dec = eig_hermitian(m, tol_herm)
-    w = dec.eigenvalues
-    if kind == "exp":
-        return dec.apply(np.exp(w))
-    if kind == "log":
-        _require_floor(w, eps_faithful, "log")
-        return dec.apply(np.log(w))
-    if kind == "imaginary_pow":
-        if param is None:
-            raise ValueError("imaginary_pow requires the exponent t")
-        _require_floor(w, eps_faithful, "imaginary_pow")
-        return dec.apply(np.exp(1j * param * np.log(w)))
-    if kind == "pow":
-        if param is None:
-            raise ValueError("pow requires the exponent s")
-        s = float(param)
-        if s < 0:
-            _require_floor(w, eps_faithful, f"pow({s})")
-        elif s != int(s):
-            if w.size and w[0] < -tol_herm:
-                raise SingularMatrix(
-                    f"pow({s}) of indefinite matrix: min eigenvalue {w[0]:.3e}"
-                )
-            w = np.clip(w, 0.0, None)
-        return dec.apply(np.power(w, s))
-    raise ValueError(f"unknown matrix function tag {kind!r}")
+    return eig_hermitian(m, tol_herm).func(kind, param, eps_faithful=eps_faithful, tol_herm=tol_herm)
 
 
 def _require_floor(w: np.ndarray, eps: float, what: str) -> None:

@@ -18,6 +18,17 @@ certificates checked here:
   (iv)  the state-dependent recovery maps of the two states coincide as
         superoperators.
 
+is_sufficient decomposes each of rho_phi, rho_psi and their restrictions
+rho_phi0, rho_psi0 once and reads every certificate from those four
+spectra.
+
+factor_through needs no second run of the certificates when the pair is
+sufficient: its common factor d = rho_phi0^{-1} rho_phi, once checked to be
+positive, inside the relative commutant and to reconstruct both densities,
+implies all three (Jencova-Petz, CMP 263 (2006); Hayden-Jozsa-Petz-Winter,
+CMP 246 (2004)).  The certificates run only when a check on d fails, to tell
+an insufficient pair from a numerical failure.
+
 Channels are stored as dense superoperator matrices in the column-stacking
 convention and nothing else; complete positivity is certified through the
 Choi matrix when asked, and no verdict here asks.
@@ -30,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hs
-from .entropy import StateDensity, cocycle, rel_entropy
+from .entropy import StateDensity, _cocycle_of, _rel_entropy_of
 from .errors import FlowUnstable, InvariantViolation, NotSufficient, SingularRestriction
-from .spectral import EPS_FAITHFUL, mat_log, mat_pow
+from .spectral import EPS_FAITHFUL, SpectralDecomposition, eig_hermitian, mat_log
 from .subalgebra import (
     RANK_RTOL,
     TOL_MEMBER,
@@ -115,19 +126,25 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS
     H = r^{1/2}, built from the two stacks of basis images.
     """
     psi.require_faithful("recovery-map state")
+    rho0 = hs.hermitian_part(s.project(psi.rho))
+    sup = _petz_superop(eig_hermitian(psi.rho), eig_hermitian(rho0), s, eps_faithful)
+    return QuantumChannel(psi.dim, psi.dim, sup)
+
+
+def _petz_superop(
+    dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float
+) -> np.ndarray:
+    """petz_map's superoperator from the decompositions of r and r0."""
     if not s.contains_identity:
         raise ValueError("recovery map needs a subalgebra containing the identity")
-    rho = psi.rho
-    rho0 = hs.hermitian_part(s.project(rho))
-    w0 = np.linalg.eigvalsh(rho0)
+    w0 = dec0.eigenvalues
     if w0[0] <= eps_faithful:
         raise SingularRestriction(
             f"restricted density min eigenvalue {w0[0]:.3e} <= {eps_faithful:.1e}"
         )
-    half = mat_pow(rho, 0.5)
-    inv_half0 = mat_pow(rho0, -0.5)
-    sup = _basis_superop(inv_half0 @ s.basis @ inv_half0, half @ s.basis @ half)
-    return QuantumChannel(psi.dim, psi.dim, sup)
+    half = dec.func("pow", 0.5)
+    inv_half0 = dec0.func("pow", -0.5)
+    return _basis_superop(inv_half0 @ s.basis @ inv_half0, half @ s.basis @ half)
 
 
 @dataclass(frozen=True)
@@ -184,27 +201,35 @@ def is_sufficient(
     tol_equality: float = 1e-8,
     tol_member: float = TOL_MEMBER,
 ) -> SufficiencyReport:
-    """Run all three sufficiency certificates for the pair (phi, psi)."""
+    """Run all three sufficiency certificates for the pair (phi, psi).
+
+    Each of rho_phi, rho_psi and their restrictions is decomposed once; the
+    relative entropies, logarithms, sampled cocycles and recovery maps are
+    all read from these four decompositions.
+    """
     phi.require_faithful("first state")
     psi.require_faithful("second state")
 
-    rho_phi, rho_psi = phi.rho, psi.rho
-    s_full = rel_entropy(rho_phi, rho_psi)
-    rho_phi0 = hs.hermitian_part(s.project(rho_phi))
-    rho_psi0 = hs.hermitian_part(s.project(rho_psi))
-    s_rest = rel_entropy(rho_phi0, rho_psi0)
+    rho_phi0 = hs.hermitian_part(s.project(phi.rho))
+    rho_psi0 = hs.hermitian_part(s.project(psi.rho))
+    dec_phi, dec_psi = eig_hermitian(phi.rho), eig_hermitian(psi.rho)
+    dec_phi0, dec_psi0 = eig_hermitian(rho_phi0), eig_hermitian(rho_psi0)
+
+    s_full = _rel_entropy_of(dec_phi, dec_psi, EPS_FAITHFUL)
+    s_rest = _rel_entropy_of(dec_phi0, dec_psi0, EPS_FAITHFUL)
     drop = s_full - s_rest
     if drop < -1e-7:
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
-    log_phi, log_psi = mat_log(rho_phi), mat_log(rho_psi)
+    log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
     orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s)
     sampled = max(
-        membership(cocycle(rho_phi, rho_psi, t), s, tol_member)[1] for t in _SAMPLED_TIMES
+        membership(_cocycle_of(dec_phi, dec_psi, t, EPS_FAITHFUL), s, tol_member)[1]
+        for t in _SAMPLED_TIMES
     )
 
-    sup_phi = petz_map(phi, s).superop
-    sup_psi = petz_map(psi, s).superop
+    sup_phi = _petz_superop(dec_phi, dec_phi0, s, EPS_FAITHFUL)
+    sup_psi = _petz_superop(dec_psi, dec_psi0, s, EPS_FAITHFUL)
     petz_res = float(np.linalg.norm(sup_phi - sup_psi) / max(1.0, np.linalg.norm(sup_psi)))
 
     return SufficiencyReport(
@@ -232,24 +257,50 @@ def factor_through(
 ) -> np.ndarray:
     """Common positive factor d with rho_phi = rho_phi0 d and rho_psi = rho_psi0 d.
 
-    Requires the subalgebra to be stable under the modular flow of psi and the
-    pair to be sufficient; d then lies in the relative commutant of the
-    subalgebra.
+    Requires the subalgebra S to be stable under the modular flow of psi and
+    the pair to be sufficient; d then lies in the relative commutant S'.
+
+    The candidate d = rho_phi0^{-1} rho_phi is checked first: self-adjoint,
+    positive, commuting with every basis element of S, and reconstructing
+    both densities within tol_recon.  A d that passes is its own certificate
+    of sufficiency (Jencova-Petz, CMP 263 (2006)): with d in S' positive,
+    rho_phi = rho_phi0 d and rho_psi = rho_psi0 d give
+
+      - rho_phi^{it} rho_psi^{-it} = rho_phi0^{it} rho_psi0^{-it} in S, the
+        cocycle certificate;
+      - P_phi = P_psi = E(d^{1/2} . d^{1/2}), the recovery maps agree;
+      - D(phi || psi) = D(phi0 || psi0), no entropy drop.
+
+    So is_sufficient runs only when a check fails: an insufficient pair then
+    raises NotSufficient with its three residuals, and a sufficient one
+    re-raises the failed check's InvariantViolation.
     """
     stable = invariant_subalgebra(mat_log(psi.rho), s, validate=False)
     if stable.size < s.size:
         raise FlowUnstable(
             f"subalgebra not stable under the reference flow: {stable.size} < {s.size}"
         )
-    report = is_sufficient(phi, psi, s, tol_member=tol_member)
-    if not report.overall:
-        raise NotSufficient(
-            "pair is not sufficient for the subalgebra: "
-            f"entropy drop {report.rel_entropy_drop:.3e}, "
-            f"cocycle residual {report.cocycle_residual:.3e}, "
-            f"recovery-map residual {report.petz_residual:.3e}"
-        )
+    phi.require_faithful("first state")
+    psi.require_faithful("second state")
+    try:
+        return _certified_factor(phi, psi, s, tol_member, tol_recon)
+    except InvariantViolation:
+        report = is_sufficient(phi, psi, s, tol_member=tol_member)
+        if not report.overall:
+            raise NotSufficient(
+                "pair is not sufficient for the subalgebra: "
+                f"entropy drop {report.rel_entropy_drop:.3e}, "
+                f"cocycle residual {report.cocycle_residual:.3e}, "
+                f"recovery-map residual {report.petz_residual:.3e}"
+            ) from None
+        raise
 
+
+def _certified_factor(
+    phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float, tol_recon: float
+) -> np.ndarray:
+    """d = rho_phi0^{-1} rho_phi, or InvariantViolation naming the first
+    check it fails."""
     rho_phi0 = hs.hermitian_part(s.project(phi.rho))
     d = np.linalg.solve(rho_phi0, phi.rho)
     herm_defect = hs.hs_norm(d - d.conj().T)
