@@ -22,12 +22,13 @@ is_sufficient decomposes each of rho_phi, rho_psi and their restrictions
 rho_phi0, rho_psi0 once and reads every certificate from those four
 spectra.
 
-factor_through needs no second run of the certificates when the pair is
-sufficient: its common factor d = rho_phi0^{-1} rho_phi, once checked to be
-positive, inside the relative commutant and to reconstruct both densities,
-implies all three (Jencova-Petz, CMP 263 (2006); Hayden-Jozsa-Petz-Winter,
-CMP 246 (2004)).  The certificates run only when a check on d fails, to tell
-an insufficient pair from a numerical failure.
+factor_through needs no second run of the certificates when its common
+factor d = rho_phi0^{-1} rho_phi is an exact witness: positive, inside the
+relative commutant and reconstructing both densities, d implies all three
+(Jencova-Petz, CMP 263 (2006); Hayden-Jozsa-Petz-Winter, CMP 246 (2004)).
+A computed d is only near such a witness, so it is returned unaided only
+while its defects sit far enough below the certificates' gates to imply
+them; otherwise the certificates decide, with the outcome they always gave.
 
 Channels are stored as dense superoperator matrices in the column-stacking
 convention and nothing else; complete positivity is certified through the
@@ -56,6 +57,7 @@ from .subalgebra import (
 
 TOL_CHANNEL = 1e-9       # unitality / state-preservation residual
 TOL_PETZ_EQ = 1e-8       # superoperator distance accepted as "equal maps"
+_WITNESS_MARGIN = 0.1    # factor defect, as a share of the certificates' gates, that needs no certificate
 _SAMPLED_TIMES = (0.3, 1.1)
 
 
@@ -262,7 +264,7 @@ def factor_through(
 
     The candidate d = rho_phi0^{-1} rho_phi is checked first: self-adjoint,
     positive, commuting with every basis element of S, and reconstructing
-    both densities within tol_recon.  A d that passes is its own certificate
+    both densities within tol_recon.  An exact witness is its own certificate
     of sufficiency (Jencova-Petz, CMP 263 (2006)): with d in S' positive,
     rho_phi = rho_phi0 d and rho_psi = rho_psi0 d give
 
@@ -271,9 +273,25 @@ def factor_through(
       - P_phi = P_psi = E(d^{1/2} . d^{1/2}), the recovery maps agree;
       - D(phi || psi) = D(phi0 || psi0), no entropy drop.
 
-    So is_sufficient runs only when a check fails: an insufficient pair then
-    raises NotSufficient with its three residuals, and a sufficient one
-    re-raises the failed check's InvariantViolation.
+    A computed d misses this by its defects, and the checks' own gates are too
+    loose for the implication: a density has tau-norm about 1/D, so tol_recon
+    admits a relative error near D * tol_recon, far above what the
+    certificates accept.  The defects are therefore read in the units that
+    move the certificates.  To first order, a reconstruction residual e of a
+    density rho moves log rho, the cocycle's generator and both relative
+    entropies by at most |e| / lambda_min(rho) <= sqrt(D) |e|_tau /
+    lambda_min(rho); a commutator residual c moves [log d, z] for tau-unit z
+    in S by at most sqrt(dim S) c / lambda_min(d).  While the largest of
+    these is below
+    _WITNESS_MARGIN times the tighter of tol_member and RANK_RTOL, no
+    direction of S leaves the cocycle's invariant subspace, the entropy drop
+    stays below tol_equality and the recovery maps agree to first order far
+    inside TOL_PETZ_EQ, so d is returned unaided.
+
+    Otherwise is_sufficient runs once and decides as it did when it ran
+    before the checks on d: an insufficient pair raises NotSufficient with its
+    three residuals; a sufficient one returns d if every check passed, and
+    re-raises the failed check's InvariantViolation if not.
     """
     stable = invariant_subalgebra(mat_log(psi.rho), s, validate=False)
     if stable.size < s.size:
@@ -283,24 +301,32 @@ def factor_through(
     phi.require_faithful("first state")
     psi.require_faithful("second state")
     try:
-        return _certified_factor(phi, psi, s, tol_member, tol_recon)
+        d, defect = _certified_factor(phi, psi, s, tol_member, tol_recon)
     except InvariantViolation:
-        report = is_sufficient(phi, psi, s, tol_member=tol_member)
-        if not report.overall:
-            raise NotSufficient(
-                "pair is not sufficient for the subalgebra: "
-                f"entropy drop {report.rel_entropy_drop:.3e}, "
-                f"cocycle residual {report.cocycle_residual:.3e}, "
-                f"recovery-map residual {report.petz_residual:.3e}"
-            ) from None
+        _require_sufficient(phi, psi, s, tol_member)
         raise
+    if defect > _WITNESS_MARGIN * min(tol_member, RANK_RTOL):
+        _require_sufficient(phi, psi, s, tol_member)
+    return d
+
+
+def _require_sufficient(phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float) -> None:
+    report = is_sufficient(phi, psi, s, tol_member=tol_member)
+    if not report.overall:
+        raise NotSufficient(
+            "pair is not sufficient for the subalgebra: "
+            f"entropy drop {report.rel_entropy_drop:.3e}, "
+            f"cocycle residual {report.cocycle_residual:.3e}, "
+            f"recovery-map residual {report.petz_residual:.3e}"
+        ) from None
 
 
 def _certified_factor(
     phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float, tol_recon: float
-) -> np.ndarray:
-    """d = rho_phi0^{-1} rho_phi, or InvariantViolation naming the first
-    check it fails."""
+) -> tuple[np.ndarray, float]:
+    """d = rho_phi0^{-1} rho_phi and its largest defect in certificate units
+    (see factor_through), or InvariantViolation naming the first check d
+    fails."""
     rho_phi0 = hs.hermitian_part(s.project(phi.rho))
     d = np.linalg.solve(rho_phi0, phi.rho)
     herm_defect = hs.hs_norm(d - d.conj().T)
@@ -323,4 +349,10 @@ def _certified_factor(
         raise InvariantViolation(
             f"factor reconstruction residuals {recon_phi:.3e}, {recon_psi:.3e} exceed {tol_recon:.1e}"
         )
-    return d
+    root_dim = np.sqrt(phi.dim)
+    defect = max(
+        root_dim * recon_phi / phi.min_eig,
+        root_dim * recon_psi / psi.min_eig,
+        np.sqrt(s.size) * res / min_eig if min_eig > 0.0 else np.inf,
+    )
+    return d, float(defect)

@@ -9,7 +9,7 @@ from fermarkov.car import RegionPartition, build_algebra, region_orthobasis
 from fermarkov.entropy import StateDensity, cocycle, embedded_restriction, rel_entropy
 from fermarkov.errors import FermarkovError, FlowUnstable, InvariantViolation, NotSufficient
 from fermarkov.spectral import mat_log
-from fermarkov.states import make_product_markov, random_state
+from fermarkov.states import _random_positive_region, make_product_markov, random_state
 from fermarkov.subalgebra import (
     TOL_MEMBER,
     _worst_commutator,
@@ -23,6 +23,7 @@ N3 = RegionPartition((0,), (1,), (2,))
 N4 = RegionPartition((0,), (1, 2), (3,))
 N5 = RegionPartition((0,), (1, 2, 3), (4,))
 EPSILONS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 3e-9, 1e-10, 1e-12)
+DELTAS = (1e-9, 1e-8, 3e-8, 5e-8, 1e-7)
 
 
 def ab_subalgebra(regions):
@@ -41,6 +42,20 @@ def perturbed_pair(seed, eps, regions):
     base, psi = sufficient_pair(seed, regions)
     noise = random_state(regions.n_sites, 100 + seed).rho
     return StateDensity.from_matrix(base.alg, (1 - eps) * base.rho + eps * noise), psi
+
+
+def flow_stable_pair(seed, delta, regions):
+    """phi = x y against psi = rho_AB' rho_C' with rho_C' = (1 - delta) y + delta z.
+
+    psi stays stable under its own flow on A_AB and d = rho_phi0^{-1} rho_phi
+    commutes with A_AB exactly; only psi's reconstruction moves, by about delta.
+    """
+    phi, _, y = make_product_markov(regions, seed, return_factors=True)
+    rho_ab = np.linalg.solve(y, embedded_restriction(phi, regions.BC))
+    z = _random_positive_region(phi.alg, regions.C, np.random.default_rng(500 + seed))
+    rho_c = (1 - delta) * y / np.trace(y).real + delta * z / np.trace(z).real
+    rho = rho_ab @ rho_c
+    return phi, StateDensity.from_matrix(phi.alg, hs.hermitian_part(rho / np.trace(rho).real))
 
 
 def tracial(n):
@@ -121,6 +136,30 @@ def test_outcomes_match_the_certificates_first_order_on_perturbed_pairs(regions,
     s = ab_subalgebra(regions)
     for eps in EPSILONS:
         assert_same_outcome(*perturbed_pair(seed, eps, regions), s)
+
+
+@pytest.mark.parametrize("regions", [N4, N5], ids=["n4", "n5"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_outcomes_match_the_certificates_first_order_on_flow_stable_pairs(regions, seed):
+    s = ab_subalgebra(regions)
+    for delta in DELTAS:
+        assert_same_outcome(*flow_stable_pair(seed, delta, regions), s)
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-7])
+def test_loose_factor_defers_to_the_certificates(monkeypatch, delta):
+    """A factor that passes its checks but is too far from an exact witness
+    to imply the certificates is returned only when is_sufficient accepts."""
+    s = ab_subalgebra(N4)
+    phi, psi = flow_stable_pair(0, delta, N4)
+    want = outcome(reference_factor_through, phi, psi, s)
+    calls = spy_on(monkeypatch, sufficiency, "is_sufficient")
+    got = outcome(factor_through, phi, psi, s)
+    assert len(calls) == 1
+    if delta == 1e-9:
+        assert np.array_equal(got, want)
+    else:
+        assert got is want is NotSufficient
 
 
 @pytest.mark.parametrize("regions", [N3, N4], ids=["n3", "n4"])
