@@ -30,7 +30,7 @@ class DimensionTooLarge(FermarkovError):
 # --- subalgebra machinery ---------------------------------------------------
 
 class DegenerateCenter(FermarkovError):
-    """Random central elements failed to separate the central blocks."""
+    """A random central element failed to separate the central blocks."""
 
 
 class NotAnAlgebra(FermarkovError):

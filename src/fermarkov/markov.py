@@ -31,7 +31,6 @@ import numpy as np
 from . import hs
 from .car import (
     RegionPartition,
-    cond_expect,
     even_odd_split,
     parity_automorphism,
     parity_unitary,
@@ -55,6 +54,7 @@ from .spectral import EPS_FAITHFUL, mat_log
 from .subalgebra import (
     TOL_MEMBER,
     SubalgebraBasis,
+    _small,
     commutant,
     invariant_subalgebra,
     is_projection_family,
@@ -208,8 +208,10 @@ class Analysis:
             a_ok &= ok
             a_res = max(a_res, res)
 
-        images = cond_expect(alg, self.c_basis.basis, regions.BC)
-        cond_res = hs.residual_norms(self.b_basis.basis, images).max(initial=0.0)
+        # E_BC(C) against B, both in the small picture of A_BC, where E_BC is
+        # the gather itself and tau-norms are kept
+        c_small, b_small = (_small(alg.dim, regions.BC, s.basis) for s in (self.c_basis, self.b_basis))
+        cond_res = hs.residual_norms(b_small, c_small).max(initial=0.0)
 
         return TripletAnalysis(
             ssa=self.ssa,

@@ -21,10 +21,12 @@ algebras set it, invariant subalgebras and commutants inherit it from their
 ambient, products get the union of their factors' regions, and anything else
 is held by the whole space.
 
-Commutants and centers are solved as joint commutator nullspaces with a
-sketch-verify-refine loop: a few random self-adjoint combinations of the basis
-act as constraints, every candidate is then verified against the full basis,
-and failing constraints are fed back until the candidate span is exact.
+Commutants and centers (the commutant of s inside s) take one random draw:
+s' lies in {h}', the block-diagonal algebra over the eigenspaces of any h in
+s (Murota-Kanno-Kojima-Kojima, Math. Program. 122 (2010) 1-33), and a small
+random sketch of s is solved once inside it.  Nothing is retried: the result
+is certified to commute with all of s, and a completeness count over the
+central projections of s sees a direction lost to a split eigenvalue cluster.
 
 The invariant-subalgebra solver decides the "stable under e^{itH} . e^{-itH}
 for all t" condition algebraically: the largest subspace V of the ambient span
@@ -50,8 +52,10 @@ from .spectral import eig_hermitian, require_hermitian
 RANK_RTOL = 1e-9     # relative singular-value threshold for rank decisions
 TOL_MEMBER = 1e-9    # membership residual accepted as "inside the span"
 
-_DEFAULT_SEED = 0x5EED  # reproducible extraction of central projections
-_SKETCH_SIZE = 4        # random constraints tried before falling back to the basis
+_DEFAULT_SEED = 0x5EED  # reproducible draws of commutants and central projections
+_SKETCH_SIZE = 4        # random elements of s a commutant solves for inside {h}'
+_NULL_RTOL = 1e-11      # relative cut on squared commutator norms of a nullspace
+_GAP = 1e-8             # relative eigenvalue gap that separates two clusters
 
 logger = logging.getLogger(__name__)
 
@@ -125,16 +129,23 @@ def _family(dim: int, region: tuple[int, ...]) -> MatrixUnitFamily:
     return matrix_units(build_algebra(dim.bit_length() - 1), region)
 
 
-def _gather(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(small picture, leak) of a stack in the factor of a region: per matrix,
-    the partial trace of W^* x W over the complement factor, the image of
-    E_I(x) in M_{2^k} with the same tau-norm and products, and the tau-norm of
-    x - E_I(x).  The whole space gives the stack itself and no leak."""
+def _small(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> np.ndarray:
+    """Small picture of a stack in the factor of a region: per matrix, the
+    partial trace of W^* x W over the complement factor, the image of E_I(x)
+    in M_{2^k} with the same tau-norm and products (the stack itself for the
+    whole space)."""
     if region is None:
-        return stack, np.zeros(stack.shape[0])
+        return stack
     family = _family(dim, region)
-    small = family.trace_pairings(stack) / (dim // family.small_dim)
-    out = stack - family.iso_from_small(small)
+    return family.trace_pairings(stack) / (dim // family.small_dim)
+
+
+def _gather(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(small picture, leak) of a stack, the leak the tau-norm of x - E_I(x)."""
+    small = _small(dim, region, stack)
+    if region is None:
+        return small, np.zeros(stack.shape[0])
+    out = stack - _family(dim, region).iso_from_small(small)
     return small, np.linalg.norm(hs.flatten(out), axis=1) / np.sqrt(dim)
 
 
@@ -308,48 +319,36 @@ def _hermitian_combos(basis: np.ndarray, count: int, rng: np.random.Generator) -
     return combos
 
 
-def _nullspace_full(constraints: list[np.ndarray], dim: int, rtol: float) -> np.ndarray:
-    """Joint commutant of the constraints in the full matrix algebra.
-
-    Accumulates M = sum_g L_g^* L_g for L_g = g^T (x) I - I (x) g (column
-    stacking) and keeps the low-lying eigenvectors.  The eigenvalue threshold
-    corresponds to the squared singular-value cut; candidates are verified
-    against the full basis by the caller.
-    """
-    eye = np.eye(dim, dtype=complex)
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for g in constraints:
-        gt = g.T
-        m += np.kron(g.conj() @ gt, eye)
-        m += np.kron(eye, g.conj().T @ g)
-        m -= np.kron(g.conj(), g)
-        m -= np.kron(gt, g.conj().T)
-    w, u = np.linalg.eigh(hs.hermitian_part(m))
-    lam_max = max(float(w[-1]), float(len(constraints)))
-    keep = w <= max(rtol * lam_max, 1e-14 * lam_max)
-    cols = u[:, keep]
-    # column-stacked vec: matrix = vec.reshape(D, D, order='F')
-    stack = np.stack([cols[:, i].reshape(dim, dim, order="F") for i in range(cols.shape[1])]) \
-        if cols.shape[1] else np.zeros((0, dim, dim), dtype=complex)
-    return hs.orthonormalize(stack, RANK_RTOL) if stack.shape[0] else stack
+def _eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Orthonormal columns of each eigenvalue cluster of a Hermitian matrix; a
+    cluster ends where the spectrum jumps by more than gap * max(1, spread)."""
+    w, u = np.linalg.eigh(h)
+    return np.split(u, np.flatnonzero(np.diff(w) > gap * max(1.0, float(w[-1] - w[0]))) + 1, axis=1)
 
 
-def _nullspace_in_ambient(
-    constraints: list[np.ndarray], ambient: np.ndarray, rtol: float
-) -> np.ndarray:
+def _commutant_of_hermitian(h: np.ndarray) -> np.ndarray:
+    """tau-orthonormal basis of {h}', the block-diagonal algebra over h's
+    eigenspaces: sqrt(d) u_a u_b^* for eigenvectors a, b of one cluster."""
+    d = h.shape[-1]
+    blocks = [np.einsum("ia,jb->abij", u, u.conj()).reshape(-1, d, d) for u in _eigenspaces(h, _GAP)]
+    return np.sqrt(d) * np.concatenate(blocks)
+
+
+def _null_combinations(images: np.ndarray, stack: np.ndarray, floor: float) -> np.ndarray:
+    """tau-orthonormal combinations of a tau-orthonormal stack of m <= D^2
+    elements that a linear map sends to zero, given the flattened image of each
+    element as a row: the right singular vectors of images^T (read off the
+    m x m R of images^T = QR, so no Gram matrix squares the gap) whose squared
+    singular value is at most _NULL_RTOL * max(largest, floor)."""
+    _, sing, vh = np.linalg.svd(np.linalg.qr(images.T, mode="r"))
+    keep = sing ** 2 <= _NULL_RTOL * max(float(sing.max(initial=0.0)) ** 2, floor)
+    return hs.unflatten(vh[keep].conj() @ hs.flatten(stack), stack.shape[-1])
+
+
+def _nullspace_in_ambient(constraints: list[np.ndarray], ambient: np.ndarray) -> np.ndarray:
     """Joint commutant of the constraints inside the span of an ambient stack."""
-    dim = ambient.shape[-1]
-    m_amb = ambient.shape[0]
-    gram = np.zeros((m_amb, m_amb), dtype=complex)
-    for g in constraints:
-        rows = hs.flatten(ambient @ g - g @ ambient) / np.sqrt(dim)
-        gram += rows.conj() @ rows.T
-    w, u = np.linalg.eigh(hs.hermitian_part(gram))
-    lam_max = max(float(w[-1]) if w.size else 0.0, float(len(constraints)))
-    keep = w <= max(rtol * lam_max, 1e-14 * lam_max)
-    coeff = u[:, keep].T                 # rows are coefficient vectors
-    stack = hs.unflatten(coeff @ hs.flatten(ambient), dim)
-    return stack
+    images = np.concatenate([hs.flatten(ambient @ g - g @ ambient) for g in constraints], axis=1)
+    return _null_combinations(images / np.sqrt(ambient.shape[-1]), ambient, float(len(constraints)))
 
 
 def _worst_commutator(x: np.ndarray, basis: np.ndarray) -> float:
@@ -357,22 +356,61 @@ def _worst_commutator(x: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(hs.flatten(comms), axis=1).max() / np.sqrt(x.shape[-1]))
 
 
+def _central_projections(z: np.ndarray, unit: np.ndarray, rng: np.random.Generator, gap: float) -> list[np.ndarray]:
+    """Minimal projections of a commutative *-algebra z with the given unit:
+    the eigenspaces under the unit of one random self-adjoint element, distinct
+    on distinct blocks almost surely (DegenerateCenter when they are not)."""
+    [el] = _hermitian_combos(z, 1, rng)
+    projections = [u @ u.conj().T for u in _eigenspaces(el, gap)]
+    projections = [p for p in projections if np.vdot(p, unit).real > 0.5]
+    if len(projections) != z.shape[0]:
+        raise DegenerateCenter(f"one draw separated {len(projections)} of {z.shape[0]} central blocks")
+    return projections
+
+
+def _require_complete(basis: np.ndarray, stack: np.ndarray, ambient: np.ndarray | None,
+                      rng: np.random.Generator) -> None:
+    """InvariantViolation unless the commutant stack of s = span(basis) in the
+    ambient A (None: all matrices) has every direction.  With e_A the unit of
+    A and p_i the minimal central projections of s~ = s + C e_A (drawn from
+    the commutant's part inside s~, its center), s~ p_i = M_{d_i} sits in
+    p_i A p_i = M_{d_i} x (s' n A) p_i, so the count sum_i sqrt(dim(s~ p_i)
+    dim(s' p_i)) equals sum_i sqrt(dim(p_i A p_i)), the rank of the space for
+    all matrices or a region's factor; a split eigenvalue cluster of h shrinks
+    some dim(s' p_i).  dim(X p) = sum_k ||x_k p||^2 and dim(p A p) =
+    sum_k ||p a_k p||^2 in tau-norms over tau-orthonormal stacks."""
+    d = basis.shape[-1]
+    unit = np.eye(d, dtype=complex) if ambient is None else hs.project(ambient, np.eye(d, dtype=complex))
+    extra = unit - hs.project(basis, unit)
+    if hs.hs_norm(extra) > TOL_MEMBER:
+        basis = np.concatenate([basis, extra[None] / hs.hs_norm(extra)])
+    outside = hs.flatten(stack - hs.project_stack(basis, stack)) / np.sqrt(d)
+    count = rank = 0.0
+    for p in _central_projections(_null_combinations(outside, stack, 1.0), unit, rng, _GAP):
+        count += np.linalg.norm(basis @ p) * np.linalg.norm(stack @ p) / d
+        rank += np.trace(p).real if ambient is None else np.linalg.norm(p @ ambient @ p) / np.sqrt(d)
+    if abs(count - rank) > RANK_RTOL * rank:
+        raise InvariantViolation(f"commutant completeness count {count:.6f} differs from the rank {rank:.6f}")
+
+
 def commutant(
     s: SubalgebraBasis,
     ambient: SubalgebraBasis | None = None,
     *,
     rng: np.random.Generator | None = None,
-    rtol: float = 1e-11,
     tol: float = TOL_MEMBER,
-    max_rounds: int = 10,
 ) -> SubalgebraBasis:
     """Elements of the ambient algebra (default: everything) commuting with s.
 
-    Solves the linear system [x, b] = 0 against a sketch of constraints and
-    refines with directly verified commutator residuals until exact.  Inside
-    an ambient the system is solved in the factor of the union of the two
-    regions (the ambient's own whenever it holds s), which the result then
-    holds; a basis element of s or of the ambient that leaks out of it by more
+    s' lies in {h}' for a random self-adjoint h in s: the block-diagonal
+    algebra over h's eigenspaces, built in closed form, or inside an ambient
+    short of its whole factor the nullspace of [h, .] there.  The commutators
+    with _SKETCH_SIZE more such elements are solved once inside it.  Nothing
+    is retried: InvariantViolation unless every result element commutes with
+    the full basis of s within tol and the completeness count of
+    _require_complete holds.  An ambient must contain s; the system is then
+    solved in the factor of the union of the two regions, which the result
+    holds, and a basis element of s or the ambient leaking out of it by more
     than tol raises NotAnAlgebra.
     """
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
@@ -380,81 +418,38 @@ def commutant(
     region = None if ambient is None else _union(dim, s.region, ambient.region)
     basis, leak = _picture_in(s, region)
     _require_inside(leak, tol, region, "commutant argument")
-    if ambient is None:
-        solve = lambda cons: _nullspace_full(cons, basis.shape[-1], rtol)  # noqa: E731
-    else:
+    amb = None
+    if ambient is not None:
         amb, amb_leak = _picture_in(ambient, region)
         _require_inside(amb_leak, tol, region, "commutant ambient")
-        solve = lambda cons: _nullspace_in_ambient(cons, amb, rtol)  # noqa: E731
-
-    if basis.shape[0] <= _SKETCH_SIZE:
-        constraints = [b / hs.hs_norm(b) for b in basis]
-    else:
-        constraints = _hermitian_combos(basis, _SKETCH_SIZE, rng)
-
-    for _ in range(max_rounds):
-        stack = solve(constraints)
-        if stack.shape[0] == 0:
-            break
-        worst = np.array([_worst_commutator(x, basis) for x in stack])
-        if worst.max() <= tol:
-            break
-        # feed the worst offender's most violated constraint back in
-        bad = stack[int(worst.argmax())]
-        comms = basis @ bad - bad @ basis
-        k = int(np.linalg.norm(hs.flatten(comms), axis=1).argmax())
-        constraints = constraints + [basis[k] / hs.hs_norm(basis[k])]
-    else:
-        raise InvariantViolation("commutant refinement did not converge")
-
-    has_id = _contains_identity(stack, stack.shape[-1]) if stack.shape[0] else False
-    return _from_small(dim, region, stack, has_id)
+        # an ambient spanning its whole factor, as a region algebra does, constrains nothing
+        amb = None if amb.shape[0] == amb.shape[-1] ** 2 else amb
+    [h] = _hermitian_combos(basis, 1, rng)
+    space = _commutant_of_hermitian(h) if amb is None else _nullspace_in_ambient([h], amb)
+    stack = _nullspace_in_ambient(_hermitian_combos(basis, _SKETCH_SIZE, rng), space)
+    worst = max((_worst_commutator(x, basis) for x in stack), default=0.0)
+    if worst > tol:
+        raise InvariantViolation(f"commutant element fails to commute with s: residual {worst:.3e}")
+    _require_complete(basis, stack, amb, rng)
+    return _from_small(dim, region, stack, _contains_identity(stack, basis.shape[-1]))
 
 
 def center(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> SubalgebraBasis:
-    """Basis of s intersected with its commutant."""
+    """Basis of s intersected with its commutant: the commutant of s inside s."""
     if not s.contains_identity:
         raise ValueError("center requires a subalgebra containing the identity")
     return commutant(s, ambient=s, rng=rng)
 
 
-def minimal_central_projections(
-    s: SubalgebraBasis,
-    *,
-    rng: np.random.Generator | None = None,
-    retries: int = 5,
-    gap: float = 1e-8,
-) -> list[np.ndarray]:
-    """Minimal central projections, orthogonal and summing to the identity.
-
-    A random self-adjoint central element is spectrally decomposed; eigenvalue
-    clusters map to the projections.  Distinct blocks get distinct values
-    almost surely, so a cluster count below the center dimension triggers a
-    retry with a fresh element.
-    """
+def minimal_central_projections(s: SubalgebraBasis, *, rng: np.random.Generator | None = None,
+                                gap: float = 1e-8) -> list[np.ndarray]:
+    """Minimal central projections, orthogonal and summing to the identity,
+    largest trace first: the eigenvalue clusters (relative gap ``gap``) of one
+    random self-adjoint central element.  DegenerateCenter when their number
+    is not the center's dimension."""
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
-    z = center(s, rng=rng)
-    m = z.size
-    dim = s.dim_ambient
-    if m == 0:
-        raise DegenerateCenter("empty center basis")
-
-    for _ in range(retries):
-        [el] = _hermitian_combos(z.basis, 1, rng)
-        w, u = np.linalg.eigh(el)
-        spread = max(1.0, float(w[-1] - w[0]))
-        splits = np.flatnonzero(np.diff(w) > gap * spread)
-        bounds = np.concatenate([[0], splits + 1, [dim]])
-        if len(bounds) - 1 != m:
-            continue
-        projections = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            cols = u[:, lo:hi]
-            projections.append(cols @ cols.conj().T)
-        if is_projection_family(projections, dim):
-            order = np.argsort([-float(np.trace(p).real) for p in projections], kind="stable")
-            return [projections[i] for i in order]
-    raise DegenerateCenter(f"failed to separate {m} central blocks in {retries} attempts")
+    projections = _central_projections(center(s, rng=rng).basis, np.eye(s.dim_ambient), rng, gap)
+    return sorted(projections, key=lambda p: -float(np.trace(p).real))
 
 
 def is_projection_family(projections: list[np.ndarray], dim: int, tol: float = 1e-10) -> bool:

@@ -299,10 +299,11 @@ def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
 
 def test_build_document_takes_e_bc_of_rho_once(monkeypatch):
     # E_BC(rho) is shared by the SSA cross-check and the flow generator:
-    # E_BC, E_AB and E_B of rho, plus E_BC of the stack of C for the triplet
+    # E_BC, E_AB and E_B of rho; the triplet takes E_BC of C's basis in the
+    # small picture of A_BC, with no full conditional expectation
     calls = []
     real = entropy.cond_expect
-    for module in (entropy, markov):
-        monkeypatch.setattr(module, "cond_expect", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    monkeypatch.setattr(entropy, "cond_expect", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
     build_document(make_product_markov(REGIONS_4, 5), REGIONS_4)
-    assert sorted(calls) == sorted([REGIONS_4.BC, REGIONS_4.AB, REGIONS_4.B, REGIONS_4.BC])
+    assert sorted(calls) == sorted([REGIONS_4.BC, REGIONS_4.AB, REGIONS_4.B])
+    assert not hasattr(markov, "cond_expect")

@@ -14,7 +14,7 @@ from fermarkov.car import (
     region_orthobasis,
 )
 from fermarkov.entropy import embedded_restriction
-from fermarkov.errors import DegenerateCenter, NotAnAlgebra
+from fermarkov.errors import DegenerateCenter, InvariantViolation, NotAnAlgebra
 from fermarkov.markov import Analysis
 from fermarkov.spectral import mat_log
 from fermarkov.states import make_block_markov, make_product_markov
@@ -55,6 +55,14 @@ def block_direct_sum(seed=1):
     return span_closure(mats)
 
 
+def site_parity_sum(alg):
+    # M_{D/2} + M_{D/2}: the algebra of sites 1..n-1 cut by the two parity
+    # projections of site 0, which commute with it
+    p = (alg.identity() + parity_unitary(alg, (0,))) / 2
+    rest = region_orthobasis(alg, tuple(range(1, alg.n_sites)))
+    return subalgebra_from_matrices(np.concatenate([p @ rest, (alg.identity() - p) @ rest]))
+
+
 def test_closure_of_identity_is_scalars():
     s = span_closure([ALG.identity()])
     assert s.size == 1 and s.contains_identity
@@ -87,24 +95,52 @@ def test_commutant_of_full_is_scalars_and_back():
     assert commutant(scal).size == 64
 
 
-def test_commutant_of_region_algebra():
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_commutant_of_region_algebra(n):
     # A_A' = (A_BC)_even + v_A (A_BC)_odd, of dimension 4^{|BC|}
-    s_a = region_alg((0,))
+    alg = build_algebra(n)
+    s_a = region_alg((0,), alg)
     com = commutant(s_a)
-    assert com.size == 16
-    bc = region_alg((1, 2))
-    even, odd, _ = parity_split(bc, parity_unitary(ALG, (0, 1, 2)))
-    v_a = parity_unitary(ALG, (0,))
-    rhs = subalgebra_from_matrices(np.concatenate([even, np.stack([v_a @ o for o in odd])]))
-    assert rhs.size == 16
+    assert com.size == 4 ** (n - 1)
+    bc = region_alg(tuple(range(1, n)), alg)
+    even, odd, _ = parity_split(bc, parity_unitary(alg, alg.sites))
+    v_a = parity_unitary(alg, (0,))
+    rhs = subalgebra_from_matrices(np.concatenate([even, v_a @ odd]))
+    assert rhs.size == 4 ** (n - 1)
     assert span_equality_residual(com, rhs) <= 1e-9
 
 
-def test_bicommutant():
-    for s in (region_alg((0,)), region_alg((0, 2)), block_direct_sum()):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bicommutant(n):
+    alg = build_algebra(n)
+    for s in (region_alg((0,), alg), region_alg((0, 2), alg), site_parity_sum(alg), block_direct_sum()):
         back = commutant(commutant(s))
         assert back.size == s.size
         assert span_equality_residual(back, s) <= 1e-9
+
+
+def test_split_cluster_fails_the_completeness_count(monkeypatch):
+    # A_A = M_2 x 1_4 up to W, so a generic h in it has two eigenvalues of
+    # multiplicity 4.  Splitting one eigenvector off the first cluster keeps
+    # every result inside s' (the commutators stay exact) but loses the
+    # directions that mix it with the rest of its eigenspace: 10 of the 16
+    # dimensions of s' survive, and only the count can tell.
+    s_a = region_alg((0,))
+    solve = subalgebra._commutant_of_hermitian
+
+    def split(h):
+        v = np.linalg.eigh(h)[1][:, 0]
+        return solve(h + 1e-3 * np.outer(v, v.conj()))
+
+    monkeypatch.setattr(subalgebra, "_commutant_of_hermitian", split)
+    worst = []
+    real_check = subalgebra._worst_commutator
+    monkeypatch.setattr(subalgebra, "_worst_commutator", lambda x, b: worst.append(real_check(x, b)) or worst[-1])
+    with pytest.raises(InvariantViolation, match="completeness count"):
+        commutant(s_a)
+    assert len(worst) == 10 and max(worst) <= 1e-12
+    monkeypatch.undo()
+    assert commutant(s_a).size == 16
 
 
 def test_center_of_full_and_commutative():
@@ -152,7 +188,7 @@ def test_minimal_central_projections_deterministic():
 def test_degenerate_center_reported():
     # an absurd clustering gap makes every draw collapse the blocks
     with pytest.raises(DegenerateCenter):
-        minimal_central_projections(block_direct_sum(), gap=10.0, retries=2)
+        minimal_central_projections(block_direct_sum(), gap=10.0)
 
 
 def test_membership_cases():
@@ -224,6 +260,8 @@ def test_central_block_dimension_arithmetic():
             corner = subalgebra_from_matrices(np.stack([p @ b @ p for b in full_stack]))
             rel = commutant(cut, ambient=corner)
             assert cut.size * rel.size == rank * rank
+            # without the corner, the complement of the cut's unit adds a full block
+            assert commutant(cut).size == rel.size + (8 - rank) ** 2
 
 
 def test_parity_split_dimensions():
