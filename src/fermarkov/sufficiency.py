@@ -16,7 +16,17 @@ certificates checked here:
         largest derivation-invariant subspace of the span.  Sampled-t unitary
         memberships are kept as a smoke test only.
   (iv)  the state-dependent recovery maps of the two states coincide as
-        superoperators.
+        superoperators.  The recovery map of a state is
+        P = Ad_K o E o Ad_H with K = rho0^{-1/2}, H = rho^{1/2} and E the
+        tau-orthogonal projection onto s.  When s is a unital *-algebra (the
+        SubalgebraBasis contract), K lies in s, so Ad_K keeps s and its
+        orthogonal complement and commutes with E: P = E o Ad_{G^*} with
+        G = H K = rho^{1/2} rho0^{-1/2}.  Taking adjoints,
+
+          ||P_phi - P_psi||_F^2 = sum_b ||G_phi b G_phi^* - G_psi b G_psi^*||_F^2 / D
+
+        over the tau-orthonormal basis b of s, so the residual is read from
+        two (m, D, D) sandwiches and no D^2 x D^2 superoperator is formed.
 
 is_sufficient decomposes each of rho_phi, rho_psi and their restrictions
 rho_phi0, rho_psi0 once and reads every certificate from those four
@@ -126,6 +136,11 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS
     reproduces psi.  With E = sum_b |b><b| / D over the tau-orthonormal basis,
     the map is sum_b vec(K b K) vec(H b H)^* / D with K = r0^{-1/2} and
     H = r^{1/2}, built from the two stacks of basis images.
+
+    s must contain the identity (ValueError otherwise) and r0 must be
+    faithful (SingularRestriction otherwise), as in is_sufficient.  On a
+    unital *-algebra s, the SubalgebraBasis contract, the map is
+    a -> E(G^* a G) with G = H K (see the module docstring).
     """
     psi.require_faithful("recovery-map state")
     rho0 = hs.hermitian_part(s.project(psi.rho))
@@ -137,6 +152,15 @@ def _petz_superop(
     dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float
 ) -> np.ndarray:
     """petz_map's superoperator from the decompositions of r and r0."""
+    _require_recoverable(dec0, s, eps_faithful)
+    half = dec.func("pow", 0.5)
+    inv_half0 = dec0.func("pow", -0.5)
+    return _basis_superop(inv_half0 @ s.basis @ inv_half0, half @ s.basis @ half)
+
+
+def _require_recoverable(dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float) -> None:
+    """The recovery map of a state needs the identity in s and a faithful
+    restriction r0, whose decomposition is dec0."""
     if not s.contains_identity:
         raise ValueError("recovery map needs a subalgebra containing the identity")
     w0 = dec0.eigenvalues
@@ -144,9 +168,26 @@ def _petz_superop(
         raise SingularRestriction(
             f"restricted density min eigenvalue {w0[0]:.3e} <= {eps_faithful:.1e}"
         )
-    half = dec.func("pow", 0.5)
-    inv_half0 = dec0.func("pow", -0.5)
-    return _basis_superop(inv_half0 @ s.basis @ inv_half0, half @ s.basis @ half)
+
+
+def _petz_root(
+    dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float
+) -> np.ndarray:
+    """G = r^{1/2} r0^{-1/2} from the decompositions of r and r0: the recovery
+    map is a -> E(G^* a G) when s is a unital *-algebra."""
+    _require_recoverable(dec0, s, eps_faithful)
+    return dec.func("pow", 0.5) @ dec0.func("pow", -0.5)
+
+
+def _petz_residual(g_phi: np.ndarray, g_psi: np.ndarray, s: SubalgebraBasis) -> float:
+    """||P_phi - P_psi||_F / max(1, ||P_psi||_F) for the recovery maps with
+    roots g_phi and g_psi (see _petz_root), from the sandwiches G b G^* of
+    the basis: the Frobenius norm of Ad_G o E is sqrt(sum_b ||G b G^*||_F^2 / D).
+    """
+    root_dim = np.sqrt(s.dim_ambient)
+    image_psi = g_psi @ s.basis @ g_psi.conj().T
+    diff = g_phi @ s.basis @ g_phi.conj().T - image_psi
+    return float((np.linalg.norm(diff) / root_dim) / max(1.0, np.linalg.norm(image_psi) / root_dim))
 
 
 @dataclass(frozen=True)
@@ -208,6 +249,17 @@ def is_sufficient(
     Each of rho_phi, rho_psi and their restrictions is decomposed once; the
     relative entropies, logarithms, sampled cocycles and recovery maps are
     all read from these four decompositions.
+
+    s must be a unital *-algebra, as every SubalgebraBasis is by contract.
+    Then the recovery map of a state is a -> E(G^* a G) with
+    G = rho^{1/2} rho0^{-1/2}, and the residual
+    ||P_phi - P_psi||_F / max(1, ||P_psi||_F) between petz_map's
+    superoperators is computed without forming them, from
+
+      ||P_phi - P_psi||_F^2 = sum_b ||G_phi b G_phi^* - G_psi b G_psi^*||_F^2 / D
+
+    over the tau-orthonormal basis b of s (||P_psi||_F likewise, without the
+    G_phi term): one D x D product and one (m, D, D) sandwich per state.
     """
     phi.require_faithful("first state")
     psi.require_faithful("second state")
@@ -230,9 +282,9 @@ def is_sufficient(
         for t in _SAMPLED_TIMES
     )
 
-    sup_phi = _petz_superop(dec_phi, dec_phi0, s, EPS_FAITHFUL)
-    sup_psi = _petz_superop(dec_psi, dec_psi0, s, EPS_FAITHFUL)
-    petz_res = float(np.linalg.norm(sup_phi - sup_psi) / max(1.0, np.linalg.norm(sup_psi)))
+    petz_res = _petz_residual(
+        _petz_root(dec_phi, dec_phi0, s, EPS_FAITHFUL), _petz_root(dec_psi, dec_psi0, s, EPS_FAITHFUL), s
+    )
 
     return SufficiencyReport(
         rel_entropy_full=float(s_full),

@@ -12,7 +12,7 @@ from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import FlowUnstable, InvariantViolation, NotSufficient
 from fermarkov.spectral import mat_pow
 from fermarkov.states import make_product_markov, random_even_state, random_state
-from fermarkov.subalgebra import commutant, membership, subalgebra_from_matrices
+from fermarkov.subalgebra import commutant, membership, region_subalgebra, subalgebra_from_matrices
 from fermarkov.sufficiency import (
     QuantumChannel,
     factor_through,
@@ -259,3 +259,58 @@ def test_factor_through_rejects_factor_outside_relative_commutant(monkeypatch):
     phi = StateDensity.from_matrix(ALG, (np.eye(8) + 0.5 * z1z2) / 8)
     with pytest.raises(InvariantViolation, match="relative commutant"):
         factor_through(phi, tracial(), ab_subalgebra())
+
+
+def cuts(n):
+    return ((*range(n - 1),), (0,), (*range(1, n),), (0, n - 1))
+
+
+def oracle_pairs(regions):
+    """Random pairs and (1 - eps) product_markov + eps random against the
+    unperturbed E_BC, for eps from exact to clearly insufficient."""
+    n = regions.n_sites
+    pairs = [(random_state(n, 80 + seed), random_state(n, 90 + seed)) for seed in range(2)]
+    base, psi = sufficient_pair(85, regions)
+    noise = random_state(n, 86).rho
+    for eps in (0.0, 1e-9, 1e-7, 1e-4):
+        pairs.append((StateDensity.from_matrix(base.alg, (1 - eps) * base.rho + eps * noise), psi))
+    return pairs
+
+
+def superop_petz_residual(phi, psi, s):
+    """The recovery-map residual from petz_map's D^2 x D^2 superoperators."""
+    sup_phi, sup_psi = petz_map(phi, s).superop, petz_map(psi, s).superop
+    return float(np.linalg.norm(sup_phi - sup_psi) / max(1.0, np.linalg.norm(sup_psi)))
+
+
+@pytest.mark.parametrize("regions", [REGIONS, RegionPartition((0,), (1, 2), (3,))], ids=["n3", "n4"])
+@pytest.mark.parametrize("form", ["region", "matrices"])
+def test_petz_residual_matches_the_superoperators(regions, form):
+    n = regions.n_sites
+    alg = build_algebra(n)
+    for cut in cuts(n):
+        if form == "region":
+            s = region_subalgebra(alg, cut)
+        else:
+            s = subalgebra_from_matrices(region_orthobasis(alg, cut))
+        for phi, psi in oracle_pairs(regions):
+            got = is_sufficient(phi, psi, s).petz_residual
+            want = superop_petz_residual(phi, psi, s)
+            assert abs(got - want) <= 1e-14, f"cut {cut}: {got:.3e} vs {want:.3e}"
+
+
+def test_is_sufficient_forms_no_superoperator(monkeypatch):
+    calls = []
+    real = sufficiency._basis_superop
+    monkeypatch.setattr(sufficiency, "_basis_superop", lambda *a, **k: calls.append(1) or real(*a, **k))
+    phi, psi = sufficient_pair(18)
+    assert is_sufficient(phi, psi, ab_subalgebra()).overall
+    assert not is_sufficient(random_state(3, 9), random_state(3, 10), ab_subalgebra()).overall
+    assert calls == []
+
+
+def test_petz_map_needs_the_identity():
+    corner = np.zeros((8, 8), dtype=complex)
+    corner[0, 0] = 1.0
+    with pytest.raises(ValueError, match="containing the identity"):
+        petz_map(random_state(3, 1), subalgebra_from_matrices([corner]))
