@@ -307,8 +307,8 @@ def build_document(
         "a_in_c_residual": analysis.a_in_c_residual,
         "cond_exp_residual": analysis.cond_exp_residual,
         "markov": analysis.markov,
-        "dim_c": analysis.c_basis.size,
-        "dim_b": analysis.b_basis.size,
+        "dim_c": analysis.pair.dim_c,
+        "dim_b": analysis.pair.dim_b,
         "even": state.is_even(),
     }
 

@@ -18,8 +18,8 @@ def hs_norm(x: np.ndarray) -> float:
 
 
 def flatten(stack: np.ndarray) -> np.ndarray:
-    """(m, D, D) stack -> (m, D*D) rows."""
-    return stack.reshape(stack.shape[0], -1)
+    """(m, D, D) stack -> (m, D*D) rows; m may be 0."""
+    return stack.reshape(stack.shape[0], stack.shape[-2] * stack.shape[-1])
 
 
 def unflatten(rows: np.ndarray, dim: int) -> np.ndarray:

@@ -9,9 +9,12 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
         C = {x in A_AB : the modular flow of the embedded restriction to B+C
              keeps x inside A_AB for all t},
         B = the same inside A_B,
-    decided algebraically by the derivation iteration;
+    decided algebraically by descending invariant-subspace iterations.  C is
+    held as the graded pair C = A_A^+ W+ (+) A_A^- W- (``FlowStablePair``):
+    W+ = B and W- are subspaces of A_B, each solved in the 2^|BC| factor of
+    A_BC, so nothing of size 4^|AB| or D x D is built unless read;
   - the Markov verdict: saturation together with every A-site generator lying
-    in C (automatic for even states by graded commutation);
+    in C, which holds exactly when 1 lies in W- (always for even states);
   - the commuting factorization rho = x y with x the density of the restricted
     state on C and y = x^{-1} rho, certified to lie in the B+C algebra;
   - for even Markov states, the central structure of B under the parity
@@ -30,8 +33,11 @@ import numpy as np
 
 from . import hs
 from .car import (
+    CarAlgebra,
     RegionPartition,
+    build_algebra,
     even_odd_split,
+    matrix_units,
     parity_automorphism,
     parity_unitary,
     region_orthobasis,
@@ -54,9 +60,14 @@ from .spectral import EPS_FAITHFUL, mat_log
 from .subalgebra import (
     TOL_MEMBER,
     SubalgebraBasis,
+    _adjoint_residual,
+    _from_small,
+    _product_residual,
+    _require_closed,
     _small,
+    _verify_flow_stability,
     commutant,
-    invariant_subalgebra,
+    invariant_subspace,
     is_projection_family,
     membership,
     minimal_central_projections,
@@ -72,18 +83,131 @@ TOL_BLOCK = 1e-8       # reassembly / span-identity residual bound
 TOL_PAIR = 1e-9        # partner-block parity-image residual bound
 
 
+@dataclass(frozen=True, eq=False)
+class FlowStablePair:
+    """The flow-stable algebra C of A_AB as its graded pair (W+, W-).
+
+    With h = log E_BC(rho), graded locality gives h a = a theta^p(h) for a in
+    A_A of parity p, so [h, a b] = a (theta^p(h) b - b h) for b in A_B.  Over
+    the homogeneous tau-orthonormal matrix units a_k of A_A, half even and half
+    odd, A_AB is the tau-orthogonal sum of the a_k A_B, hence
+    C = A_A^+ W+ (+) A_A^- W- with W+ (= B) and W- the largest subspaces of
+    A_B invariant under b -> [h, b] and b -> theta(h) b - b h.  For an even
+    state theta(h) = h and C is the join A_A v B.  plus and minus are
+    tau-orthonormal stacks in A_B's own 2^|B| factor.
+    """
+
+    alg: CarAlgebra
+    regions: RegionPartition
+    plus: np.ndarray                 # W+ = B
+    minus: np.ndarray                # W-
+    identity_residual: float         # tau-norm of 1 minus its projection onto W-
+
+    @property
+    def dim_b(self) -> int:
+        return self.plus.shape[0]
+
+    @property
+    def dim_c(self) -> int:
+        return 4 ** len(self.regions.A) // 2 * (self.plus.shape[0] + self.minus.shape[0])
+
+    @cached_property
+    def _ab_factor(self):
+        """A_A's units, which are even, and B's family, in A_AB's factor."""
+        ab = self.regions.AB
+        lattice = build_algebra(len(ab))
+        a_units = matrix_units(lattice, _positions(self.regions.A, ab))
+        return a_units.orthobasis(), a_units.parity == 1, matrix_units(lattice, _positions(self.regions.B, ab))
+
+    @cached_property
+    def b_basis(self) -> SubalgebraBasis:
+        return _from_small(self.alg.dim, self.regions.B, self.plus, True)
+
+    @cached_property
+    def c_basis(self) -> SubalgebraBasis:
+        """The products a_k w, tau-orthonormal, scattered from A_AB's factor."""
+        units, even, b = self._ab_factor
+        d = units.shape[-1]
+        parts = [units[even][:, None] @ b.iso_from_small(self.plus)[None],
+                 units[~even][:, None] @ b.iso_from_small(self.minus)[None]]
+        return _from_small(self.alg.dim, self.regions.AB, np.concatenate([p.reshape(-1, d, d) for p in parts]), True)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """E_C(x): the coefficients E_B(a_k^* E_AB(x)) of E_AB(x) over A_A's
+        units, each projected onto W+ or W- by the parity of a_k."""
+        units, even, b = self._ab_factor
+        ab = _small(self.alg.dim, self.regions.AB, x)
+        coeffs = b.trace_pairings(np.conj(units.transpose(0, 2, 1)) @ ab) / (ab.shape[-1] // b.small_dim)
+        coeffs[even] = hs.project_stack(self.plus, coeffs[even])
+        coeffs[~even] = hs.project_stack(self.minus, coeffs[~even])
+        return matrix_units(self.alg, self.regions.AB).iso_from_small((units @ b.iso_from_small(coeffs)).sum(axis=0))
+
+    @property
+    def cond_exp_residual(self) -> float:
+        """Worst residual of E_BC(C) against B, from E_BC(a w) = tau(a) w."""
+        units, even, _ = self._ab_factor
+        taus = np.abs(np.trace(units, axis1=1, axis2=2)) / units.shape[-1]
+        odd_res, even_res = (hs.residual_norms(self.plus, w).max(initial=0.0) for w in (self.minus, self.plus))
+        return float(np.max(taus * np.where(even, even_res, odd_res)))
+
+    @property
+    def join_residual(self) -> float:
+        """C against the join A_A v B, which is W- against W+ both ways."""
+        return float(max(hs.residual_norms(self.plus, self.minus).max(initial=0.0),
+                         hs.residual_norms(self.minus, self.plus).max(initial=0.0)))
+
+
+def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of a region's sites in the lattice of a region holding it."""
+    return tuple(within.index(i) for i in sites)
+
+
+def flow_stable_pair(rho_bc: np.ndarray, alg: CarAlgebra, regions: RegionPartition) -> FlowStablePair:
+    """W+ and W- of h = log E_BC(rho), solved in A_BC's 2^|BC| factor, where
+    A_B is the region of B's positions in a |BC|-site lattice.  Certified
+    there (NotAnAlgebra otherwise): each span under its own flow
+    e^{it theta^p(h)} . e^{-ith} at sampled t, and C's closure in graded form,
+    (a w)(a' w') = a a' theta^p'(w) w' and (a w)^* = a^* theta^p(w^*) for a, a'
+    of parities p, p', which B's closure (W+ W+ and W+^* in W+) is part of.
+    """
+    bc, b_sites = regions.BC, _positions(regions.B, regions.BC)
+    lattice = build_algebra(len(bc))
+    h = _small(alg.dim, bc, mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / alg.dim))
+    theta_h = parity_automorphism(lattice, h)
+    ambient = region_orthobasis(lattice, b_sites)
+    scale = float(np.linalg.norm(h, 2))
+    plus, _ = invariant_subspace(h, h, ambient, scale=scale)
+    minus, identity_residual = invariant_subspace(theta_h, h, ambient, scale=scale)
+    for left, w in ((h, plus), (theta_h, minus)):
+        _verify_flow_stability(left, h, w, TOL_MEMBER)
+
+    plus, minus = (_small(lattice.dim, b_sites, w) for w in (plus, minus))
+    b_lattice = build_algebra(len(regions.B))
+    t_plus, t_minus = (parity_automorphism(b_lattice, w) for w in (plus, minus))
+    products = max(
+        _product_residual(plus, plus, plus),
+        _product_residual(t_plus, minus, minus),
+        _product_residual(minus, plus, minus),
+        _product_residual(t_minus, minus, plus),
+    )
+    _require_closed(products, max(_adjoint_residual(plus, plus), _adjoint_residual(t_minus, minus)), TOL_MEMBER)
+    return FlowStablePair(alg, regions, plus, minus, identity_residual)
+
+
 @dataclass(frozen=True)
 class TripletAnalysis:
     """Saturation, flow-stable subalgebras, and the Markov verdict."""
 
     ssa: SsaReport
-    c_basis: SubalgebraBasis
-    b_basis: SubalgebraBasis
+    pair: FlowStablePair         # C and B
     a_in_c: bool
     a_in_c_residual: float
     cond_exp_residual: float     # worst membership of E_BC(C) in B
     markov: bool
     elapsed: float               # seconds for the checks, after the shared build
+
+    c_basis = property(lambda self: self.pair.c_basis)   # built on first read
+    b_basis = property(lambda self: self.pair.b_basis)
 
 
 @dataclass(frozen=True)
@@ -154,23 +278,23 @@ class StructureLemmaReport:
 @dataclass(frozen=True)
 class _LemmaAlgebras:
     """Structure-lemma algebras of an even Markov state, shared by the block
-    decomposition and the lemma validation.  join and c_tilde are certified
-    products of two graded-commuting *-subalgebras."""
+    decomposition and the lemma validation.  c_tilde is a certified product
+    of two graded-commuting *-subalgebras."""
 
     a_stack: np.ndarray              # basis of A_A
     c_even: np.ndarray               # basis of (A_C)_even
     c_odd: np.ndarray                # basis of (A_C)_odd
     v_b: np.ndarray                  # parity unitary of B
     b_tilde: SubalgebraBasis         # B' within A_B
-    join: SubalgebraBasis            # A_A v B, which equals C
     c_tilde: SubalgebraBasis         # B~ v ((A_C)_even + v_B (A_C)_odd)
 
 
 class Analysis:
     """One faithful state on one region partition.  Construction builds what
-    every result shares: the SSA report and the flow-stable subalgebras C (in
-    A_AB) and B (in A_B).  Each result below is computed on first access, with
-    these tolerances, and cached."""
+    every result shares: the SSA report and the graded pair that holds the
+    flow-stable subalgebras C (in A_AB) and B (in A_B), with no D x D stack.
+    Each result below is computed on first access, with these tolerances, and
+    cached."""
 
     def __init__(
         self,
@@ -184,11 +308,10 @@ class Analysis:
         self.state, self.regions = state, regions
         self.tol_equality, self.tol_member = tol_equality, tol_member
         self.ssa, rho_bc = _ssa_report(state, regions, tol_equality)
-        log_bc = mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / state.alg.dim)
-        self.ab_alg = region_subalgebra(state.alg, regions.AB)
-        self.b_alg = region_subalgebra(state.alg, regions.B)
-        self.c_basis = invariant_subalgebra(log_bc, self.ab_alg)
-        self.b_basis = invariant_subalgebra(log_bc, self.b_alg)
+        self.pair = flow_stable_pair(rho_bc, state.alg, regions)
+
+    c_basis = property(lambda self: self.pair.c_basis)   # built on first read
+    b_basis = property(lambda self: self.pair.b_basis)
 
     def _require_even_markov(self, what: str) -> None:
         if not self.state.is_even(TOL_EVEN):
@@ -200,26 +323,17 @@ class Analysis:
     def triplet(self) -> TripletAnalysis:
         """Saturation and Markov verdicts with the flow-stable subalgebras."""
         start = time.perf_counter()
-        alg, regions = self.state.alg, self.regions
-        a_res = 0.0
-        a_ok = True
-        for i in regions.A:
-            ok, res = membership(alg.annihilators[i], self.c_basis, self.tol_member)
-            a_ok &= ok
-            a_res = max(a_res, res)
-
-        # E_BC(C) against B, both in the small picture of A_BC, where E_BC is
-        # the gather itself and tau-norms are kept
-        c_small, b_small = (_small(alg.dim, regions.BC, s.basis) for s in (self.c_basis, self.b_basis))
-        cond_res = hs.residual_norms(b_small, c_small).max(initial=0.0)
-
+        # an odd a in A_A projects onto a P(1) in C, P the projection onto W-,
+        # so its residual is its norm times 1's residual against W-
+        norms = [hs.hs_norm(self.state.alg.annihilators[i]) for i in self.regions.A]
+        a_res = max(norms) * self.pair.identity_residual
+        a_ok = all(n * self.pair.identity_residual <= self.tol_member * (1.0 + n) for n in norms)
         return TripletAnalysis(
             ssa=self.ssa,
-            c_basis=self.c_basis,
-            b_basis=self.b_basis,
+            pair=self.pair,
             a_in_c=a_ok,
             a_in_c_residual=float(a_res),
-            cond_exp_residual=float(cond_res),
+            cond_exp_residual=self.pair.cond_exp_residual,
             markov=self.ssa.saturated and a_ok,
             elapsed=time.perf_counter() - start,
         )
@@ -237,7 +351,7 @@ class Analysis:
         if not self.ssa.saturated:
             raise NotSaturated(f"entropy gap {self.ssa.gap:.3e} > {self.tol_equality:.1e}")
 
-        x = hs.hermitian_part(self.c_basis.project(state.rho))
+        x = hs.hermitian_part(self.pair.project(state.rho))
         wx = np.linalg.eigvalsh(x)
         if wx[0] <= EPS_FAITHFUL / state.alg.dim:
             raise FactorizationFailed(f"restricted density nearly singular: min eig {wx[0]:.3e}")
@@ -246,7 +360,7 @@ class Analysis:
         y = hs.hermitian_part(y)
 
         scale = 1.0 + hs.hs_norm(y)
-        x_ok, x_res = membership(x, self.ab_alg, tol_member)
+        x_ok, x_res = membership(x, region_subalgebra(state.alg, regions.AB), tol_member)
         y_ok, y_res = membership(y, region_subalgebra(state.alg, regions.BC), tol_member)
         commute = hs.hs_norm(x @ y - y @ x)
         recon = hs.hs_norm(x @ y - state.rho)
@@ -352,10 +466,9 @@ class Analysis:
             region_subalgebra(alg, regions.C), parity_unitary(alg, alg.sites)
         )
         v_b = parity_unitary(alg, regions.B)
-        b_tilde = commutant(self.b_basis, ambient=self.b_alg)
-        join = product_algebra(a_stack, self.b_basis.basis, regions.AB)
+        b_tilde = commutant(self.b_basis, ambient=region_subalgebra(alg, regions.B))
         c_tilde = product_algebra(b_tilde.basis, np.concatenate([c_even, v_b @ c_odd]), regions.BC)
-        return _LemmaAlgebras(a_stack, c_even, c_odd, v_b, b_tilde, join, c_tilde)
+        return _LemmaAlgebras(a_stack, c_even, c_odd, v_b, b_tilde, c_tilde)
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
@@ -380,7 +493,7 @@ class Analysis:
         eye = alg.identity()
         p_a = (eye + parity_unitary(alg, regions.A)) / 2
 
-        lemma_join = span_equality_residual(self.c_basis, lem.join)
+        lemma_join = self.pair.join_residual
         _, y_comm_res = membership(y, lem.c_tilde, tol_member)
 
         blocks: list[Block] = []
@@ -391,16 +504,16 @@ class Analysis:
             xj, yj = q @ x, q @ y
             p_j = central.p_list[j]
             if len(central.p_list) == 1:
-                # p_1 = 1: the block algebras are the join and C~ themselves
-                c_j, ct_j = lem.join, lem.c_tilde
+                # p_1 = 1: the block algebras are C, held as the pair, and C~
+                rx = hs.hs_norm(xj - self.pair.project(xj))
+                ct_j = lem.c_tilde
             else:
-                c_j = product_algebra(lem.a_stack, _cut_stack(p_j, b_stack), regions.AB)
+                _, rx = membership(xj, product_algebra(lem.a_stack, _cut_stack(p_j, b_stack), regions.AB), tol_member)
                 ct_j = product_algebra(
                     _cut_stack(p_j, bt_stack),
                     np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd]),
                     regions.BC,
                 )
-            _, rx = membership(xj, c_j, tol_member)
             _, ry = membership(yj, ct_j, tol_member)
             blocks.append(
                 Block(
@@ -492,7 +605,7 @@ class Analysis:
         v_all = parity_unitary(alg, alg.sites)
         v_a = parity_unitary(alg, regions.A)
 
-        join_res = span_equality_residual(self.c_basis, lem.join)
+        join_res = self.pair.join_residual
 
         c_comm = commutant(self.c_basis)
         kom = commutant(self.b_basis, ambient=region_subalgebra(state.alg, regions.BC))
@@ -508,8 +621,8 @@ class Analysis:
             commutant_residual=float(comm_res),
             middle_residual=float(middle_res),
             dims={
-                "c": self.c_basis.size,
-                "b": self.b_basis.size,
+                "c": self.pair.dim_c,
+                "b": self.pair.dim_b,
                 "c_commutant": c_comm.size,
                 "b_rel_commutant": kom.size,
                 "b_rel_commutant_even": int(k_even.shape[0]),

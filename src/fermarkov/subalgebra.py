@@ -37,7 +37,6 @@ certify a universally quantified condition; the descending iteration can.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -56,8 +55,7 @@ _DEFAULT_SEED = 0x5EED  # reproducible draws of commutants and central projectio
 _SKETCH_SIZE = 4        # random elements of s a commutant solves for inside {h}'
 _NULL_RTOL = 1e-11      # relative cut on squared commutator norms of a nullspace
 _GAP = 1e-8             # relative eigenvalue gap that separates two clusters
-
-logger = logging.getLogger(__name__)
+_FLOW_TIMES = (0.1, 0.7, 1.3)  # times of the flow spot check of an invariant span
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +188,14 @@ def subalgebra_from_matrices(
     return SubalgebraBasis(dim, basis, has_id, parity_stable)
 
 
-def _contains_identity(basis: np.ndarray, dim: int) -> bool:
+def _identity_residual(basis: np.ndarray, dim: int) -> float:
+    """tau-norm of the identity minus its projection onto the span of a stack."""
     eye = np.eye(dim, dtype=complex)
-    res = hs.hs_norm(eye - hs.project(basis, eye))
-    return res <= TOL_MEMBER
+    return hs.hs_norm(eye - hs.project(basis, eye))
+
+
+def _contains_identity(basis: np.ndarray, dim: int) -> bool:
+    return _identity_residual(basis, dim) <= TOL_MEMBER
 
 
 def membership(x: np.ndarray, s: SubalgebraBasis, tol: float = TOL_MEMBER) -> tuple[bool, float]:
@@ -471,24 +473,38 @@ def invariant_subalgebra(
     h: np.ndarray,
     ambient: SubalgebraBasis,
     *,
-    rtol: float = RANK_RTOL,
     tol_member: float = TOL_MEMBER,
     validate: bool = True,
-    flow_times: tuple[float, ...] = (0.1, 0.7, 1.3),
 ) -> SubalgebraBasis:
     """Largest subspace V of the ambient span with [h, V] inside V.
 
     Equals the set of elements whose orbit under x -> e^{ith} x e^{-ith} stays
     in the ambient span for every real t.  The result is verified to be a
-    *-algebra and spot-checked for flow stability at a few sampled times.
+    *-algebra and spot-checked for flow stability at a few sampled times;
+    nothing is retried, a failed certificate raises NotAnAlgebra.
     """
     require_hermitian(h, what="flow generator")
-    try:
-        return _invariant_iteration(h, ambient, rtol, tol_member, validate, flow_times)
-    except NotAnAlgebra as err:
-        # closure verification failure signals a rank misjudgment: tighten once
-        logger.warning("invariant subalgebra retried with rtol %.1e after: %s", rtol / 100, err)
-        return _invariant_iteration(h, ambient, rtol / 100, tol_member, validate, flow_times)
+    basis, identity_residual = invariant_subspace(h, h, ambient.basis, scale=float(np.linalg.norm(h, 2)))
+    result = SubalgebraBasis(ambient.dim_ambient, basis, identity_residual <= TOL_MEMBER, None, ambient.region)
+    if validate and basis.shape[0]:
+        _verify_algebra_closure(result, tol_member)
+        _verify_flow_stability(h, h, basis, tol_member)
+    return result
+
+
+def invariant_subspace(
+    left: np.ndarray,
+    right: np.ndarray,
+    ambient_basis: np.ndarray,
+    *,
+    scale: float = 1.0,
+) -> tuple[np.ndarray, float]:
+    """Largest subspace V of the span of a tau-orthonormal stack, in any
+    picture where L and R act, with L V - V R inside V, and the tau-norm of
+    the identity minus its projection onto V.  By analyticity V holds exactly
+    the z whose orbit e^{itL} z e^{-itR} stays in the span for every t."""
+    stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right, ambient_basis, scale=scale)
+    return stable, _identity_residual(stable, ambient_basis.shape[-1])
 
 
 def invariant_subspace_under(
@@ -535,61 +551,66 @@ def invariant_subspace_under(
     raise InvariantViolation("descending invariant-subspace iteration did not stabilize")
 
 
-def _invariant_iteration(h, ambient, rtol, tol_member, validate, flow_times) -> SubalgebraBasis:
-    dim = ambient.dim_ambient
-    scale = float(np.linalg.norm(h, 2))
-    basis = invariant_subspace_under(
-        lambda stack: h @ stack - stack @ h, ambient.basis, rtol=rtol, scale=scale
-    )
-    result = SubalgebraBasis(dim, basis, _contains_identity(basis, dim), None, ambient.region)
-    if validate and basis.shape[0]:
-        _verify_algebra_closure(result, tol_member)
-        _verify_flow_stability(h, result, flow_times, tol_member)
-    return result
+def _closure_pairs(m: int, max_pairs: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < m and j < n (default m), of the products a
+    closure check samples: all m n in row-major order, or max_pairs of them
+    drawn without replacement."""
+    n = m if n is None else n
+    flat = np.arange(m * n)
+    if m * n > max_pairs:
+        flat = np.random.default_rng(_DEFAULT_SEED).choice(m * n, size=max_pairs, replace=False)
+    return np.divmod(flat, n)
 
 
-def _closure_pairs(m: int, max_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) of the products a closure check samples: all m^2 in
-    row-major order, or max_pairs of them drawn without replacement."""
-    flat = np.arange(m * m)
-    if m * m > max_pairs:
-        flat = np.random.default_rng(_DEFAULT_SEED).choice(m * m, size=max_pairs, replace=False)
-    return np.divmod(flat, m)
+def _product_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray, max_pairs: int = 400) -> float:
+    """Largest residual against the span of a tau-orthonormal target of a
+    sampled product l_i r_j, relative to 1 + its norm (0 with no products)."""
+    i, j = _closure_pairs(left.shape[0], max_pairs, right.shape[0])
+    products = left[i] @ right[j]
+    scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(products.shape[-1])
+    return float((hs.residual_norms(target, products) / scale).max(initial=0.0))
+
+
+def _adjoint_residual(stack: np.ndarray, target: np.ndarray, max_count: int = 400) -> float:
+    """Largest residual against the target's span of the adjoint of a stack
+    element, all of them or max_count drawn without replacement."""
+    i, _ = _closure_pairs(stack.shape[0], max_count, 1)
+    adj = np.conj(np.transpose(stack[i], (0, 2, 1)))
+    return float(hs.residual_norms(target, adj).max(initial=0.0))
 
 
 def _closure_residuals(s: SubalgebraBasis, max_pairs: int = 400) -> tuple[float, float]:
-    """(product, adjoint) residuals of a basis, in its region's factor: the
-    largest residual of a sampled product b_i b_j against the span, relative
-    to 1 + its norm, and the largest residual of an adjoint."""
-    small = s.small
-    i, j = _closure_pairs(s.size, max_pairs)
-    products = small[i] @ small[j]
-    res = hs.residual_norms(small, products)
-    scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(small.shape[-1])
-    adj = np.conj(np.transpose(small, (0, 2, 1)))
-    return float((res / scale).max()), float(hs.residual_norms(small, adj).max())
+    """(product, adjoint) residuals of a basis, in its region's factor."""
+    return _product_residual(s.small, s.small, s.small, max_pairs), _adjoint_residual(s.small, s.small, max_pairs)
 
 
-def _verify_algebra_closure(s: SubalgebraBasis, tol: float, max_pairs: int = 400) -> None:
-    """Closure under sampled products and adjoints, and a leak out of the
-    region of at most tol; NotAnAlgebra otherwise."""
-    _require_inside(s.leak, tol, s.region, "basis")
-    products, adjoints = _closure_residuals(s, max_pairs)
+def _require_closed(products: float, adjoints: float, tol: float) -> None:
     if products > tol:
         raise NotAnAlgebra(f"product closure residual {products:.3e} exceeds {tol:.1e}")
     if adjoints > 2 * tol:
         raise NotAnAlgebra(f"adjoint closure residual {adjoints:.3e} exceeds {tol:.1e}")
 
 
-def _verify_flow_stability(h, s: SubalgebraBasis, times, tol: float) -> None:
-    dec = eig_hermitian(h)
-    sample = s.basis if s.size <= 16 else s.basis[:: max(1, s.size // 16)]
-    for t in times:
-        u = dec.apply(np.exp(1j * t * dec.eigenvalues))
-        flowed = u @ sample @ u.conj().T
-        res = hs.residual_norms(s.basis, flowed)
-        if res.max() > 100 * tol:
-            raise NotAnAlgebra(f"flow stability residual {res.max():.3e} at t={t}")
+def _verify_algebra_closure(s: SubalgebraBasis, tol: float, max_pairs: int = 400) -> None:
+    """Closure under sampled products and adjoints, and a leak out of the
+    region of at most tol; NotAnAlgebra otherwise."""
+    _require_inside(s.leak, tol, s.region, "basis")
+    _require_closed(*_closure_residuals(s, max_pairs), tol)
+
+
+def _verify_flow_stability(left: np.ndarray, right: np.ndarray, basis: np.ndarray, tol: float) -> None:
+    """Spot check of the flow z -> e^{itL} z e^{-itR} of an invariant span at
+    a few times; NotAnAlgebra when a sampled element leaves it by more than
+    100 tol."""
+    dec_l = eig_hermitian(left)
+    dec_r = dec_l if right is left else eig_hermitian(right)
+    sample = basis if basis.shape[0] <= 16 else basis[:: max(1, basis.shape[0] // 16)]
+    for t in _FLOW_TIMES:
+        u = dec_l.apply(np.exp(1j * t * dec_l.eigenvalues))
+        v = dec_r.apply(np.exp(1j * t * dec_r.eigenvalues))
+        worst = hs.residual_norms(basis, u @ sample @ v.conj().T).max(initial=0.0)
+        if worst > 100 * tol:
+            raise NotAnAlgebra(f"flow stability residual {worst:.3e} at t={t}")
 
 
 # --- parity helpers -----------------------------------------------------------

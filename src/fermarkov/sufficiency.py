@@ -61,7 +61,7 @@ from .subalgebra import (
     SubalgebraBasis,
     _worst_commutator,
     invariant_subalgebra,
-    invariant_subspace_under,
+    invariant_subspace,
     membership,
 )
 
@@ -225,15 +225,8 @@ def _cocycle_orbit_residual(
     invariant subspace.  The descending subspace iteration is numerically
     stable where a direct power orbit would amplify roundoff.
     """
-    dim = s.dim_ambient
     scale = max(1.0, float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2)))
-    stable = invariant_subspace_under(
-        lambda stack: log_phi @ stack - stack @ log_psi, s.basis, scale=scale
-    )
-    eye = np.eye(dim, dtype=complex)
-    if stable.shape[0] == 0:
-        return 1.0
-    return float(hs.hs_norm(eye - hs.project(stable, eye)))
+    return float(invariant_subspace(log_phi, log_psi, s.basis, scale=scale)[1])
 
 
 def is_sufficient(

@@ -274,9 +274,10 @@ def test_perturbed_kind_requires_base(tmp_path):
 
 
 def count_analysis_builds(monkeypatch):
+    # every Analysis solves the graded pair (W+, W-) that holds C and B once
     calls = []
-    real = markov.invariant_subalgebra
-    monkeypatch.setattr(markov, "invariant_subalgebra", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = markov.flow_stable_pair
+    monkeypatch.setattr(markov, "flow_stable_pair", lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
 
 
@@ -284,7 +285,7 @@ def test_build_document_builds_the_analysis_once(monkeypatch):
     calls = count_analysis_builds(monkeypatch)
     doc = build_document(make_product_markov(REGIONS_4, 5), REGIONS_4)
     assert doc.factorization is not None and doc.decomposition is not None
-    assert len(calls) == 2  # C and B, once each
+    assert len(calls) == 1
 
 
 def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
@@ -294,7 +295,7 @@ def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
                  "--count", "1", "--seed0", "5", "--csv", csv_path]) == 0
     (row,) = csv.DictReader(open(csv_path))
     assert row["saturated"] == "True" and row["y_parity"] == "even"
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_build_document_takes_e_bc_of_rho_once(monkeypatch):

@@ -1,0 +1,118 @@
+"""The graded pair (W+, W-) against the A_AB-sized invariant iteration it
+replaces, and the n=7 set-up it makes affordable."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fermarkov
+from fermarkov import hs, markov
+from fermarkov.car import RegionPartition
+from fermarkov.entropy import embedded_restriction
+from fermarkov.errors import NotAnAlgebra
+from fermarkov.markov import Analysis
+from fermarkov.spectral import EPS_FAITHFUL, mat_log
+from fermarkov.states import make_block_markov, make_product_markov, random_even_state, random_state
+from fermarkov.subalgebra import (
+    TOL_MEMBER,
+    invariant_subalgebra,
+    membership,
+    region_subalgebra,
+    span_equality_residual,
+)
+
+CUTS = {
+    "1|2|1": RegionPartition((0,), (1, 2), (3,)),
+    "1|3|1": RegionPartition((0,), (1, 2, 3), (4,)),
+    "1|1|2": RegionPartition((0,), (1,), (2, 3)),
+    "02|13|4": RegionPartition((0, 2), (1, 3), (4,)),
+    "1|04|23": RegionPartition((1,), (0, 4), (2, 3)),
+}
+KINDS = {
+    "random": lambda r, seed: random_state(r.n_sites, seed),
+    "random_even": lambda r, seed: random_even_state(r.n_sites, seed),
+    "product_even": lambda r, seed: make_product_markov(r, seed, "even_even"),
+    "product_noneven": lambda r, seed: make_product_markov(r, seed, "even_noneven"),
+    # three central blocks need at least two middle sites
+    "block_1_1": lambda r, seed: make_block_markov(r, seed, 1, 1)[0],
+}
+CASES = [(k, c) for c in CUTS for k in KINDS if not (k == "block_1_1" and len(CUTS[c].B) < 2)]
+
+
+@pytest.mark.parametrize("kind, cut", CASES, ids=[f"{k}-{c}" for k, c in CASES])
+def test_graded_pair_spans_the_invariant_subalgebra_of_a_ab(kind, cut):
+    regions = CUTS[cut]
+    state = KINDS[kind](regions, 3)
+    an = Analysis(state, regions)
+    alg = state.alg
+    log_bc = mat_log(embedded_restriction(state, regions.BC), eps_faithful=EPS_FAITHFUL / alg.dim)
+    c_ref = invariant_subalgebra(log_bc, region_subalgebra(alg, regions.AB))
+    b_ref = invariant_subalgebra(log_bc, region_subalgebra(alg, regions.B))
+
+    assert (an.pair.dim_c, an.pair.dim_b) == (c_ref.size, b_ref.size)
+    assert an.c_basis.size == an.pair.dim_c
+    assert span_equality_residual(an.c_basis, c_ref) <= 1e-10
+    assert span_equality_residual(an.b_basis, b_ref) <= 1e-10
+    # x = E_C(rho) read from the pieces is the projection onto the reference C
+    assert np.max(np.abs(an.pair.project(state.rho) - c_ref.project(state.rho))) <= 1e-12
+
+    a_in_ref = all(membership(alg.annihilators[i], c_ref, TOL_MEMBER)[0] for i in regions.A)
+    one_in_w_minus = an.pair.identity_residual <= TOL_MEMBER
+    assert an.triplet.markov == (an.ssa.saturated and a_in_ref)
+    assert an.triplet.markov == (an.ssa.saturated and one_in_w_minus)
+
+
+def test_graded_closure_certificate_refuses_a_planted_w_minus(monkeypatch):
+    # a random element of A_B in place of W-: theta(W-) W- leaves W+, which
+    # only the graded closure certificate sees once the flow check is off
+    real = markov.invariant_subspace
+    rng = np.random.default_rng(5)
+
+    def planted(left, right, ambient, **kwargs):
+        stable, residual = real(left, right, ambient, **kwargs)
+        if left is right:
+            return stable, residual
+        w = np.tensordot(rng.normal(size=ambient.shape[0]), ambient, 1)
+        return (w / hs.hs_norm(w))[None], residual
+
+    monkeypatch.setattr(markov, "invariant_subspace", planted)
+    monkeypatch.setattr(markov, "_verify_flow_stability", lambda *args: None)
+    with pytest.raises(NotAnAlgebra, match="closure residual"):
+        Analysis(random_state(4, 3), CUTS["1|2|1"])
+
+
+_N7_CHILD = """
+import json, resource, sys, time
+cap = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fermarkov.car import RegionPartition
+from fermarkov.markov import Analysis
+from fermarkov.states import make_product_markov
+regions = RegionPartition((0,), (1, 2, 3, 4, 5), (6,))
+state = make_product_markov(regions, 0)
+start = time.perf_counter()
+an = Analysis(state, regions)
+elapsed = time.perf_counter() - start
+print(json.dumps({"elapsed_s": elapsed, "dim_c": an.pair.dim_c, "dim_b": an.pair.dim_b,
+                  "markov": an.triplet.markov,
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in kB are Linux's")
+def test_seven_site_set_up_completes_under_an_address_space_cap():
+    # the child caps its own address space at 3 GiB, so a regression ends as
+    # a failed child, never as memory taken from the machine
+    src = str(Path(fermarkov.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _N7_CHILD], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"n=7 1|5|1 Analysis: {out['elapsed_s']:.2f} s, ru_maxrss {out['maxrss_mb']:.0f} MB")
+    assert (out["dim_c"], out["dim_b"], out["markov"]) == (4 ** 6, 4 ** 5, True)
+    assert out["maxrss_mb"] < 1024

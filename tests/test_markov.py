@@ -287,18 +287,21 @@ def test_tol_member_reaches_triplet_factorization_and_blocks(monkeypatch):
 
     monkeypatch.setattr(markov, "membership", spy)
     an = Analysis(state, regions, tol_member=3e-9)
-    for step in ("triplet", "factorization", "decomposition"):
+    for step in ("factorization", "decomposition"):
         tols.clear()
         getattr(an, step)
         assert tols and set(tols) == {3e-9}, step
-    # the decomposition's Markov gate applies the caller's tolerance too
+    # the triplet reads 1 against W- with no membership call; its verdict,
+    # and the decomposition's Markov gate, apply the caller's tolerance
+    assert an.triplet.a_in_c
+    assert not analyze_triplet(state, regions, tol_member=1e-30).a_in_c
     with pytest.raises(NotMarkov):
         decompose_even(state, regions, tol_member=1e-30)
 
 
 def test_single_block_decomposition_reuses_the_lemma_algebras(monkeypatch):
     # a product state has one central block, p_1 = 1, whose block algebras are
-    # the join A_A v B and C~ that the lemma algebras already built
+    # C, held as the graded pair, and the C~ that the lemma algebras built
     regions = RegionPartition((0,), (1, 2), (3,))
     state = make_product_markov(regions, 49)
     calls = []
@@ -306,6 +309,6 @@ def test_single_block_decomposition_reuses_the_lemma_algebras(monkeypatch):
     monkeypatch.setattr(markov, "product_algebra", lambda *a: calls.append(1) or real(*a))
     dec = decompose_even(state, regions)
     assert (dec.central.k, len(dec.central.pairs)) == (1, 0)
-    assert len(calls) == 2
+    assert len(calls) == 1  # C~ only: the join is not built
     assert dec.blocks[0].x_membership_residual <= 1e-9
     assert dec.blocks[0].y_membership_residual <= 1e-9

@@ -319,25 +319,26 @@ def test_product_algebra_rejects_noncommuting_factors():
         product_algebra(projections[:1], projections[1:])
 
 
-def test_invariant_subalgebra_logs_its_retry(monkeypatch, caplog):
-    real = subalgebra._invariant_iteration
-    calls = []
+def test_invariant_subalgebra_raises_instead_of_retrying(monkeypatch, caplog):
+    # a failed closure certificate is raised as it is: no second iteration at
+    # a tighter rank cut, and nothing logged
+    iterations = []
+    real = subalgebra.invariant_subspace_under
 
-    def fail_first(*args):
-        calls.append(args[2])
-        if len(calls) == 1:
-            raise NotAnAlgebra("planted closure failure")
-        return real(*args)
+    def counted(*args, **kwargs):
+        iterations.append(1)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(subalgebra, "_invariant_iteration", fail_first)
-    amb = region_alg((1, 2))
-    with caplog.at_level(logging.WARNING, logger="fermarkov.subalgebra"):
-        out = invariant_subalgebra(0.7 * np.eye(8, dtype=complex), amb)
-    assert out.size == amb.size
-    assert calls == [subalgebra.RANK_RTOL, subalgebra.RANK_RTOL / 100]
-    (record,) = caplog.records
-    assert record.levelno == logging.WARNING and record.name == "fermarkov.subalgebra"
-    assert "planted closure failure" in record.getMessage()
+    def fail(*args):
+        raise NotAnAlgebra("planted closure failure")
+
+    monkeypatch.setattr(subalgebra, "invariant_subspace_under", counted)
+    monkeypatch.setattr(subalgebra, "_verify_algebra_closure", fail)
+    with caplog.at_level(logging.DEBUG, logger="fermarkov"):
+        with pytest.raises(NotAnAlgebra, match="planted closure failure"):
+            invariant_subalgebra(0.7 * np.eye(8, dtype=complex), region_alg((1, 2)))
+    assert len(iterations) == 1
+    assert not caplog.records
 
 
 # --- rank decisions against a full-SVD reference --------------------------------
@@ -534,6 +535,8 @@ def certified(request):
         state = make_block_markov(regions, seed, *design)[0]
     an = Analysis(state, regions)
     lem = an._lemma_algebras
+    # the join A_A v B built as products, against C built from the graded pair
+    join = product_algebra(region_orthobasis(state.alg, regions.A), an.b_basis.basis, regions.AB)
     rng = np.random.default_rng(seed)
     spans = {
         "A_AB": region_subalgebra(state.alg, regions.AB),
@@ -541,7 +544,7 @@ def certified(request):
         "A_BC": region_subalgebra(state.alg, regions.BC),
         "C": an.c_basis,
         "B": an.b_basis,
-        "join": lem.join,
+        "join": join,
         "C~": lem.c_tilde,
         "B~": lem.b_tilde,
     }
