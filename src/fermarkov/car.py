@@ -19,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -177,13 +177,27 @@ class MatrixUnitFamily:
         rows, cols, signs = self._blocks()
         return (np.asarray(x)[..., rows, cols] * signs).sum(axis=-1)
 
-    def iso_from_small(self, m: np.ndarray) -> np.ndarray:
-        """sum_rc m[r, c] e_rc = W (m x 1) W^*, per matrix of m, by one scatter."""
-        m = np.asarray(m, dtype=complex)
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        """Where each entry of a flattened D x D matrix comes from in
+        [m, -m, 0] for a flattened small matrix m: the unit r * 2^k + c of the
+        entry's (r, c, j), shifted by 4^k when its sign is -1, or the final
+        zero off every unit.  Built once per family from the flat index
+        rows * D + cols of the entries."""
+        d, dim = self.small_dim, self.alg.dim
         rows, cols, signs = self._blocks()
-        out = np.zeros(m.shape[:-2] + (self.alg.dim, self.alg.dim), dtype=complex)
-        out[..., rows, cols] = m[..., None] * signs
-        return out
+        units = np.arange(d * d).reshape(d, d, 1)
+        sources = np.full(dim * dim, 2 * d * d, dtype=np.int32)
+        sources[(rows * dim + cols).ravel()] = np.where(signs > 0, units, units + d * d).ravel()
+        return sources
+
+    def iso_from_small(self, m: np.ndarray) -> np.ndarray:
+        """sum_rc m[r, c] e_rc = W (m x 1) W^*, per matrix of m, by one gather
+        from [m, -m, 0]."""
+        m = np.asarray(m, dtype=complex)
+        flat = m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,))
+        padded = np.concatenate([flat, -flat, np.zeros(flat.shape[:-1] + (1,), dtype=complex)], axis=-1)
+        return np.take(padded, self._sources, axis=-1).reshape(m.shape[:-2] + (self.alg.dim, self.alg.dim))
 
     @property
     def units(self) -> np.ndarray:

@@ -36,6 +36,7 @@ from .car import (
     CarAlgebra,
     RegionPartition,
     build_algebra,
+    cond_expect,
     even_odd_split,
     matrix_units,
     parity_automorphism,
@@ -360,8 +361,11 @@ class Analysis:
         y = hs.hermitian_part(y)
 
         scale = 1.0 + hs.hs_norm(y)
-        x_ok, x_res = membership(x, region_subalgebra(state.alg, regions.AB), tol_member)
-        y_ok, y_res = membership(y, region_subalgebra(state.alg, regions.BC), tol_member)
+        # the residual against a region algebra is the part its conditional expectation drops
+        x_res = hs.hs_norm(x - cond_expect(state.alg, x, regions.AB))
+        y_res = hs.hs_norm(y - cond_expect(state.alg, y, regions.BC))
+        x_ok = x_res <= tol_member * (1.0 + hs.hs_norm(x))
+        y_ok = y_res <= tol_member * scale
         commute = hs.hs_norm(x @ y - y @ x)
         recon = hs.hs_norm(x @ y - state.rho)
         y_min = float(np.linalg.eigvalsh(y)[0])

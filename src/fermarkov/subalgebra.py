@@ -502,8 +502,25 @@ def invariant_subspace(
     """Largest subspace V of the span of a tau-orthonormal stack, in any
     picture where L and R act, with L V - V R inside V, and the tau-norm of
     the identity minus its projection onto V.  By analyticity V holds exactly
-    the z whose orbit e^{itL} z e^{-itR} stays in the span for every t."""
-    stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right, ambient_basis, scale=scale)
+    the z whose orbit e^{itL} z e^{-itR} stays in the span for every t.
+
+    The span must be a *-algebra s, unital or not, as every caller's is (a
+    SubalgebraBasis, or a region algebra in a small picture).  The
+    tau-projection E onto s is then an s-bimodule map: tau(b^* L z) =
+    tau((b z^*)^* L) with b z^* in s, so E(L z - z R) = E(L) z - z E(R) for z
+    in s.  Round 0's out-of-span images are therefore L' z - z R' with
+    L' = L - E(L) and R' = R - E(R): two single-matrix projections in place of
+    projecting the whole image stack.  Later rounds run on spans that are no
+    longer algebras and project as invariant_subspace_under does; every round
+    is decided by _descend_round, whose certificate and cut are described
+    there.  On a span that is not a *-algebra round 0 drops the wrong
+    directions: use invariant_subspace_under.
+    """
+    l_out = left - hs.project(ambient_basis, left)
+    r_out = right - hs.project(ambient_basis, right)
+    stable = _descend_round(ambient_basis, l_out @ ambient_basis - ambient_basis @ r_out, RANK_RTOL, scale)
+    if stable is not ambient_basis and stable.shape[0]:
+        stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right, stable, scale=scale)
     return stable, _identity_residual(stable, ambient_basis.shape[-1])
 
 
@@ -518,37 +535,82 @@ def invariant_subspace_under(
     apply_map(V) inside V, via the descending iteration
     V_{k+1} = {x in V_k : apply_map(x) in V_k}.
 
-    apply_map acts on stacks (m, D, D) -> (m, D, D) and must be linear.
-
-    Each round drops the directions of V_k whose image leaves V_k by more than
-    rtol * max(s_max, scale, 1), where the s are the singular values of the
-    out-of-span image rows g.  A round whose Frobenius norm |g|_F is at most
-    rtol * max(scale, 1) keeps every row and factors nothing: every singular
-    value is at most |g|_F, so none can exceed the cut.  Otherwise only the
-    left factor is read: with g^H = Q R, g = R^H Q^H has the left singular
-    vectors and singular values of the m x m R^H, and Q is never formed.
+    apply_map acts on stacks (m, D, D) -> (m, D, D) and must be linear.  The
+    span may be any subspace; each round projects its images onto it and is
+    decided by _descend_round.
     """
-    dim = ambient_basis.shape[-1]
     basis = ambient_basis
-    floor = rtol * max(scale, 1.0)
     for _ in range(ambient_basis.shape[0] + 1):
-        m = basis.shape[0]
-        if m == 0:
+        if basis.shape[0] == 0:
             return basis
         image = apply_map(basis)
-        out = image - hs.project_stack(basis, image)
-        g = hs.flatten(out) / np.sqrt(dim)
-        if np.linalg.norm(g) <= floor:
+        kept = _descend_round(basis, image - hs.project_stack(basis, image), rtol, scale)
+        if kept is basis:
             return basis
-        r = np.linalg.qr(g.conj().T, mode="r")
-        u, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
-        cut = rtol * max(float(sing[0]), scale, 1.0)
-        keep = sing <= cut
-        if keep.all():
-            return basis
-        coeff = u[:, keep].conj().T
-        basis = hs.unflatten(coeff @ hs.flatten(basis), dim)
+        basis = kept
     raise InvariantViolation("descending invariant-subspace iteration did not stabilize")
+
+
+def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float) -> np.ndarray:
+    """One round of the descending iteration: the directions of the span of a
+    tau-orthonormal stack whose images' out-of-span parts, out, stay within
+    the cut, or the stack itself when every direction does.
+
+    A direction is dropped when its image leaves the span by more than
+    rtol * max(s_max, scale, 1), where the s are the singular values of the
+    m x k out-of-span image rows g.  Two decisions need no factorization:
+
+    - |g|_F <= rtol * max(scale, 1) keeps every row: every singular value is
+      at most |g|_F, so none can exceed the cut.
+    - A Cholesky of g g^H - delta I proves that nothing is kept, with
+      delta = c^2 + 4 u (k + m^2) |g|_F^2, c = rtol * max(|g|_F, scale, 1)
+      and u the unit roundoff: c bounds the cut from above (|g|_F >= s_max),
+      and the second term covers the rounding of the Gram and of the
+      Cholesky, so success means s_min > c.  The Gram is formed only where
+      the certificate can succeed: m <= k, and the image of the identity's
+      projection onto the span (an element of tau-norm |a|, image row a^T g)
+      leaves by more than sqrt(delta) |a|, since s_min <= |a^T g| / |a|.  A
+      kept identity, as under L = R, costs nothing.
+
+    Otherwise the cut reads only the left factor: with g^H = Q R,
+    g = R^H Q^H has the left singular vectors and singular values of the
+    m x m R^H, and Q is never formed.  The certificate only ever proves that
+    nothing is kept; a kept direction is always decided by this cut.
+    """
+    dim = basis.shape[-1]
+    g = hs.flatten(out) / np.sqrt(dim)
+    fro = float(np.linalg.norm(g))
+    if fro <= rtol * max(scale, 1.0):
+        return basis
+    if _nothing_kept(g, fro, rtol * max(fro, scale, 1.0), np.trace(basis, axis1=1, axis2=2).conj() / dim):
+        return basis[:0]
+    r = np.linalg.qr(g.conj().T, mode="r")
+    u, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
+    keep = sing <= rtol * max(float(sing[0]), scale, 1.0)
+    if keep.all():
+        return basis
+    return hs.unflatten(u[:, keep].conj().T @ hs.flatten(basis), dim)
+
+
+def _nothing_kept(g: np.ndarray, fro: float, bound: float, unit: np.ndarray) -> bool:
+    """True only when the smallest singular value of the m x k rows g exceeds
+    bound, proved by a Cholesky of the shifted Gram (see _descend_round);
+    unit holds the coordinates of the identity's projection onto the span.
+    Rows that are not finite prove nothing: a Cholesky passes NaN through."""
+    m, k = g.shape
+    delta = bound * bound + 4 * (np.finfo(float).eps / 2) * (k + m * m) * fro * fro
+    unit_norm = float(np.linalg.norm(unit))
+    if m > k or not np.isfinite(delta):
+        return False
+    if unit_norm > 0.0 and np.linalg.norm(unit @ g) ** 2 <= delta * unit_norm ** 2:
+        return False
+    gram = g @ g.conj().T
+    gram[np.diag_indices(m)] -= delta
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _closure_pairs(m: int, max_pairs: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,15 @@ certificates checked here:
         derivatives at t = 0 are the iterates of the mixed derivation
         z -> (log rho_phi) z - z (log rho_psi) on the identity, so the cocycle
         stays in the span for all t exactly when the identity belongs to the
-        largest derivation-invariant subspace of the span.  Sampled-t unitary
-        memberships are kept as a smoke test only.
+        largest derivation-invariant subspace of the span.  s is a *-algebra,
+        so subalgebra.invariant_subspace reads the first round's out-of-span
+        images as L' z - z R' with L' and R' the parts of the two logarithms
+        outside s (the projection onto s is an s-bimodule map), and proves
+        by one Cholesky of a shifted Gram that every direction leaves when
+        it does: a sufficient pair keeps s in one round with no projection of
+        the image stack, and an insufficient one whose directions all leave
+        needs no QR or SVD.  Sampled-t unitary memberships are kept as a
+        smoke test only.
   (iv)  the state-dependent recovery maps of the two states coincide as
         superoperators.  The recovery map of a state is
         P = Ad_K o E o Ad_H with K = rho0^{-1/2}, H = rho^{1/2} and E the

@@ -334,6 +334,31 @@ def test_matrix_unit_stack_round_trip():
     assert np.max(np.abs(fam.iso_from_small(coeff) - stack)) <= 1e-12
 
 
+def scatter_by_three_indices(fam, m):
+    """iso_from_small as the assignment out[..., rows, cols] = m * signs over
+    the (r, c, j) entries of every unit."""
+    m = np.asarray(m, dtype=complex)
+    rows, cols, signs = fam._blocks()
+    out = np.zeros(m.shape[:-2] + (fam.alg.dim, fam.alg.dim), dtype=complex)
+    out[..., rows, cols] = m[..., None] * signs
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_iso_from_small_matches_the_three_index_scatter(n):
+    alg = build_algebra(n)
+    rng = np.random.default_rng(74 + n)
+    for k in range(n + 1):
+        for region in itertools.combinations(range(n), k):
+            fam = matrix_units(alg, region)
+            d = fam.small_dim
+            for shape in [(d, d), (3, d, d), (2, 0, d, d)]:
+                m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                assert np.array_equal(fam.iso_from_small(m), scatter_by_three_indices(fam, m))
+            units = np.eye(d * d).reshape(-1, d, d)
+            assert np.array_equal(fam.iso_from_small(units), scatter_by_three_indices(fam, units))
+
+
 def reference_units(alg, region):
     """e_rc from the Jordan-Wigner generators, in the row-major (r, c) order:
     the product over region sites of a a^*, V a, V a^*, a^* a (digit 2 r_j + c_j),

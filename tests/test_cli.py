@@ -301,10 +301,15 @@ def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
 def test_build_document_takes_e_bc_of_rho_once(monkeypatch):
     # E_BC(rho) is shared by the SSA cross-check and the flow generator:
     # E_BC, E_AB and E_B of rho; the triplet takes E_BC of C's basis in the
-    # small picture of A_BC, with no full conditional expectation
+    # small picture of A_BC, with no full conditional expectation, and the
+    # factorization's region residuals take E_AB(x) and E_BC(y)
+    state = make_product_markov(REGIONS_4, 5)
     calls = []
-    real = entropy.cond_expect
-    monkeypatch.setattr(entropy, "cond_expect", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
-    build_document(make_product_markov(REGIONS_4, 5), REGIONS_4)
-    assert sorted(calls) == sorted([REGIONS_4.BC, REGIONS_4.AB, REGIONS_4.B])
-    assert not hasattr(markov, "cond_expect")
+    for module in (entropy, markov):
+        real = module.cond_expect
+        monkeypatch.setattr(module, "cond_expect",
+                            lambda *a, _real=real, **k: calls.append((a[2], a[1] is state.rho)) or _real(*a, **k))
+    build_document(state, REGIONS_4)
+    of_rho = sorted(region for region, is_rho in calls if is_rho)
+    assert of_rho == sorted([REGIONS_4.BC, REGIONS_4.AB, REGIONS_4.B])
+    assert sorted(region for region, is_rho in calls if not is_rho) == sorted([REGIONS_4.AB, REGIONS_4.BC])

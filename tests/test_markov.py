@@ -7,7 +7,7 @@ import pytest
 from fermarkov import markov
 from fermarkov.car import RegionPartition, build_algebra, parity_automorphism, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
-from fermarkov.errors import NotEven, NotMarkov, NotSaturated
+from fermarkov.errors import FactorizationFailed, NotEven, NotMarkov, NotSaturated
 from fermarkov.markov import (
     Analysis,
     analyze_triplet,
@@ -287,10 +287,16 @@ def test_tol_member_reaches_triplet_factorization_and_blocks(monkeypatch):
 
     monkeypatch.setattr(markov, "membership", spy)
     an = Analysis(state, regions, tol_member=3e-9)
-    for step in ("factorization", "decomposition"):
-        tols.clear()
-        getattr(an, step)
-        assert tols and set(tols) == {3e-9}, step
+    an.decomposition
+    assert tols and set(tols) == {3e-9}
+    # the factorization gates its region residuals, read from conditional
+    # expectations: a planted residual of 2e-9 (tau-norm of 2e-9 * 1) passes
+    # at the caller's 3e-9 and fails at 1e-9
+    real_e = markov.cond_expect
+    monkeypatch.setattr(markov, "cond_expect", lambda *a: real_e(*a) + 2e-9 * np.eye(a[1].shape[-1]))
+    assert Analysis(state, regions, tol_member=3e-9).factorization.x_region_residual == pytest.approx(2e-9)
+    with pytest.raises(FactorizationFailed, match="x-region"):
+        Analysis(state, regions, tol_member=1e-9).factorization
     # the triplet reads 1 against W- with no membership call; its verdict,
     # and the decomposition's Markov gate, apply the caller's tolerance
     assert an.triplet.a_in_c

@@ -323,7 +323,7 @@ def test_invariant_subalgebra_raises_instead_of_retrying(monkeypatch, caplog):
     # a failed closure certificate is raised as it is: no second iteration at
     # a tighter rank cut, and nothing logged
     iterations = []
-    real = subalgebra.invariant_subspace_under
+    real = subalgebra.invariant_subspace
 
     def counted(*args, **kwargs):
         iterations.append(1)
@@ -332,7 +332,7 @@ def test_invariant_subalgebra_raises_instead_of_retrying(monkeypatch, caplog):
     def fail(*args):
         raise NotAnAlgebra("planted closure failure")
 
-    monkeypatch.setattr(subalgebra, "invariant_subspace_under", counted)
+    monkeypatch.setattr(subalgebra, "invariant_subspace", counted)
     monkeypatch.setattr(subalgebra, "_verify_algebra_closure", fail)
     with caplog.at_level(logging.DEBUG, logger="fermarkov"):
         with pytest.raises(NotAnAlgebra, match="planted closure failure"):
