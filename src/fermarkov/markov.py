@@ -170,6 +170,10 @@ def flow_stable_pair(rho_bc: np.ndarray, alg: CarAlgebra, regions: RegionPartiti
     e^{it theta^p(h)} . e^{-ith} at sampled t, and C's closure in graded form,
     (a w)(a' w') = a a' theta^p'(w) w' and (a w)^* = a^* theta^p(w^*) for a, a'
     of parities p, p', which B's closure (W+ W+ and W+^* in W+) is part of.
+    A relation into a W that is all of A_B, 4^|B| tau-orthonormal elements,
+    holds for any factors by dimension and is read as residual 0 with no
+    product formed (``_product_residual``); the relations into a proper W
+    keep their sampled products.
     """
     bc, b_sites = regions.BC, _positions(regions.B, regions.BC)
     lattice = build_algebra(len(bc))

@@ -166,6 +166,13 @@ def _require_inside(leak: np.ndarray, bound, region: tuple[int, ...] | None, wha
         raise NotAnAlgebra(f"{what} leaves the algebra of sites {region}: leak {leak.max():.3e}")
 
 
+def _fills_factor(stack: np.ndarray) -> bool:
+    """True when a tau-orthonormal (m, d, d) stack spans all of M_d, m = d^2:
+    every d x d matrix lies in its span, so a relation "inside the span"
+    holds for anything and constrains nothing."""
+    return stack.shape[0] == stack.shape[-1] ** 2
+
+
 def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis:
     """The algebra of a site set: the scaled matrix units of its factor."""
     family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
@@ -425,7 +432,7 @@ def commutant(
         amb, amb_leak = _picture_in(ambient, region)
         _require_inside(amb_leak, tol, region, "commutant ambient")
         # an ambient spanning its whole factor, as a region algebra does, constrains nothing
-        amb = None if amb.shape[0] == amb.shape[-1] ** 2 else amb
+        amb = None if _fills_factor(amb) else amb
     [h] = _hermitian_combos(basis, 1, rng)
     space = _commutant_of_hermitian(h) if amb is None else _nullspace_in_ambient([h], amb)
     stack = _nullspace_in_ambient(_hermitian_combos(basis, _SKETCH_SIZE, rng), space)
@@ -626,7 +633,11 @@ def _closure_pairs(m: int, max_pairs: int, n: int | None = None) -> tuple[np.nda
 
 def _product_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray, max_pairs: int = 400) -> float:
     """Largest residual against the span of a tau-orthonormal target of a
-    sampled product l_i r_j, relative to 1 + its norm (0 with no products)."""
+    sampled product l_i r_j, relative to 1 + its norm (0 with no products).
+    A target that fills its whole factor holds every product: 0, with none
+    formed."""
+    if _fills_factor(target):
+        return 0.0
     i, j = _closure_pairs(left.shape[0], max_pairs, right.shape[0])
     products = left[i] @ right[j]
     scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(products.shape[-1])
@@ -635,7 +646,10 @@ def _product_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray, m
 
 def _adjoint_residual(stack: np.ndarray, target: np.ndarray, max_count: int = 400) -> float:
     """Largest residual against the target's span of the adjoint of a stack
-    element, all of them or max_count drawn without replacement."""
+    element, all of them or max_count drawn without replacement; 0, with no
+    adjoint formed, for a target that fills its whole factor."""
+    if _fills_factor(target):
+        return 0.0
     i, _ = _closure_pairs(stack.shape[0], max_count, 1)
     adj = np.conj(np.transpose(stack[i], (0, 2, 1)))
     return float(hs.residual_norms(target, adj).max(initial=0.0))
@@ -650,7 +664,7 @@ def _require_closed(products: float, adjoints: float, tol: float) -> None:
     if products > tol:
         raise NotAnAlgebra(f"product closure residual {products:.3e} exceeds {tol:.1e}")
     if adjoints > 2 * tol:
-        raise NotAnAlgebra(f"adjoint closure residual {adjoints:.3e} exceeds {tol:.1e}")
+        raise NotAnAlgebra(f"adjoint closure residual {adjoints:.3e} exceeds {2 * tol:.1e}")
 
 
 def _verify_algebra_closure(s: SubalgebraBasis, tol: float, max_pairs: int = 400) -> None:

@@ -86,6 +86,45 @@ def test_graded_closure_certificate_refuses_a_planted_w_minus(monkeypatch):
         Analysis(random_state(4, 3), CUTS["1|2|1"])
 
 
+@pytest.mark.parametrize("cut", ["1|2|1", "1|3|1"])
+def test_w_minus_relations_refuse_a_planted_w_minus_beside_a_full_w_plus(cut, monkeypatch):
+    # W+ fills A_B, so its own relations read 0 by dimension; a random element
+    # in place of W- must still fail theta(W+) W- in W- and W- W+ in W-
+    real = markov.invariant_subspace
+    rng = np.random.default_rng(7)
+    seen = []
+
+    def planted(left, right, ambient, **kwargs):
+        stable, residual = real(left, right, ambient, **kwargs)
+        seen.append(stable.shape[0] == ambient.shape[0])
+        if left is right:
+            return stable, residual
+        w = np.tensordot(rng.normal(size=ambient.shape[0]), ambient, 1)
+        return (w / hs.hs_norm(w))[None], residual
+
+    monkeypatch.setattr(markov, "invariant_subspace", planted)
+    monkeypatch.setattr(markov, "_verify_flow_stability", lambda *args: None)
+    regions = CUTS[cut]
+    with pytest.raises(NotAnAlgebra, match="closure residual"):
+        Analysis(make_product_markov(regions, 1, "even_even"), regions)
+    assert seen == [True, True]
+
+
+def test_a_proper_w_plus_and_w_minus_keep_all_six_closure_projections(monkeypatch):
+    # even_noneven at 1|3|1: W+ and W- are 32 of A_B's 64 dimensions, so no
+    # relation is read off by dimension
+    regions = CUTS["1|3|1"]
+    state = make_product_markov(regions, 1, "even_noneven")
+    rho_bc = embedded_restriction(state, regions.BC)
+    monkeypatch.setattr(markov, "_verify_flow_stability", lambda *args: None)
+    calls = []
+    real = hs.residual_norms
+    monkeypatch.setattr(hs, "residual_norms", lambda basis, stack: calls.append(basis.shape[0]) or real(basis, stack))
+    pair = markov.flow_stable_pair(rho_bc, state.alg, regions)
+    assert pair.plus.shape[0] == pair.minus.shape[0] == 32
+    assert calls == [32] * 6
+
+
 _N7_CHILD = """
 import json, resource, sys, time
 cap = 3 << 30

@@ -656,6 +656,55 @@ def test_closure_pairs_match_the_list_enumeration(m):
     assert list(zip(i.tolist(), j.tolist())) == pairs
 
 
+def unit_span(d, *units):
+    """span{1, sqrt(d) e_ab for each (a, b)}: a tau-orthonormal (m, d, d) stack."""
+    mats = [np.eye(d, dtype=complex)]
+    for a, b in units:
+        e = np.zeros((d, d), dtype=complex)
+        e[a, b] = np.sqrt(d)
+        mats.append(e)
+    return np.stack(mats)
+
+
+def counting(monkeypatch):
+    calls = []
+    real = hs.residual_norms
+    monkeypatch.setattr(hs, "residual_norms", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_a_target_filling_its_factor_reads_zero_with_no_projection(d, monkeypatch):
+    # d^2 tau-orthonormal elements span all of M_d: any product or adjoint lies
+    # in the span, so the relation is read as 0 and no residual is computed
+    rng = np.random.default_rng(d)
+    full = hs.orthonormalize(rng.normal(size=(d * d, d, d)) + 1j * rng.normal(size=(d * d, d, d)))
+    assert full.shape[0] == d * d
+    factors = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    calls = counting(monkeypatch)
+    assert subalgebra._product_residual(factors, factors[:3], full) == 0.0
+    assert subalgebra._adjoint_residual(factors, full) == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_a_proper_target_keeps_its_product_and_adjoint_checks(d, monkeypatch):
+    # e01 e10 = e00 is not in span{1, e01, e10}; span{1, e01} is closed under
+    # products (e01 e01 = 0) but not under adjoints (e01^* = e10)
+    calls = counting(monkeypatch)
+    no_products = unit_span(d, (0, 1), (1, 0))
+    products = subalgebra._product_residual(no_products, no_products, no_products)
+    with pytest.raises(NotAnAlgebra, match="product closure residual"):
+        subalgebra._require_closed(products, 0.0, TOL_MEMBER)
+    no_adjoints = unit_span(d, (0, 1))
+    assert subalgebra._product_residual(no_adjoints, no_adjoints, no_adjoints) <= 1e-15
+    adjoints = subalgebra._adjoint_residual(no_adjoints, no_adjoints)
+    assert adjoints > 2 * TOL_MEMBER
+    with pytest.raises(NotAnAlgebra, match=f"adjoint closure residual .* exceeds {2 * TOL_MEMBER:.1e}"):
+        subalgebra._require_closed(0.0, adjoints, TOL_MEMBER)
+    assert len(calls) == 3
+
+
 def test_whole_space_certificates_gather_nothing(monkeypatch):
     # W = 1 for the whole space: its small picture is the basis itself, so no
     # matrix-unit family is built and nothing is gathered or scattered
