@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .car import (
+    MAX_SITES,
     CarAlgebra,
     RegionPartition,
     build_algebra,
@@ -38,7 +39,6 @@ from .car import (
     matrix_units,
     parity_automorphism,
     parity_unitary,
-    region_orthobasis,
 )
 from .entropy import TOL_CROSS, TOL_EQUALITY, TOL_GAP_NEG, StateDensity
 from .errors import FermarkovError, ParseError
@@ -220,8 +220,11 @@ def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0
         reg_j = tuple(sorted(rng.permutation(sites)[:size_j]))
         x = _random_full(alg, rng)
         ei = cond_expect(alg, x, reg_i)
-        # defining identity against a basis of the range
-        for b in region_orthobasis(alg, reg_i)[: min(8, 4 ** len(reg_i))]:
+        # defining identity against the first (at most 8) scaled matrix units
+        # of the range, built one at a time: the whole basis is 4^|I| D x D
+        family = matrix_units(alg, reg_i)
+        for unit in range(min(8, 4 ** len(reg_i))):
+            b = family.unit(*divmod(unit, family.small_dim)) * np.sqrt(family.small_dim)
             lhs = complex(np.trace(x @ b)) / alg.dim
             rhs = complex(np.trace(ei @ b)) / alg.dim
             worst = max(worst, abs(lhs - rhs))
@@ -466,6 +469,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     regions = parse_regions(args.regions)
     seed0 = args.seed0 if args.seed0 is not None else _default_seed()
     rows = []
@@ -581,6 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.command == "selftest":
+            if not 1 <= args.max_sites <= MAX_SITES:
+                raise ParseError(f"--max-sites must lie in 1..{MAX_SITES}, got {args.max_sites}")
             return run_selftest(args.max_sites)
         if args.command == "gen":
             return cmd_gen(args)

@@ -39,6 +39,7 @@ TOL_TRACE = 1e-10
 TOL_PSD = 1e-12
 TOL_CROSS = 1e-8      # entropy gap against its relative-entropy cross-check
 TOL_GAP_NEG = 1e-9    # negative entropy gap still accepted as roundoff
+TOL_EVEN = 1e-10      # parity defect accepted as "even state"
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +80,7 @@ class StateDensity:
         """Entrywise deviation of rho from its parity conjugate."""
         return float(np.max(np.abs(self.rho - parity_automorphism(self.alg, self.rho))))
 
-    def is_even(self, tol: float = 1e-10) -> bool:
+    def is_even(self, tol: float = TOL_EVEN) -> bool:
         return self.parity_defect() <= tol
 
 
@@ -122,18 +123,18 @@ def vn_entropy(density: np.ndarray) -> float:
     return float(-np.sum(xlogy(w, w)))
 
 
-def rel_entropy(rho: np.ndarray, sigma: np.ndarray, *, eps_faithful: float = EPS_FAITHFUL) -> float:
+def rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (log rho - log sigma) in nats; sigma must be faithful."""
     dr = eig_hermitian(np.asarray(rho, dtype=complex))
     ds = eig_hermitian(np.asarray(sigma, dtype=complex))
-    return _rel_entropy_of(dr, ds, eps_faithful)
+    return _rel_entropy_of(dr, ds)
 
 
-def _rel_entropy_of(dr: SpectralDecomposition, ds: SpectralDecomposition, eps_faithful: float) -> float:
+def _rel_entropy_of(dr: SpectralDecomposition, ds: SpectralDecomposition) -> float:
     """rel_entropy from the decompositions of rho and sigma."""
-    if ds.eigenvalues[0] <= eps_faithful:
+    if ds.eigenvalues[0] <= EPS_FAITHFUL:
         raise SingularReference(
-            f"reference density min eigenvalue {ds.eigenvalues[0]:.3e} <= {eps_faithful:.1e}"
+            f"reference density min eigenvalue {ds.eigenvalues[0]:.3e} <= {EPS_FAITHFUL:.1e}"
         )
     lam = np.clip(dr.eigenvalues, 0.0, None)
     overlaps = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
@@ -192,7 +193,7 @@ def _ssa_report(
     return report, rho_bc
 
 
-def cocycle(rho: np.ndarray, sigma: np.ndarray, t: float, *, eps_faithful: float = EPS_FAITHFUL) -> np.ndarray:
+def cocycle(rho: np.ndarray, sigma: np.ndarray, t: float) -> np.ndarray:
     """u_t = rho^{it} sigma^{-it}; unitary for faithful positive inputs.
 
     Any positive rescaling of either input only changes u_t by a phase, so
@@ -200,13 +201,8 @@ def cocycle(rho: np.ndarray, sigma: np.ndarray, t: float, *, eps_faithful: float
     """
     dr = eig_hermitian(np.asarray(rho, dtype=complex))
     ds = eig_hermitian(np.asarray(sigma, dtype=complex))
-    return _cocycle_of(dr, ds, t, eps_faithful)
-
-
-def _cocycle_of(dr: SpectralDecomposition, ds: SpectralDecomposition, t: float, eps_faithful: float) -> np.ndarray:
-    """cocycle from the decompositions of rho and sigma."""
     wr, ws = dr.eigenvalues, ds.eigenvalues
-    if wr[0] <= eps_faithful or ws[0] <= eps_faithful:
+    if wr[0] <= EPS_FAITHFUL or ws[0] <= EPS_FAITHFUL:
         raise NotFaithful(
             f"cocycle needs faithful densities: min eigs {wr[0]:.3e}, {ws[0]:.3e}"
         )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+RANK_RTOL = 1e-9     # relative singular-value threshold for rank decisions
+
 
 def hs_norm(x: np.ndarray) -> float:
     """Frobenius norm normalized so that ||I|| = 1."""
@@ -27,7 +29,7 @@ def unflatten(rows: np.ndarray, dim: int) -> np.ndarray:
     return rows.reshape(-1, dim, dim)
 
 
-def orthonormal_rows(rows: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def orthonormal_rows(rows: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (standard inner product) of the row span: the right
     singular vectors whose singular value exceeds rtol * s_max.
 
@@ -46,7 +48,7 @@ def orthonormal_rows(rows: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return wh[s > rtol * s[0]] @ q.conj().T
 
 
-def orthonormalize(stack: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def orthonormalize(stack: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """tau-orthonormal basis of the span of a (m, D, D) stack."""
     dim = stack.shape[-1]
     rows = orthonormal_rows(flatten(stack), rtol)

@@ -42,7 +42,6 @@ class SpectralDecomposition:
         param: float | None = None,
         *,
         eps_faithful: float = EPS_FAITHFUL,
-        tol_herm: float = TOL_HERM,
     ) -> np.ndarray:
         """mat_func of the decomposed matrix, from this decomposition: a caller
         that needs several functions of one matrix decomposes it once."""
@@ -64,7 +63,7 @@ class SpectralDecomposition:
             if s < 0:
                 _require_floor(w, eps_faithful, f"pow({s})")
             elif s != int(s):
-                if w.size and w[0] < -tol_herm:
+                if w.size and w[0] < -TOL_HERM:
                     raise SingularMatrix(
                         f"pow({s}) of indefinite matrix: min eigenvalue {w[0]:.3e}"
                     )
@@ -95,14 +94,14 @@ def _fix_phases(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return u
 
 
-def eig_hermitian(m: np.ndarray, tol_herm: float = TOL_HERM) -> SpectralDecomposition:
+def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a self-adjoint matrix.
 
     Eigenvalues come out ascending; eigenvector phases are fixed so repeated
     runs are deterministic.  Raises NotHermitian when the input is not
-    self-adjoint within tol_herm.
+    self-adjoint within TOL_HERM.
     """
-    require_hermitian(m, tol_herm)
+    require_hermitian(m)
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
     return SpectralDecomposition(w, _fix_phases(u))
 
@@ -113,7 +112,6 @@ def mat_func(
     param: float | None = None,
     *,
     eps_faithful: float = EPS_FAITHFUL,
-    tol_herm: float = TOL_HERM,
 ) -> np.ndarray:
     """Spectral function U f(lambda) U^* of a self-adjoint matrix.
 
@@ -121,7 +119,7 @@ def mat_func(
     "imaginary_pow" (param = t, returning the unitary m^{it}).  log, negative
     and imaginary powers require the spectrum to stay above eps_faithful.
     """
-    return eig_hermitian(m, tol_herm).func(kind, param, eps_faithful=eps_faithful, tol_herm=tol_herm)
+    return eig_hermitian(m).func(kind, param, eps_faithful=eps_faithful)
 
 
 def _require_floor(w: np.ndarray, eps: float, what: str) -> None:

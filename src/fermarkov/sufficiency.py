@@ -20,8 +20,7 @@ certificates checked here:
         by one Cholesky of a shifted Gram that every direction leaves when
         it does: a sufficient pair keeps s in one round with no projection of
         the image stack, and an insufficient one whose directions all leave
-        needs no QR or SVD.  Sampled-t unitary memberships are kept as a
-        smoke test only.
+        needs no QR or SVD.
   (iv)  the state-dependent recovery maps of the two states coincide as
         superoperators.  The recovery map of a state is
         P = Ad_K o E o Ad_H with K = rho0^{-1/2}, H = rho^{1/2} and E the
@@ -59,23 +58,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hs
-from .entropy import StateDensity, _cocycle_of, _rel_entropy_of
+from .entropy import TOL_EQUALITY, StateDensity, _rel_entropy_of
 from .errors import FlowUnstable, InvariantViolation, NotSufficient, SingularRestriction
 from .spectral import EPS_FAITHFUL, SpectralDecomposition, eig_hermitian, mat_log
-from .subalgebra import (
-    RANK_RTOL,
-    TOL_MEMBER,
-    SubalgebraBasis,
-    _worst_commutator,
-    invariant_subalgebra,
-    invariant_subspace,
-    membership,
-)
+from .subalgebra import RANK_RTOL, TOL_MEMBER, SubalgebraBasis, _worst_commutator, invariant_subspace
 
 TOL_CHANNEL = 1e-9       # unitality / state-preservation residual
 TOL_PETZ_EQ = 1e-8       # superoperator distance accepted as "equal maps"
+TOL_RECON = 1e-8         # tau-norm residual of a density rebuilt from the common factor
 _WITNESS_MARGIN = 0.1    # factor defect, as a share of the certificates' gates, that needs no certificate
-_SAMPLED_TIMES = (0.3, 1.1)
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -134,7 +125,7 @@ def projection_channel(s: SubalgebraBasis) -> QuantumChannel:
     return QuantumChannel(dim, dim, _basis_superop(s.basis, s.basis))
 
 
-def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS_FAITHFUL) -> QuantumChannel:
+def petz_map(psi: StateDensity, s: SubalgebraBasis) -> QuantumChannel:
     """State-dependent recovery map a -> r0^{-1/2} E(r^{1/2} a r^{1/2}) r0^{-1/2}
     with r the density of psi, r0 its projection onto the subalgebra and E the
     trace-preserving conditional expectation onto the subalgebra.
@@ -151,38 +142,34 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis, *, eps_faithful: float = EPS
     """
     psi.require_faithful("recovery-map state")
     rho0 = hs.hermitian_part(s.project(psi.rho))
-    sup = _petz_superop(eig_hermitian(psi.rho), eig_hermitian(rho0), s, eps_faithful)
+    sup = _petz_superop(eig_hermitian(psi.rho), eig_hermitian(rho0), s)
     return QuantumChannel(psi.dim, psi.dim, sup)
 
 
-def _petz_superop(
-    dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float
-) -> np.ndarray:
+def _petz_superop(dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis) -> np.ndarray:
     """petz_map's superoperator from the decompositions of r and r0."""
-    _require_recoverable(dec0, s, eps_faithful)
+    _require_recoverable(dec0, s)
     half = dec.func("pow", 0.5)
     inv_half0 = dec0.func("pow", -0.5)
     return _basis_superop(inv_half0 @ s.basis @ inv_half0, half @ s.basis @ half)
 
 
-def _require_recoverable(dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float) -> None:
+def _require_recoverable(dec0: SpectralDecomposition, s: SubalgebraBasis) -> None:
     """The recovery map of a state needs the identity in s and a faithful
     restriction r0, whose decomposition is dec0."""
     if not s.contains_identity:
         raise ValueError("recovery map needs a subalgebra containing the identity")
     w0 = dec0.eigenvalues
-    if w0[0] <= eps_faithful:
+    if w0[0] <= EPS_FAITHFUL:
         raise SingularRestriction(
-            f"restricted density min eigenvalue {w0[0]:.3e} <= {eps_faithful:.1e}"
+            f"restricted density min eigenvalue {w0[0]:.3e} <= {EPS_FAITHFUL:.1e}"
         )
 
 
-def _petz_root(
-    dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis, eps_faithful: float
-) -> np.ndarray:
+def _petz_root(dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis) -> np.ndarray:
     """G = r^{1/2} r0^{-1/2} from the decompositions of r and r0: the recovery
     map is a -> E(G^* a G) when s is a unital *-algebra."""
-    _require_recoverable(dec0, s, eps_faithful)
+    _require_recoverable(dec0, s)
     return dec.func("pow", 0.5) @ dec0.func("pow", -0.5)
 
 
@@ -205,7 +192,6 @@ class SufficiencyReport:
     rel_entropy_restricted: float
     rel_entropy_drop: float
     cocycle_residual: float          # algebraic orbit membership (all t)
-    cocycle_sampled_residual: float  # unitary membership at sampled t
     petz_residual: float
     ok_rel_entropy: bool
     ok_cocycle: bool
@@ -241,14 +227,14 @@ def is_sufficient(
     psi: StateDensity,
     s: SubalgebraBasis,
     *,
-    tol_equality: float = 1e-8,
+    tol_equality: float = TOL_EQUALITY,
     tol_member: float = TOL_MEMBER,
 ) -> SufficiencyReport:
     """Run all three sufficiency certificates for the pair (phi, psi).
 
     Each of rho_phi, rho_psi and their restrictions is decomposed once; the
-    relative entropies, logarithms, sampled cocycles and recovery maps are
-    all read from these four decompositions.
+    relative entropies, logarithms and recovery maps are all read from these
+    four decompositions.
 
     s must be a unital *-algebra, as every SubalgebraBasis is by contract.
     Then the recovery map of a state is a -> E(G^* a G) with
@@ -269,29 +255,21 @@ def is_sufficient(
     dec_phi, dec_psi = eig_hermitian(phi.rho), eig_hermitian(psi.rho)
     dec_phi0, dec_psi0 = eig_hermitian(rho_phi0), eig_hermitian(rho_psi0)
 
-    s_full = _rel_entropy_of(dec_phi, dec_psi, EPS_FAITHFUL)
-    s_rest = _rel_entropy_of(dec_phi0, dec_psi0, EPS_FAITHFUL)
+    s_full = _rel_entropy_of(dec_phi, dec_psi)
+    s_rest = _rel_entropy_of(dec_phi0, dec_psi0)
     drop = s_full - s_rest
     if drop < -1e-7:
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
     log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
     orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s)
-    sampled = max(
-        membership(_cocycle_of(dec_phi, dec_psi, t, EPS_FAITHFUL), s, tol_member)[1]
-        for t in _SAMPLED_TIMES
-    )
-
-    petz_res = _petz_residual(
-        _petz_root(dec_phi, dec_phi0, s, EPS_FAITHFUL), _petz_root(dec_psi, dec_psi0, s, EPS_FAITHFUL), s
-    )
+    petz_res = _petz_residual(_petz_root(dec_phi, dec_phi0, s), _petz_root(dec_psi, dec_psi0, s), s)
 
     return SufficiencyReport(
         rel_entropy_full=float(s_full),
         rel_entropy_restricted=float(s_rest),
         rel_entropy_drop=float(drop),
         cocycle_residual=float(orbit_res),
-        cocycle_sampled_residual=float(sampled),
         petz_residual=petz_res,
         ok_rel_entropy=abs(drop) <= tol_equality,
         ok_cocycle=orbit_res <= tol_member * 2.0,
@@ -307,16 +285,17 @@ def factor_through(
     s: SubalgebraBasis,
     *,
     tol_member: float = TOL_MEMBER,
-    tol_recon: float = 1e-8,
 ) -> np.ndarray:
     """Common positive factor d with rho_phi = rho_phi0 d and rho_psi = rho_psi0 d.
 
-    Requires the subalgebra S to be stable under the modular flow of psi and
-    the pair to be sufficient; d then lies in the relative commutant S'.
+    Requires the subalgebra S to be stable under the modular flow of psi
+    (FlowUnstable unless the invariant subspace of [log rho_psi, .] in S is
+    all of S) and the pair to be sufficient; d then lies in the relative
+    commutant S'.
 
     The candidate d = rho_phi0^{-1} rho_phi is checked first: self-adjoint,
     positive, commuting with every basis element of S, and reconstructing
-    both densities within tol_recon.  An exact witness is its own certificate
+    both densities within TOL_RECON.  An exact witness is its own certificate
     of sufficiency (Jencova-Petz, CMP 263 (2006)): with d in S' positive,
     rho_phi = rho_phi0 d and rho_psi = rho_psi0 d give
 
@@ -326,8 +305,8 @@ def factor_through(
       - D(phi || psi) = D(phi0 || psi0), no entropy drop.
 
     A computed d misses this by its defects, and the checks' own gates are too
-    loose for the implication: a density has tau-norm about 1/D, so tol_recon
-    admits a relative error near D * tol_recon, far above what the
+    loose for the implication: a density has tau-norm about 1/D, so TOL_RECON
+    admits a relative error near D * TOL_RECON, far above what the
     certificates accept.  The defects are therefore read in the units that
     move the certificates.  To first order, a reconstruction residual e of a
     density rho moves log rho, the cocycle's generator and both relative
@@ -345,15 +324,16 @@ def factor_through(
     three residuals; a sufficient one returns d if every check passed, and
     re-raises the failed check's InvariantViolation if not.
     """
-    stable = invariant_subalgebra(mat_log(psi.rho), s, validate=False)
-    if stable.size < s.size:
+    h = mat_log(psi.rho)
+    stable, _ = invariant_subspace(h, h, s.basis, scale=float(np.linalg.norm(h, 2)))
+    if stable.shape[0] < s.size:
         raise FlowUnstable(
-            f"subalgebra not stable under the reference flow: {stable.size} < {s.size}"
+            f"subalgebra not stable under the reference flow: {stable.shape[0]} < {s.size}"
         )
     phi.require_faithful("first state")
     psi.require_faithful("second state")
     try:
-        d, defect = _certified_factor(phi, psi, s, tol_member, tol_recon)
+        d, defect = _certified_factor(phi, psi, s, tol_member)
     except InvariantViolation:
         _require_sufficient(phi, psi, s, tol_member)
         raise
@@ -374,7 +354,7 @@ def _require_sufficient(phi: StateDensity, psi: StateDensity, s: SubalgebraBasis
 
 
 def _certified_factor(
-    phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float, tol_recon: float
+    phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float
 ) -> tuple[np.ndarray, float]:
     """d = rho_phi0^{-1} rho_phi and its largest defect in certificate units
     (see factor_through), or InvariantViolation naming the first check d
@@ -397,9 +377,9 @@ def _certified_factor(
     rho_psi0 = hs.hermitian_part(s.project(psi.rho))
     recon_psi = hs.hs_norm(rho_psi0 @ d - psi.rho)
     recon_phi = hs.hs_norm(rho_phi0 @ d - phi.rho)
-    if recon_psi > tol_recon or recon_phi > tol_recon:
+    if recon_psi > TOL_RECON or recon_phi > TOL_RECON:
         raise InvariantViolation(
-            f"factor reconstruction residuals {recon_phi:.3e}, {recon_psi:.3e} exceed {tol_recon:.1e}"
+            f"factor reconstruction residuals {recon_phi:.3e}, {recon_psi:.3e} exceed {TOL_RECON:.1e}"
         )
     root_dim = np.sqrt(phi.dim)
     defect = max(

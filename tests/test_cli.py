@@ -4,12 +4,17 @@ exit codes."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermarkov
 from fermarkov import entropy, markov
-from fermarkov.car import RegionPartition, build_algebra
+from fermarkov.car import MAX_SITES, RegionPartition, build_algebra
 from fermarkov.cli import (
     build_document,
     exact_algebra_residuals,
@@ -238,6 +243,41 @@ def test_sweep_deterministic(tmp_path):
     for ra, rb in zip(rows_a, rows_b):
         ra.pop("elapsed_s"), rb.pop("elapsed_s")
         assert ra == rb
+
+
+def test_sweep_rejects_a_count_below_one(tmp_path, capsys):
+    for count in ("0", "-3"):
+        assert main(["sweep", "--kind", "random", "--regions", "A=0:B=1:C=2",
+                     "--count", count, "--csv", str(tmp_path / "rows.csv")]) == 2
+        assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_selftest_rejects_site_counts_outside_the_envelope(capsys):
+    for max_sites in ("0", "-1", str(MAX_SITES + 1)):
+        assert main(["selftest", "--max-sites", max_sites]) == 2
+        assert "--max-sites" in capsys.readouterr().err
+
+
+_SELFTEST_CHILD = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fermarkov.cli import main
+sys.exit(main(["selftest", "--max-sites", "8"]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_selftest_at_eight_sites_fits_in_one_gib():
+    # the conditional-expectation identity reads 8 elements of a region basis;
+    # at n=8 the whole basis of an 8-site region would be 64 GiB.  The child
+    # caps its own address space, so a regression ends as a failed child
+    src = str(Path(fermarkov.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SELFTEST_CHILD], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
+    assert "n=8 conditional_expectation" in proc.stdout
 
 
 def test_bad_usage_exit_codes(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from fermarkov import subalgebra, sufficiency
 from fermarkov.car import RegionPartition, build_algebra, even_odd_split, parity_unitary, region_orthobasis
-from fermarkov.entropy import StateDensity, embedded_restriction
+from fermarkov.entropy import StateDensity, cocycle, embedded_restriction
 from fermarkov.errors import FlowUnstable, InvariantViolation, NotSufficient
 from fermarkov.spectral import mat_pow
 from fermarkov.states import make_product_markov, random_even_state, random_state
@@ -93,17 +93,23 @@ def test_sufficient_when_subalgebra_is_everything():
 
 def test_constructed_pair_is_sufficient_by_all_three():
     phi, psi = sufficient_pair(8)
-    rep = is_sufficient(phi, psi, ab_subalgebra())
+    s = ab_subalgebra()
+    rep = is_sufficient(phi, psi, s)
     assert rep.ok_rel_entropy and rep.ok_cocycle and rep.ok_petz
-    assert rep.cocycle_sampled_residual <= 1e-9
+    # the orbit certificate decides every t; two sampled cocycles agree
+    for t in (0.3, 1.1):
+        assert membership(cocycle(phi.rho, psi.rho, t), s)[1] <= 1e-9
 
 
 def test_generic_pair_fails_all_three():
-    rep = is_sufficient(random_state(3, 9), random_state(3, 10), ab_subalgebra())
+    phi, psi, s = random_state(3, 9), random_state(3, 10), ab_subalgebra()
+    rep = is_sufficient(phi, psi, s)
     assert not rep.ok_rel_entropy and not rep.ok_cocycle and not rep.ok_petz
     assert rep.rel_entropy_drop > 1e-4
     assert rep.cocycle_residual > 1e-4
     assert rep.petz_residual > 1e-4
+    for t in (0.3, 1.1):
+        assert membership(cocycle(phi.rho, psi.rho, t), s)[1] > 1e-4
 
 
 def test_verdicts_always_agree():
