@@ -162,7 +162,8 @@ def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0
         if right:
             y = _random_region_element(alg, right, rng)
             tau = lambda m: complex(np.trace(m)) / alg.dim
-            worst = max(worst, abs(tau(x @ y) - tau(x) * tau(y)))
+            tau_xy = complex(np.einsum("ij,ji->", x, y)) / alg.dim
+            worst = max(worst, abs(tau_xy - tau(x) * tau(y)))
     out["trace_product"] = worst
 
     worst = 0.0
@@ -199,11 +200,16 @@ def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0
     for r1 in range(d):
         for c1 in range(d):
             e_a = family.unit(r1, c1)
+            # the corner units are diagonal, so p u q scales u's rows and columns
             p, q = family.unit(r1, r1), family.unit(c1, c1)
+            p_diag, q_diag = np.diag(p), np.diag(q)
+            for corner, diag in ((p, p_diag), (q, q_diag)):
+                worst = max(worst, float(np.max(np.abs(corner - np.diag(diag)))))
             for r2 in range(d):
                 for c2 in range(d):
                     want = e_a if (r1, c1) == (r2, c2) else 0
-                    worst = max(worst, float(np.max(np.abs(p @ family.unit(r2, c2) @ q - want))))
+                    puq = p_diag[:, None] * family.unit(r2, c2) * q_diag[None, :]
+                    worst = max(worst, float(np.max(np.abs(puq - want))))
     # the family is built from the site layout alone; tie it to the generators
     for s in sites:
         a = alg.annihilators[s]
@@ -225,8 +231,8 @@ def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0
         family = matrix_units(alg, reg_i)
         for unit in range(min(8, 4 ** len(reg_i))):
             b = family.unit(*divmod(unit, family.small_dim)) * np.sqrt(family.small_dim)
-            lhs = complex(np.trace(x @ b)) / alg.dim
-            rhs = complex(np.trace(ei @ b)) / alg.dim
+            lhs = complex(np.einsum("ij,ji->", x, b)) / alg.dim
+            rhs = complex(np.einsum("ij,ji->", ei, b)) / alg.dim
             worst = max(worst, abs(lhs - rhs))
         inter = tuple(sorted(set(reg_i) & set(reg_j)))
         tower = cond_expect(alg, ei, reg_j)
@@ -519,6 +525,18 @@ def _generator_params(args) -> dict:
     return {}
 
 
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    """The state-family flags `gen` and `sweep` share (see _generator_params)."""
+    p.add_argument("--kind", required=True,
+                   choices=["random", "random_even", "product_markov", "block_markov", "perturbed"])
+    p.add_argument("--regions", required=True, help="e.g. A=0,1:B=2:C=3")
+    p.add_argument("--parity-mode", default="even_even", choices=["even_even", "even_noneven"])
+    p.add_argument("--k-fixed", type=int, default=1)
+    p.add_argument("--n-pairs", type=int, default=0)
+    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--keep-even", action="store_true")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fermarkov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -526,22 +544,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="exact-algebra identity suite")
     p.add_argument("--max-sites", type=int, default=5)
 
-    def add_gen_flags(p):
-        p.add_argument("--kind", required=True,
-                       choices=["random", "random_even", "product_markov", "block_markov", "perturbed"])
-        p.add_argument("--regions", required=True, help="e.g. A=0,1:B=2:C=3")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--floor", type=float, default=None)
-        p.add_argument("--parity-mode", default="even_even", choices=["even_even", "even_noneven"])
-        p.add_argument("--k-fixed", type=int, default=1)
-        p.add_argument("--n-pairs", type=int, default=0)
-        p.add_argument("--epsilon", type=float, default=1e-3)
-        p.add_argument("--keep-even", action="store_true")
-        p.add_argument("--base", default=None, help="base state file for --kind perturbed")
-
     p = sub.add_parser("gen", help="generate a state file")
-    add_gen_flags(p)
+    _add_generator_flags(p)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--floor", type=float, default=None)
+    p.add_argument("--base", default=None, help="base state file for --kind perturbed")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("analyze", help="analyze a state file")
@@ -561,18 +569,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sweep", help="CSV over seeded states")
-    p.add_argument("--kind", required=True,
-                   choices=["random", "random_even", "product_markov", "block_markov", "perturbed"])
-    p.add_argument("--regions", required=True)
+    _add_generator_flags(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed0", type=int, default=None)
     p.add_argument("--csv", required=True)
     p.add_argument("--tol-equality", type=float, default=TOL_EQUALITY)
-    p.add_argument("--parity-mode", default="even_even", choices=["even_even", "even_noneven"])
-    p.add_argument("--k-fixed", type=int, default=1)
-    p.add_argument("--n-pairs", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--keep-even", action="store_true")
     p.set_defaults(base=None)
 
     return parser

@@ -19,8 +19,9 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
     state on C and y = x^{-1} rho, certified to lie in the B+C algebra;
   - for even Markov states, the central structure of B under the parity
     automorphism and the block decomposition of rho into parity-fixed blocks
-    and parity-swapped block pairs, each factor certified by membership in its
-    block algebra.
+    and parity-swapped block pairs; every block cuts x and y by a minimal
+    central projection q of C, and each factor is certified by one rule for
+    all blocks: q x against C, q y against p_A C~ + (1 - p_A) C~.
 """
 
 from __future__ import annotations
@@ -275,12 +276,9 @@ class StructureLemmaReport:
 class _LemmaAlgebras:
     """Structure-lemma algebras of an even Markov state, shared by the block
     decomposition and the lemma validation.  c_tilde is a certified product
-    of two graded-commuting *-subalgebras."""
+    of two graded-commuting *-subalgebras: b_tilde and the span of A_C's
+    homogeneous matrix units, each odd one times v_B."""
 
-    a_stack: np.ndarray              # basis of A_A
-    c_even: np.ndarray               # basis of (A_C)_even
-    c_odd: np.ndarray                # basis of (A_C)_odd
-    v_b: np.ndarray                  # parity unitary of B
     b_tilde: SubalgebraBasis         # B' within A_B
     c_tilde: SubalgebraBasis         # B~ v ((A_C)_even + v_B (A_C)_odd)
 
@@ -460,106 +458,79 @@ class Analysis:
     @cached_property
     def _lemma_algebras(self) -> _LemmaAlgebras:
         alg, regions = self.state.alg, self.regions
-        a_stack = region_orthobasis(alg, regions.A)
-        c_even, c_odd, _ = parity_split(
-            region_subalgebra(alg, regions.C), parity_unitary(alg, alg.sites)
-        )
-        v_b = parity_unitary(alg, regions.B)
         b_tilde = commutant(self.b_basis, ambient=region_subalgebra(alg, regions.B))
-        c_tilde = product_algebra(b_tilde.basis, np.concatenate([c_even, v_b @ c_odd]), regions.BC)
-        return _LemmaAlgebras(a_stack, c_even, c_odd, v_b, b_tilde, c_tilde)
+        # A_C's units are homogeneous: the odd ones, times v_B, commute with A_B
+        c_units = matrix_units(alg, regions.C)
+        right = c_units.orthobasis()
+        odd = c_units.parity == -1
+        right[odd] = parity_unitary(alg, regions.B) @ right[odd]
+        return _LemmaAlgebras(b_tilde, product_algebra(b_tilde.basis, right, regions.BC))
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
         """Block decomposition of an even Markov state.
 
-        Cuts the commuting factors by the minimal central projections of C and
-        certifies every factor inside its block algebra: parity-fixed blocks
-        give (x_j, y_j) pairs, parity-swapped pairs store one representative
-        whose partner blocks are the parity images.
+        Cuts the commuting factors by the minimal central projections q of C:
+        parity-fixed blocks give (x_j, y_j) pairs, parity-swapped pairs store
+        one representative whose partner blocks are the parity images.  Every
+        q lies in C and in C^ = span{p_A, 1 - p_A} v C~, p_A = (1 + v_A) / 2,
+        and a block factor z = q x or w = q y keeps z = q z, so each is
+        certified by one rule: x's block against C (read from the graded
+        pair), y's against C^.  v_A is an even unitary of A_A, so it commutes
+        with A_BC and tau(v_A c) = 0 for c in A_BC: C^ = C~ (+) v_A C~, an
+        orthogonal sum, and E_C^(w) = E_C~(w) + v_A E_C~(v_A w).
         """
         start = time.perf_counter()
         self._require_even_markov("block decomposition")
         if not self.triplet.markov:
             raise NotMarkov(f"A-side generators escape the stable algebra: residual {self.triplet.a_in_c_residual:.3e}")
-        state, regions, tol_member = self.state, self.regions, self.tol_member
+        state, tol_member = self.state, self.tol_member
         fact, central = self.factorization, self.central
 
         alg = state.alg
         x, y = fact.x, fact.y
-        lem = self._lemma_algebras
-        b_stack, bt_stack = self.b_basis.basis, lem.b_tilde.basis
-        eye = alg.identity()
-        p_a = (eye + parity_unitary(alg, regions.A)) / 2
+        c_tilde = self._lemma_algebras.c_tilde
+        v_a = parity_unitary(alg, self.regions.A)
+
+        def x_residual(z: np.ndarray) -> float:
+            return hs.hs_norm(z - self.pair.project(z))
+
+        def y_residual(w: np.ndarray) -> float:
+            return hs.hs_norm(w - c_tilde.project(w) - v_a @ c_tilde.project(v_a @ w))
 
         lemma_join = self.pair.join_residual
-        _, y_comm_res = membership(y, lem.c_tilde, tol_member)
+        _, y_comm_res = membership(y, c_tilde, tol_member)
 
         blocks: list[Block] = []
         total = np.zeros_like(state.rho)
         k = central.k
-        for j in range(k):
-            q = central.q_list[j]
-            xj, yj = q @ x, q @ y
-            p_j = central.p_list[j]
-            if len(central.p_list) == 1:
-                # p_1 = 1: the block algebras are C, held as the pair, and C~
-                rx = hs.hs_norm(xj - self.pair.project(xj))
-                ct_j = lem.c_tilde
-            else:
-                _, rx = membership(xj, product_algebra(lem.a_stack, _cut_stack(p_j, b_stack), regions.AB), tol_member)
-                ct_j = product_algebra(
-                    _cut_stack(p_j, bt_stack),
-                    np.concatenate([lem.c_even, p_j @ lem.v_b @ lem.c_odd]),
-                    regions.BC,
-                )
-            _, ry = membership(yj, ct_j, tol_member)
+        # a fixed block is cut by its q; a pair by its first q, and its second
+        # q2 cuts the parity images of the pair's factors
+        for idx in [*range(k), *range(k, len(central.q_list), 2)]:
+            q = central.q_list[idx]
+            z, w = q @ x, q @ y
+            kind, projection, images, partners = "theta_fixed", q, 0, {}
+            if idx >= k:
+                q2 = central.q_list[idx + 1]
+                tz, tw = parity_automorphism(alg, z), parity_automorphism(alg, w)
+                kind, projection, images = "theta_pair", q + q2, tz @ tw
+                partners = {
+                    "partner_x_residual": hs.hs_norm(q2 @ x - tz),
+                    "partner_y_residual": hs.hs_norm(q2 @ y - tw),
+                }
             blocks.append(
                 Block(
-                    kind="theta_fixed",
-                    projection=q,
-                    x_factor=xj,
-                    y_factor=yj,
-                    weight=float(np.trace(q @ state.rho).real),
-                    x_membership_residual=float(rx),
-                    y_membership_residual=float(ry),
-                )
-            )
-            total = total + xj @ yj
-
-        for pair_no, (i, j) in enumerate(central.pairs):
-            idx = k + 2 * pair_no
-            q1, q2 = central.q_list[idx], central.q_list[idx + 1]
-            z, w = q1 @ x, q1 @ y
-            partner_x = hs.hs_norm(q2 @ x - parity_automorphism(alg, z))
-            partner_y = hs.hs_norm(q2 @ y - parity_automorphism(alg, w))
-            p1, p2 = central.p_list[i], central.p_list[j]
-            d_l = product_algebra(
-                lem.a_stack, np.concatenate([p_a @ p1 @ b_stack, (eye - p_a) @ p2 @ b_stack]), regions.AB
-            )
-            # u_l squares to p1 + p2, not 1: the cut even part keeps the right factor closed
-            u_l = (p1 + p2) @ lem.v_b
-            dt_l = product_algebra(
-                np.concatenate([p_a @ p1 @ bt_stack, (eye - p_a) @ p2 @ bt_stack]),
-                np.concatenate([lem.c_even, (p1 + p2) @ lem.c_even, u_l @ lem.c_odd]),
-            )
-            _, rz = membership(z, d_l, tol_member)
-            _, rw = membership(w, dt_l, tol_member)
-            e_l = q1 + q2
-            blocks.append(
-                Block(
-                    kind="theta_pair",
-                    projection=e_l,
+                    kind=kind,
+                    projection=projection,
                     x_factor=z,
                     y_factor=w,
-                    weight=float(np.trace(e_l @ state.rho).real),
-                    x_membership_residual=float(rz),
-                    y_membership_residual=float(rw),
-                    partner_x_residual=float(partner_x),
-                    partner_y_residual=float(partner_y),
+                    weight=float(np.trace(projection @ state.rho).real),
+                    x_membership_residual=x_residual(z),
+                    y_membership_residual=y_residual(w),
+                    **partners,
                 )
             )
-            total = total + z @ w + parity_automorphism(alg, z) @ parity_automorphism(alg, w)
+            total = total + z @ w + images
 
         reassembly = hs.hs_norm(total - state.rho)
         worst_member = max(
@@ -633,11 +604,6 @@ class Analysis:
 def _lex_key(p: np.ndarray) -> bytes:
     flat = np.concatenate([p.real.ravel(), p.imag.ravel()])
     return np.round(flat, 9).tobytes()
-
-
-def _cut_stack(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    cut = p @ stack
-    return cut[np.linalg.norm(hs.flatten(cut), axis=1) > 1e-12]
 
 
 # --- entry points: one shared analysis per call ------------------------------------

@@ -1,13 +1,15 @@
 """Tests for the Markov analysis pipeline: verdicts, factorization, central
 structure, block decomposition and the structural span identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fermarkov import markov
-from fermarkov.car import RegionPartition, build_algebra, parity_automorphism, region_orthobasis
+from fermarkov import hs, markov
+from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
-from fermarkov.errors import FactorizationFailed, NotEven, NotMarkov, NotSaturated
+from fermarkov.errors import BlockCertificationFailed, FactorizationFailed, NotEven, NotMarkov, NotSaturated
 from fermarkov.markov import (
     Analysis,
     analyze_triplet,
@@ -318,3 +320,39 @@ def test_single_block_decomposition_reuses_the_lemma_algebras(monkeypatch):
     assert len(calls) == 1  # C~ only: the join is not built
     assert dec.blocks[0].x_membership_residual <= 1e-9
     assert dec.blocks[0].y_membership_residual <= 1e-9
+
+
+BLOCK_CASES = [
+    (RegionPartition((0,), (1, 2), (3,)), (2, 1), 1013),
+    (RegionPartition((0,), (1, 2), (3,)), (0, 2), 7),
+    (RegionPartition((0,), (1, 2, 3), (4,)), (1, 1), 0),
+]
+
+
+@pytest.mark.parametrize("regions,design,seed", BLOCK_CASES, ids=["n4-2fixed-1pair", "n4-2pairs", "n5-1fixed-1pair"])
+def test_every_block_is_read_against_c_and_c_tilde(monkeypatch, regions, design, seed):
+    # fixed blocks and pair blocks alike are certified against C (the graded
+    # pair) and the one C~ of the lemma algebras: no per-block product algebra
+    state, _ = make_block_markov(regions, seed, *design)
+    calls = []
+    real = markov.product_algebra
+    monkeypatch.setattr(markov, "product_algebra", lambda *a: calls.append(1) or real(*a))
+    dec = decompose_even(state, regions)
+    assert (dec.central.k, len(dec.central.pairs)) == design
+    assert len(calls) == 1
+    assert max(max(b.x_membership_residual, b.y_membership_residual) for b in dec.blocks) <= 1e-9
+
+
+@pytest.mark.parametrize("regions,design,seed", [BLOCK_CASES[0], BLOCK_CASES[2]], ids=["n4", "n5"])
+def test_block_certificate_rejects_a_non_central_projection(monkeypatch, regions, design, seed):
+    # plant the rank-one projection e_00 of A_B's factor, which is not in B,
+    # as the first fixed block's q: neither q x lies in C nor q y in C^
+    state, _ = make_block_markov(regions, seed, *design)
+    an = Analysis(state, regions)
+    planted = matrix_units(state.alg, regions.B).unit(0, 0)
+    assert hs.hs_norm(planted - an.b_basis.project(planted)) > 0.1
+    an.__dict__["central"] = dataclasses.replace(an.central, q_list=[planted, *an.central.q_list[1:]])
+    # reassembly fails too; lift its bound so that the block certificate decides
+    monkeypatch.setattr(markov, "TOL_BLOCK", float("inf"))
+    with pytest.raises(BlockCertificationFailed, match="block certificates failed: membership"):
+        an.decomposition
