@@ -18,8 +18,18 @@ to the residual of the full matrices.  The whole space is the case W = 1: its
 small picture is the basis itself and nothing leaks, so the same code runs
 with no gather.  The region is a fact carried by construction: region
 algebras set it, invariant subalgebras and commutants inherit it from their
-ambient, products get the union of their factors' regions, and anything else
-is held by the whole space.
+ambient, products get the union of their factors' regions, and
+subalgebra_from_matrices holds its span in the smallest region that contains
+it (site j drops out when the span leaks out of A_{[n] minus j} by at most
+TOL_MEMBER, and A_I n A_J = A_{I n J} makes the intersection exact); off
+2^n x 2^n matrices everything is held by the whole space.
+
+A subalgebra that spans a whole region algebra A_I (its small picture fills
+the factor and it leaks by at most TOL_MEMBER) has a unit frame,
+W^* A_I W = M_d x 1, where a product with a scaled unit sqrt(d) E_rs x 1 is a
+scatter of columns or rows (_UnitFrame): the first round of an invariant
+subspace, its Gram certificate and the commutators with the basis are read
+there from e x e blocks, with no (4^k, D, D) stack of products.
 
 Commutants and centers (the commutant of s inside s) take one random draw:
 s' lies in {h}', the block-diagonal algebra over the eigenspaces of any h in
@@ -45,7 +55,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hs
-from .car import CarAlgebra, MatrixUnitFamily, build_algebra, matrix_units
+from .car import MAX_SITES, CarAlgebra, MatrixUnitFamily, build_algebra, matrix_units
 from .errors import DegenerateCenter, InvariantViolation, NotAnAlgebra
 from .hs import RANK_RTOL
 from .spectral import require_hermitian
@@ -186,12 +196,26 @@ def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis
 def subalgebra_from_matrices(
     mats: np.ndarray | list[np.ndarray], *, parity_stable: bool | None = None
 ) -> SubalgebraBasis:
-    """Orthonormalize a spanning set into a SubalgebraBasis (span only; no closure)."""
+    """Orthonormalize a spanning set into a SubalgebraBasis (span only; no
+    closure), held by the smallest region whose algebra contains the span."""
     stack = np.stack([np.asarray(m, dtype=complex) for m in mats]) if isinstance(mats, list) else np.asarray(mats, dtype=complex)
     dim = stack.shape[-1]
     basis = hs.orthonormalize(stack)
     has_id = _contains_identity(basis, dim)
-    return SubalgebraBasis(dim, basis, has_id, parity_stable)
+    return SubalgebraBasis(dim, basis, has_id, parity_stable, _smallest_region(basis))
+
+
+def _smallest_region(basis: np.ndarray) -> tuple[int, ...] | None:
+    """The smallest site set whose algebra holds the span of a stack: site j
+    drops out when the span leaks out of the algebra of the other sites by at
+    most TOL_MEMBER, and A_I n A_J = A_{I n J} makes the sites that stay
+    the region.  None off 2^n x 2^n matrices."""
+    dim = basis.shape[-1]
+    n = dim.bit_length() - 1
+    if dim != 2 ** n or n > MAX_SITES:
+        return None
+    rest = lambda j: tuple(i for i in range(n) if i != j)
+    return tuple(j for j in range(n) if _gather(dim, rest(j), basis)[1].max(initial=0.0) > TOL_MEMBER)
 
 
 def _identity_residual(basis: np.ndarray, dim: int) -> float:
@@ -564,45 +588,198 @@ def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float
       leaves by more than sqrt(delta) |a|, since s_min <= |a^T g| / |a|.  A
       kept identity, as under L = R, costs nothing.
 
-    Otherwise the cut reads only the left factor: with g^H = Q R,
-    g = R^H Q^H has the left singular vectors and singular values of the
-    m x m R^H, and Q is never formed.  The certificate only ever proves that
-    nothing is kept; a kept direction is always decided by this cut.
+    Otherwise _cut decides on the singular values.  The certificate only
+    ever proves that nothing is kept; a kept direction is always decided by
+    the cut.
     """
     dim = basis.shape[-1]
     g = hs.flatten(out) / np.sqrt(dim)
     fro = float(np.linalg.norm(g))
     if fro <= rtol * max(scale, 1.0):
         return basis
-    if _nothing_kept(g, fro, rtol * max(fro, scale, 1.0), np.trace(basis, axis1=1, axis2=2).conj() / dim):
+    unit = np.trace(basis, axis1=1, axis2=2).conj() / dim
+    if _nothing_kept(g.shape[1], rtol * max(fro, scale, 1.0), fro * fro, unit,
+                     float(np.linalg.norm(unit @ g)), lambda: g @ g.conj().T):
         return basis[:0]
+    return _cut(basis, g, rtol, scale)
+
+
+def _cut(basis: np.ndarray, g: np.ndarray, rtol: float, scale: float) -> np.ndarray:
+    """The directions of the span of a tau-orthonormal stack whose
+    out-of-span rows g have singular values within rtol * max(s_max, scale,
+    1), or the stack itself when all do.  The cut reads only the left
+    factor: with g^H = Q R, g = R^H Q^H has the left singular vectors and
+    singular values of the m x m R^H, and Q is never formed."""
     r = np.linalg.qr(g.conj().T, mode="r")
     u, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
     keep = sing <= rtol * max(float(sing[0]), scale, 1.0)
     if keep.all():
         return basis
-    return hs.unflatten(u[:, keep].conj().T @ hs.flatten(basis), dim)
+    return hs.unflatten(u[:, keep].conj().T @ hs.flatten(basis), basis.shape[-1])
 
 
-def _nothing_kept(g: np.ndarray, fro: float, bound: float, unit: np.ndarray) -> bool:
-    """True only when the smallest singular value of the m x k rows g exceeds
-    bound, proved by a Cholesky of the shifted Gram (see _descend_round);
-    unit holds the coordinates of the identity's projection onto the span.
-    Rows that are not finite prove nothing: a Cholesky passes NaN through."""
-    m, k = g.shape
-    delta = bound * bound + 4 * (np.finfo(float).eps / 2) * (k + m * m) * fro * fro
+def _nothing_kept(k: int, bound: float, weight: float, unit: np.ndarray, unit_image: float, gram) -> bool:
+    """True only when the smallest singular value of m x k rows g exceeds
+    bound, proved by a Cholesky of the shifted Gram (see _descend_round).
+    unit holds the coordinates of the identity's projection onto the span
+    and unit_image the norm of its image row; gram() forms g g^H, and
+    weight >= |g|_F^2 bounds the rounding of its entries (|g|_F^2 itself for
+    g g^H formed from the rows).  Rows that are not finite prove nothing: a
+    Cholesky passes NaN through."""
+    m = unit.shape[0]
+    delta = bound * bound + 4 * (np.finfo(float).eps / 2) * (k + m * m) * weight
     unit_norm = float(np.linalg.norm(unit))
     if m > k or not np.isfinite(delta):
         return False
-    if unit_norm > 0.0 and np.linalg.norm(unit @ g) ** 2 <= delta * unit_norm ** 2:
+    if unit_norm > 0.0 and unit_image ** 2 <= delta * unit_norm ** 2:
         return False
-    gram = g @ g.conj().T
-    gram[np.diag_indices(m)] -= delta
+    shifted = gram()
+    shifted[np.diag_indices(m)] -= delta
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# --- whole region algebras in their unit frame ---------------------------------
+
+@dataclass(frozen=True)
+class _UnitFrame:
+    """The whole algebra A_I of a region in its unit frame, W^* A_I W =
+    M_d x 1 with d = 2^k and W the region's signed permutation (W = 1 for
+    every site, the whole space).  A matrix x is read as x~ = W^* x W,
+    indexed ((r, j), (r', j')) with r < d in the region factor and j < e =
+    2^(n-k) in the complement; its e x e block (r, r') is x~[(r, .), (r', .)].
+    The scaled units sqrt(d) E_rs x 1, unit r d + s, are a tau-orthonormal
+    basis of A_I, and a product with a unit is a scatter of x~'s columns or
+    rows: what the stack route reads from (4^k, D, D) sandwiches and
+    commutators is read here from blocks, with no product of two D x D
+    matrices per unit."""
+
+    family: MatrixUnitFamily
+
+    @property
+    def d(self) -> int:
+        return self.family.small_dim
+
+    def frame(self, x: np.ndarray) -> np.ndarray:
+        """W^* x W: x~[a, b] = sign[a] sign[b] x[perm[a], perm[b]]."""
+        perm, sign = self.family.perm, self.family.sign
+        return x[np.ix_(perm, perm)] * np.outer(sign, sign)
+
+    def _blocks(self, xt: np.ndarray) -> np.ndarray:
+        """x~ as [r, j, r', j']."""
+        d, dim = self.d, xt.shape[-1]
+        return xt.reshape(d, dim // d, d, dim // d)
+
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """(x - E_I(x))~: x~ less the mean of its diagonal complement entries,
+        Tr_e(x~) / e x 1, the part of x~ outside the factor."""
+        xt = self.frame(x)
+        blocks = self._blocks(xt)
+        e = blocks.shape[1]
+        diag = np.arange(e)
+        blocks[:, diag, :, diag] -= np.trace(blocks, axis1=1, axis2=3) / e
+        return xt
+
+    def images(self, lt: np.ndarray, rt: np.ndarray) -> np.ndarray:
+        """(d^2, D, D) stack of sqrt(d) (P_rs - Q_rs), P_rs = lt (E_rs x 1) and
+        Q_rs = (E_rs x 1) rt: column (s, j) of P_rs is column (r, j) of lt,
+        row (r, j) of Q_rs is row (s, j) of rt, and the rest is zero."""
+        d, dim = self.d, lt.shape[-1]
+        e, diag = dim // d, np.arange(d)
+        out = np.zeros((d, d, dim, d, e), dtype=complex)          # [r, s, x, s', j]
+        out[:, diag, :, diag, :] = np.sqrt(d) * lt.reshape(dim, d, e).transpose(1, 0, 2)
+        rows = out.reshape(d, d, d, e, dim)                         # [r, s, r', j, y]
+        rows[diag, :, diag] -= np.sqrt(d) * rt.reshape(d, e, dim)
+        return out.reshape(d * d, dim, dim)
+
+    def row_norms(self, lt: np.ndarray, rt: np.ndarray) -> tuple[np.ndarray, float]:
+        """Squared tau-norms of the d^2 images (flattened [r, s]) and the
+        weight d / D sum_rs (|P_rs| + |Q_rs|)^2 >= their sum, from block
+        norms.  P_rs and Q_rs meet only on block (r, s), where they read lt's
+        block (r, r) and rt's block (s, s); elsewhere P_rs holds lt's blocks
+        (r', r) and Q_rs rt's blocks (s, s'), r' != r and s' != s.  So every
+        norm is a sum of nonnegative terms, with no cancellation."""
+        d, dim = self.d, lt.shape[-1]
+        lb, rb = self._blocks(lt), self._blocks(rt)
+        lnorm, rnorm = (np.sum(np.abs(b) ** 2, axis=(1, 3)) for b in (lb, rb))
+        diag = np.arange(d)
+        lcol, rrow = lnorm.sum(axis=0), rnorm.sum(axis=1)
+        lnorm[diag, diag] = rnorm[diag, diag] = 0.0
+        meet = np.sum(np.abs(lb[diag, :, diag][:, None] - rb[diag, :, diag][None, :]) ** 2, axis=(2, 3))
+        norms = (lnorm.sum(axis=0)[:, None] + rnorm.sum(axis=1)[None, :] + meet) * (d / dim)
+        weight = np.sum((np.sqrt(lcol)[:, None] + np.sqrt(rrow)[None, :]) ** 2) * (d / dim)
+        return norms.ravel(), float(weight)
+
+    def gram(self, lt: np.ndarray, rt: np.ndarray) -> np.ndarray:
+        """Gram g g^H of the images' rows g = flatten(images) / sqrt(D), from
+        blocks: with A = Tr_e(lt^* lt), B = Tr_e(rt rt^*) and
+        X[(r, s), (r', s')] = Tr(P_{r's'}^* Q_rs), a product of inner size e^2,
+
+          g g^H = (d / D) [A^T x 1 + 1 x B - X - X^H].
+
+        Each entry is a sum of products whose moduli add up to at most
+        (|P_rs| + |Q_rs|)(|P_r's'| + |Q_r's'|), so row_norms' weight bounds
+        its rounding in _nothing_kept."""
+        d, dim = self.d, lt.shape[-1]
+        e, diag = dim // d, np.arange(d)
+        cols, rows = lt.reshape(dim, d, e), rt.reshape(d, e, dim)
+        # lt~[(r, i), (r', j)] against rt~[(s, i), (s', j)], summed over i, j
+        left = self._blocks(lt).transpose(0, 2, 1, 3).reshape(d * d, e * e)
+        right = self._blocks(rt).transpose(0, 2, 1, 3).reshape(d * d, e * e)
+        x = (left.conj() @ right.T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        gram = -(x + x.conj().T)
+        blocks = gram.reshape(d, d, d, d)                           # [r, s, r', s']
+        blocks[:, diag, :, diag] += np.einsum("xaj,xbj->ba", cols.conj(), cols)
+        blocks[diag, :, diag, :] += np.einsum("ajy,bjy->ab", rows, rows.conj())
+        return gram * (d / dim)
+
+    def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *, scale: float = 1.0) -> tuple[int, float]:
+        """invariant_subspace over A_I, as (dimension of V, tau-norm of the
+        identity minus its projection onto V).  Round 0 runs on the units,
+        decided as _descend_round decides it: its out-of-span images are the
+        frame images of L' and R', the parts of L and R outside the factor
+        (E_I is the bimodule map of invariant_subspace), their norms and
+        Gram come from blocks, and only the singular-value cut forms them.
+        The identity's image row is (L' - R')~.  Kept directions are mapped
+        back through W, and later rounds run there as
+        invariant_subspace_under does."""
+        d, dim = self.d, left.shape[-1]
+        lt, rt = self.outside(left), self.outside(right)
+        units = np.sqrt(d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        norms, weight = self.row_norms(lt, rt)
+        fro = float(np.sqrt(norms.sum()))
+        if fro <= RANK_RTOL * max(scale, 1.0):
+            kept = units
+        elif _nothing_kept(dim * dim, RANK_RTOL * max(fro, scale, 1.0), weight, np.eye(d).ravel() / np.sqrt(d),
+                           hs.hs_norm(lt - rt), lambda: self.gram(lt, rt)):
+            kept = units[:0]
+        else:
+            kept = _cut(units, hs.flatten(self.images(lt, rt)) / np.sqrt(dim), RANK_RTOL, scale)
+        if kept is units or kept.shape[0] == 0:
+            return kept.shape[0], _identity_residual(kept, d)
+        stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
+                                          self.family.iso_from_small(kept), scale=scale)
+        return stable.shape[0], _identity_residual(stable, dim)
+
+    def worst_commutator(self, x: np.ndarray) -> float:
+        """_worst_commutator against the scaled units: the largest image
+        norm of x~ against itself, [x, sqrt(d) e_rs] in the frame."""
+        xt = self.frame(x)
+        return float(np.sqrt(self.row_norms(xt, xt)[0].max()))
+
+
+def _unit_frame(s: SubalgebraBasis) -> _UnitFrame | None:
+    """The unit frame of the region algebra s spans: s fills its region's
+    factor and leaks out of it by at most TOL_MEMBER.  None otherwise, and
+    off 2^n x 2^n matrices."""
+    dim = s.dim_ambient
+    n = dim.bit_length() - 1
+    if dim != 2 ** n or not 1 <= n <= MAX_SITES or not _fills_factor(s.small) or s.leak.max(initial=0.0) > TOL_MEMBER:
+        return None
+    return _UnitFrame(_family(dim, tuple(range(n)) if s.region is None else s.region))
 
 
 def _closure_pairs(m: int, max_pairs: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:

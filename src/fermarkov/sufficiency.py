@@ -38,6 +38,37 @@ is_sufficient decomposes each of rho_phi, rho_psi and their restrictions
 rho_phi0, rho_psi0 once and reads every certificate from those four
 spectra.
 
+When s spans a whole region algebra A_I (subalgebra._unit_frame: its small
+picture fills the 2^k x 2^k factor and it leaks by at most TOL_MEMBER; the
+whole space is I = every site), the three steps that read the (4^k, D, D)
+basis run in the unit frame W^* A_I W = M_d x 1, d = 2^k, e = 2^(n-k), on
+the scaled units b_rs = sqrt(d) W (E_rs x 1) W^*.  Each certificate is
+basis-free (a Frobenius norm of a map, or a subspace), so any
+tau-orthonormal basis of A_I gives it; the witness's worst commutator over
+the units bounds [d, z] for tau-unit z in A_I as it does over any basis.
+
+  - Recovery-map residual: with X = G W, G b_rs G^* = sqrt(d) sum_c
+    X[:, (r, c)] X[:, (s, c)]^*, so a state's whole sandwich stack is
+    sqrt(d) M M^H for the (d D x e) reshape M of X: one product of inner
+    size e in place of 4^k sandwiches.
+  - Round 0 of the cocycle certificate and of factor_through's flow check:
+    the images sqrt(d) (L~' (E_rs x 1) - (E_rs x 1) R~') are scatters of
+    the columns of L~' and rows of R~', the frame pictures of L and R less
+    their conditional expectations.  Their norms come from e x e blocks, and
+    the Cholesky certificate's Gram from (d / D) [A^T x 1 + 1 x B - X - X^H]
+    with A = Tr_e L~'^* L~', B = Tr_e R~' R~'^* and X one product of inner
+    size e^2, in place of g g^H over 4^k rows of length 4^n.  Its entries
+    are sums over the two parts P_rs and Q_rs of each image, so the rounding
+    term of delta takes sum_rs (|P_rs| + |Q_rs|)^2 in place of |g|_F^2, a
+    larger bound: the certificate stays sound.  A round it cannot decide
+    goes to the same singular-value cut on the explicit images, and kept
+    directions go back through W into invariant_subspace_under.
+  - The witness's commutator check: the same block norms with
+    L = R = W^* d W.
+
+rho0 = s.project(rho) still reads the basis, so d and every entropy are
+those of the stack route; every other subalgebra takes the stack route.
+
 factor_through needs no second run of the certificates when its common
 factor d = rho_phi0^{-1} rho_phi is an exact witness: positive, inside the
 relative commutant and reconstructing both densities, d implies all three
@@ -61,7 +92,15 @@ from . import hs
 from .entropy import TOL_EQUALITY, StateDensity, _rel_entropy_of
 from .errors import FlowUnstable, InvariantViolation, NotSufficient, SingularRestriction
 from .spectral import EPS_FAITHFUL, SpectralDecomposition, eig_hermitian, mat_log
-from .subalgebra import RANK_RTOL, TOL_MEMBER, SubalgebraBasis, _worst_commutator, invariant_subspace
+from .subalgebra import (
+    RANK_RTOL,
+    TOL_MEMBER,
+    SubalgebraBasis,
+    _unit_frame,
+    _UnitFrame,
+    _worst_commutator,
+    invariant_subspace,
+)
 
 TOL_CHANNEL = 1e-9       # unitality / state-preservation residual
 TOL_PETZ_EQ = 1e-8       # superoperator distance accepted as "equal maps"
@@ -184,6 +223,23 @@ def _petz_residual(g_phi: np.ndarray, g_psi: np.ndarray, s: SubalgebraBasis) -> 
     return float((np.linalg.norm(diff) / root_dim) / max(1.0, np.linalg.norm(image_psi) / root_dim))
 
 
+def _frame_petz_residual(g_phi: np.ndarray, g_psi: np.ndarray, frame: _UnitFrame) -> float:
+    """_petz_residual over a whole region algebra, from its units: with
+    X = G W, G b_rs G^* = sqrt(d) sum_j X[:, (r, j)] X[:, (s, j)]^*, so the
+    whole sandwich stack of a state is sqrt(d) M M^H for the (d D x e)
+    reshape M of X.  The difference of the two stacks is one product of
+    inner size 2e, [M_phi M_psi] [M_phi -M_psi]^H, in place of 2 d^2
+    sandwiches, and |M M^H|_F = |M^H M|_F needs no product of that size."""
+    family, d, dim = frame.family, frame.d, g_phi.shape[-1]
+    m_phi, m_psi = (
+        (g[:, family.perm] * family.sign).reshape(dim, d, -1).transpose(1, 0, 2).reshape(d * dim, -1)
+        for g in (g_phi, g_psi)
+    )
+    diff = np.hstack([m_phi, m_psi]) @ np.hstack([m_phi, -m_psi]).conj().T
+    scale = np.sqrt(d / dim)
+    return float(scale * np.linalg.norm(diff) / max(1.0, scale * np.linalg.norm(m_psi.conj().T @ m_psi)))
+
+
 @dataclass(frozen=True)
 class SufficiencyReport:
     """Verdicts and residuals of the three equivalent sufficiency conditions."""
@@ -219,7 +275,18 @@ def _cocycle_orbit_residual(
     stable where a direct power orbit would amplify roundoff.
     """
     scale = max(1.0, float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2)))
-    return float(invariant_subspace(log_phi, log_psi, s.basis, scale=scale)[1])
+    return float(_invariant_in(s, log_phi, log_psi, scale)[1])
+
+
+def _invariant_in(s: SubalgebraBasis, left: np.ndarray, right: np.ndarray, scale: float) -> tuple[int, float]:
+    """Dimension of the largest subspace of s invariant under z -> L z - z R,
+    and the identity's residual against it: in the unit frame when s spans a
+    whole region algebra, on the basis stack otherwise."""
+    frame = _unit_frame(s)
+    if frame is not None:
+        return frame.invariant_subspace(left, right, scale=scale)
+    stable, residual = invariant_subspace(left, right, s.basis, scale=scale)
+    return stable.shape[0], residual
 
 
 def is_sufficient(
@@ -245,7 +312,9 @@ def is_sufficient(
       ||P_phi - P_psi||_F^2 = sum_b ||G_phi b G_phi^* - G_psi b G_psi^*||_F^2 / D
 
     over the tau-orthonormal basis b of s (||P_psi||_F likewise, without the
-    G_phi term): one D x D product and one (m, D, D) sandwich per state.
+    G_phi term): one D x D product and one (m, D, D) sandwich per state, or,
+    when s spans a whole region algebra, one product of inner size 2e in its
+    unit frame (see the module docstring).
     """
     phi.require_faithful("first state")
     psi.require_faithful("second state")
@@ -263,7 +332,9 @@ def is_sufficient(
 
     log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
     orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s)
-    petz_res = _petz_residual(_petz_root(dec_phi, dec_phi0, s), _petz_root(dec_psi, dec_psi0, s), s)
+    roots = _petz_root(dec_phi, dec_phi0, s), _petz_root(dec_psi, dec_psi0, s)
+    frame = _unit_frame(s)
+    petz_res = _petz_residual(*roots, s) if frame is None else _frame_petz_residual(*roots, frame)
 
     return SufficiencyReport(
         rel_entropy_full=float(s_full),
@@ -294,7 +365,8 @@ def factor_through(
     commutant S'.
 
     The candidate d = rho_phi0^{-1} rho_phi is checked first: self-adjoint,
-    positive, commuting with every basis element of S, and reconstructing
+    positive, commuting with every basis element of S (every scaled unit, for
+    a whole region algebra), and reconstructing
     both densities within TOL_RECON.  An exact witness is its own certificate
     of sufficiency (Jencova-Petz, CMP 263 (2006)): with d in S' positive,
     rho_phi = rho_phi0 d and rho_psi = rho_psi0 d give
@@ -325,11 +397,9 @@ def factor_through(
     re-raises the failed check's InvariantViolation if not.
     """
     h = mat_log(psi.rho)
-    stable, _ = invariant_subspace(h, h, s.basis, scale=float(np.linalg.norm(h, 2)))
-    if stable.shape[0] < s.size:
-        raise FlowUnstable(
-            f"subalgebra not stable under the reference flow: {stable.shape[0]} < {s.size}"
-        )
+    stable, _ = _invariant_in(s, h, h, float(np.linalg.norm(h, 2)))
+    if stable < s.size:
+        raise FlowUnstable(f"subalgebra not stable under the reference flow: {stable} < {s.size}")
     phi.require_faithful("first state")
     psi.require_faithful("second state")
     try:
@@ -370,7 +440,8 @@ def _certified_factor(
         raise InvariantViolation(f"factor has negative eigenvalue {min_eig:.3e}")
 
     # the relative commutant by its defining property: [d, b] = 0 for every b
-    res = _worst_commutator(d, s.basis)
+    frame = _unit_frame(s)
+    res = _worst_commutator(d, s.basis) if frame is None else frame.worst_commutator(d)
     if res > tol_member * (1.0 + hs.hs_norm(d)):
         raise InvariantViolation(f"factor outside the relative commutant: residual {res:.3e}")
 

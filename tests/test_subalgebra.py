@@ -568,7 +568,7 @@ def test_regions_are_carried_by_construction(certified):
     assert spans["C"].region == spans["join"].region == regions.AB
     assert spans["B"].region == spans["B~"].region == regions.B
     assert spans["C~"].region == regions.BC
-    assert subalgebra_from_matrices([state.alg.identity()]).region is None
+    assert subalgebra_from_matrices([state.alg.identity()]).region == ()
     assert region_subalgebra(state.alg, state.alg.sites).region is None
 
 
