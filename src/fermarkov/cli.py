@@ -186,11 +186,15 @@ def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0
     for _ in range(4):
         size = rng.integers(0, n + 1)
         region = tuple(sorted(rng.permutation(sites)[:size]))
+        # v is diagonal: v v^* and v a v entrywise, plus its largest entry off the diagonal
         v = parity_unitary(alg, region)
-        worst = max(worst, float(np.max(np.abs(v @ v.conj().T - eye))))
+        diag = np.diag(v)
+        off = float(np.max(np.abs(v - np.diag(diag))))
+        worst = max(worst, off + float(np.max(np.abs(diag * diag.conj() - 1))))
         for i in range(n):
             sign = -1.0 if i in region else 1.0
-            worst = max(worst, float(np.max(np.abs(v @ alg.annihilators[i] @ v - sign * alg.annihilators[i]))))
+            a = alg.annihilators[i]
+            worst = max(worst, off + float(np.max(np.abs(diag[:, None] * a * diag[None, :] - sign * a))))
     out["parity_conjugation"] = worst
 
     region = tuple(sorted(rng.permutation(sites)[: min(2, n)]))

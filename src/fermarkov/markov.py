@@ -11,8 +11,9 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
         B = the same inside A_B,
     decided algebraically by descending invariant-subspace iterations.  C is
     held as the graded pair C = A_A^+ W+ (+) A_A^- W- (``FlowStablePair``):
-    W+ = B and W- are subspaces of A_B, each solved in the 2^|BC| factor of
-    A_BC, so nothing of size 4^|AB| or D x D is built unless read;
+    W+ = B and W- are subspaces of A_B, each decided in A_B's unit frame in
+    the 2^|BC| factor of A_BC and held in B's own 2^|B| factor, and every
+    subalgebra built from them scatters to D x D only when its basis is read;
   - the Markov verdict: saturation together with every A-site generator lying
     in C, which holds exactly when 1 lies in W- (always for even states);
   - the commuting factorization rho = x y with x the density of the restricted
@@ -42,7 +43,6 @@ from .car import (
     matrix_units,
     parity_automorphism,
     parity_unitary,
-    region_orthobasis,
 )
 from .entropy import TOL_EQUALITY, SsaReport, StateDensity, _ssa_report
 from .errors import (
@@ -57,13 +57,13 @@ from .spectral import EPS_FAITHFUL, mat_log
 from .subalgebra import (
     TOL_MEMBER,
     SubalgebraBasis,
+    _UnitFrame,
     _adjoint_residual,
     _from_small,
     _product_residual,
     _require_closed,
     _small,
     commutant,
-    invariant_subspace,
     is_projection_family,
     membership,
     minimal_central_projections,
@@ -159,26 +159,25 @@ def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ..
 
 def flow_stable_pair(rho_bc: np.ndarray, alg: CarAlgebra, regions: RegionPartition) -> FlowStablePair:
     """W+ and W- of h = log E_BC(rho), solved in A_BC's 2^|BC| factor, where
-    A_B is the region of B's positions in a |BC|-site lattice.  Each W is
-    certified invariant under its own flow e^{it theta^p(h)} . e^{-ith} for
-    all t by its iteration's last round, and C's closure is certified there
-    in graded form (NotAnAlgebra otherwise), (a w)(a' w') = a a' theta^p'(w) w'
-    and (a w)^* = a^* theta^p(w^*) for a, a' of parities p, p', which B's
-    closure (W+ W+ and W+^* in W+) is part of.
-    A relation into a W that is all of A_B, 4^|B| tau-orthonormal elements,
-    holds for any factors by dimension and is read as residual 0 with no
-    product formed (``_product_residual``); the relations into a proper W
-    keep their sampled products.
+    A_B is the whole algebra of B's positions in a |BC|-site lattice: each
+    is decided in A_B's unit frame (``_UnitFrame.invariant_subspace``), which
+    returns it in B's 2^|B| factor and forms no (4^|B|, 2^|BC|, 2^|BC|) stack
+    unless round 0 keeps part of A_B.  Each W is certified invariant under
+    its own flow e^{it theta^p(h)} . e^{-ith} for all t by its iteration's
+    last round, and C's closure is certified there in graded form
+    (NotAnAlgebra otherwise), (a w)(a' w') = a a' theta^p'(w) w' and
+    (a w)^* = a^* theta^p(w^*) for a, a' of parities p, p', which B's
+    closure (W+ W+ and W+^* in W+) is part of.  A relation into a W that is
+    all of A_B holds for any factors by dimension and reads 0 with no
+    product formed (``_product_residual``).
     """
-    bc, b_sites = regions.BC, _positions(regions.B, regions.BC)
+    bc = regions.BC
     lattice = build_algebra(len(bc))
     h = _small(alg.dim, bc, mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / alg.dim))
-    theta_h = parity_automorphism(lattice, h)
-    ambient = region_orthobasis(lattice, b_sites)
+    frame = _UnitFrame(matrix_units(lattice, _positions(regions.B, bc)))
     scale = float(np.linalg.norm(h, 2))
-    plus, _ = invariant_subspace(h, h, ambient, scale=scale)
-    minus, identity_residual = invariant_subspace(theta_h, h, ambient, scale=scale)
-    plus, minus = (_small(lattice.dim, b_sites, w) for w in (plus, minus))
+    plus, _ = frame.invariant_subspace(h, h, scale=scale)
+    minus, identity_residual = frame.invariant_subspace(parity_automorphism(lattice, h), h, scale=scale)
     b_lattice = build_algebra(len(regions.B))
     t_plus, t_minus = (parity_automorphism(b_lattice, w) for w in (plus, minus))
     products = max(
@@ -459,12 +458,18 @@ class Analysis:
     def _lemma_algebras(self) -> _LemmaAlgebras:
         alg, regions = self.state.alg, self.regions
         b_tilde = commutant(self.b_basis, ambient=region_subalgebra(alg, regions.B))
-        # A_C's units are homogeneous: the odd ones, times v_B, commute with A_B
-        c_units = matrix_units(alg, regions.C)
+        # C~ is built in A_BC's factor, a |BC|-site lattice: B~ scattered from
+        # B's factor, and A_C's units, which are homogeneous: the odd ones,
+        # times v_B, commute with A_B
+        bc = regions.BC
+        lattice = build_algebra(len(bc))
+        b_sites = _positions(regions.B, bc)
+        c_units = matrix_units(lattice, _positions(regions.C, bc))
         right = c_units.orthobasis()
         odd = c_units.parity == -1
-        right[odd] = parity_unitary(alg, regions.B) @ right[odd]
-        return _LemmaAlgebras(b_tilde, product_algebra(b_tilde.basis, right, regions.BC))
+        right[odd] = parity_unitary(lattice, b_sites) @ right[odd]
+        c_tilde = product_algebra(matrix_units(lattice, b_sites).iso_from_small(b_tilde.small), right)
+        return _LemmaAlgebras(b_tilde, _from_small(alg.dim, bc, c_tilde.small, True))
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:

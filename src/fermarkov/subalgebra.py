@@ -3,33 +3,30 @@
 """*-subalgebras of a D x D matrix space: commutants, centers, central
 projections, products and flow-invariant subalgebras.
 
-A subalgebra is a tau-orthonormal basis stack plus the region that holds it.
-The region is None for the whole matrix space, of any size D; on the 2^n x 2^n
-matrices of a CAR lattice it may be a proper site set I instead.  Its algebra
-A_I is the tensor factor M_{2^k} x 1 up to the signed permutation W of the
-region (``car.matrix_units``), a *-isomorphism that keeps tau-norms, so every
+A subalgebra is a tau-orthonormal basis plus the region that holds it: None
+for the whole matrix space, of any size D, or on the 2^n x 2^n matrices of a
+CAR lattice a proper site set I.  Its algebra A_I is the tensor factor
+M_{2^k} x 1 up to the signed permutation W of the region
+(``car.matrix_units``), a *-isomorphism that keeps tau-norms, so every
 certificate of a subalgebra of A_I runs on its (m, 2^k, 2^k) small picture,
-tr_{2^(n-k)}(W^* b W) / 2^(n-k), instead of on D x D matrices: the closure
-check, the products of ``product_algebra``, span identities and commutants
-inside an ambient.  Each certificate also bounds the leak, the tau-norm of
-what lies outside A_I: the parts of a matrix inside and outside A_I are
-orthogonal, so a residual in the small picture and the leak add in quadrature
-to the residual of the full matrices.  The whole space is the case W = 1: its
-small picture is the basis itself and nothing leaks, so the same code runs
-with no gather.  The region is a fact carried by construction: region
-algebras set it, invariant subalgebras and commutants inherit it from their
-ambient, products get the union of their factors' regions, and
-subalgebra_from_matrices holds its span in the smallest region that contains
-it (site j drops out when the span leaks out of A_{[n] minus j} by at most
-TOL_MEMBER, and A_I n A_J = A_{I n J} makes the intersection exact); off
-2^n x 2^n matrices everything is held by the whole space.
+tr_{2^(n-k)}(W^* b W) / 2^(n-k): the closure check, the products of
+``product_algebra``, span identities and commutants inside an ambient.  Each
+also bounds the leak, the tau-norm of what lies outside A_I, which adds in
+quadrature to a small-picture residual.  The whole space is the case W = 1,
+with no gather.  Region algebras set the region, invariant subalgebras and
+commutants inherit it from their ambient, products take the union of their
+factors' regions, and subalgebra_from_matrices holds its span in the smallest
+region that contains it (site j drops out when the span leaks out of
+A_{[n] minus j} by at most TOL_MEMBER; A_I n A_J = A_{I n J}).  A subalgebra
+built from its small picture holds only that picture: its (m, D, D) basis is
+a scatter made when first read.
 
-A subalgebra that spans a whole region algebra A_I (its small picture fills
-the factor and it leaks by at most TOL_MEMBER) has a unit frame,
-W^* A_I W = M_d x 1, where a product with a scaled unit sqrt(d) E_rs x 1 is a
-scatter of columns or rows (_UnitFrame): the first round of an invariant
-subspace, its Gram certificate and the commutators with the basis are read
-there from e x e blocks, with no (4^k, D, D) stack of products.
+A whole region algebra A_I has a unit frame, W^* A_I W = M_d x 1, where a
+product with a scaled unit sqrt(d) E_rs x 1 is a scatter of columns or rows
+(_UnitFrame): the first round of an invariant subspace, its Gram
+certificate and the commutators with the units are read there from e x e
+blocks, with no (4^k, D, D) stack of products.  It decides the flow-stable
+pair's W+ and W- in A_B and sufficiency of a subalgebra that spans A_I.
 
 Commutants and centers (the commutant of s inside s) take one random draw:
 s' lies in {h}', the block-diagonal algebra over the eigenspaces of any h in
@@ -48,7 +45,7 @@ direction's out-of-span image is within the singular-value cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -70,7 +67,6 @@ _CLOSURE_SAMPLES = 400  # products (and adjoints) a closure check draws at most
 _PROJECTION_TOL = 1e-9  # entrywise defect accepted in a projection family
 
 
-@dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
     """A *-subalgebra of the D x D matrices: a tau-orthonormal basis stack and
     the region that holds it, None for the whole matrix space.  A proper
@@ -79,31 +75,33 @@ class SubalgebraBasis:
 
     ``small`` is the basis in the region's 2^k x 2^k tensor factor (the basis
     itself for the whole space) and ``leak`` the tau-norm of each basis
-    element outside the region algebra, both computed on first read.
+    element outside the region algebra, gathered on first read.  One built
+    by ``_from_small`` holds only its small picture, with no leak, and
+    ``basis`` is its scatter W (small x 1) W^*, made on first read.
     """
 
-    dim_ambient: int
-    basis: np.ndarray            # (size, D, D)
-    contains_identity: bool
-    parity_stable: bool | None = field(default=None)
-    region: tuple[int, ...] | None = None
-    # the small picture the basis was scattered from, when known: nothing leaks
-    _scattered_from: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    def __init__(self, dim_ambient: int, basis: np.ndarray, contains_identity: bool,
+                 parity_stable: bool | None = None, region: Iterable[int] | None = None):
+        self.dim_ambient = dim_ambient
+        self.basis = basis                  # (size, D, D), in place of the scatter below
+        self.contains_identity = contains_identity
+        self.parity_stable = parity_stable
+        self.region = _normal_region(dim_ambient, region)
 
-    def __post_init__(self):
-        object.__setattr__(self, "region", _normal_region(self.dim_ambient, self.region))
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self.small if self.region is None else _family(self.dim_ambient, self.region).iso_from_small(self.small)
 
     @property
     def size(self) -> int:
-        return self.basis.shape[0]
+        held = vars(self).get("basis")
+        return (self.small if held is None else held).shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return hs.project(self.basis, x)
 
     @cached_property
     def _picture(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.region is not None and self._scattered_from is not None:
-            return self._scattered_from, np.zeros(self.size)
         return _gather(self.dim_ambient, self.region, self.basis)
 
     @property
@@ -164,12 +162,14 @@ def _picture_in(s: SubalgebraBasis, region: tuple[int, ...] | None) -> tuple[np.
     return (s.small, s.leak) if region == s.region else _gather(s.dim_ambient, region, s.basis)
 
 
-def _from_small(dim: int, region: tuple[int, ...] | None, small: np.ndarray,
-                contains_identity: bool) -> SubalgebraBasis:
-    """The subalgebra of a region with the given small picture: its basis is
-    the scatter W (small x 1) W^*, so nothing of it leaks."""
-    basis = small if region is None else _family(dim, region).iso_from_small(small)
-    return SubalgebraBasis(dim, basis, contains_identity, None, region, _scattered_from=small)
+def _from_small(dim: int, region: Iterable[int] | None, small: np.ndarray, contains_identity: bool,
+                parity_stable: bool | None = None) -> SubalgebraBasis:
+    """The subalgebra of a region held by its small picture alone, set as
+    its cached picture with no leak."""
+    s = SubalgebraBasis.__new__(SubalgebraBasis)
+    vars(s).update(dim_ambient=dim, contains_identity=contains_identity, parity_stable=parity_stable,
+                   region=_normal_region(dim, region), _picture=(small, np.zeros(small.shape[0])))
+    return s
 
 
 def _require_inside(leak: np.ndarray, bound, region: tuple[int, ...] | None, what: str) -> None:
@@ -190,7 +190,7 @@ def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis
     family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
     d = family.small_dim
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * np.sqrt(d)
-    return SubalgebraBasis(alg.dim, family.orthobasis(), True, True, family.region, _scattered_from=units)
+    return _from_small(alg.dim, family.region, units, True, True)
 
 
 def subalgebra_from_matrices(
@@ -532,9 +532,10 @@ def invariant_subspace(
     L' = L - E(L) and R' = R - E(R): two single-matrix projections in place of
     projecting the whole image stack.  Later rounds run on spans that are no
     longer algebras and project as invariant_subspace_under does; every round
-    is decided by _descend_round, whose certificate and cut are described
-    there.  On a span that is not a *-algebra round 0 drops the wrong
-    directions: use invariant_subspace_under.
+    is decided by _decide, whose certificate and cut are described there.
+    On a span that is not a *-algebra round 0 drops the wrong directions:
+    use invariant_subspace_under.  A whole region algebra's round 0 is read
+    in its unit frame instead (_UnitFrame.invariant_subspace).
     """
     l_out = left - hs.project(ambient_basis, left)
     r_out = right - hs.project(ambient_basis, right)
@@ -568,18 +569,33 @@ def invariant_subspace_under(
 
 
 def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float) -> np.ndarray:
-    """One round of the descending iteration: the directions of the span of a
-    tau-orthonormal stack whose images' out-of-span parts, out, stay within
-    the cut, or the stack itself when every direction does.
+    """One round of the descending iteration on the explicit out-of-span
+    parts, out, of the images of a tau-orthonormal stack: _decide on their
+    rows g, with |g|_F^2 as the rounding weight of g g^H."""
+    g = hs.flatten(out) / np.sqrt(basis.shape[-1])
+    fro = float(np.linalg.norm(g))
+    return _decide(basis, fro, fro * fro, g.shape[1], lambda unit: float(np.linalg.norm(unit @ g)),
+                   lambda: g @ g.conj().T, lambda: g, rtol, scale)
+
+
+def _decide(basis: np.ndarray, fro: float, weight: float, k: int, unit_image, gram, rows,
+            rtol: float, scale: float) -> np.ndarray:
+    """The decision of every round of the descending iteration: the
+    directions of the span of a tau-orthonormal stack whose images'
+    out-of-span rows g (m x k) stay within the cut, or the stack itself when
+    every direction does.  fro is |g|_F, weight >= |g|_F^2 bounds the
+    rounding of gram() = g g^H, unit_image(a) is |a^T g| for the
+    coordinates a of the identity's projection onto the span, and rows()
+    forms g, which only the cut reads.
 
     A direction is dropped when its image leaves the span by more than
-    rtol * max(s_max, scale, 1), where the s are the singular values of the
-    m x k out-of-span image rows g.  Two decisions need no factorization:
+    rtol * max(s_max, scale, 1), where the s are the singular values of g.
+    Two decisions need no factorization:
 
     - |g|_F <= rtol * max(scale, 1) keeps every row: every singular value is
       at most |g|_F, so none can exceed the cut.
     - A Cholesky of g g^H - delta I proves that nothing is kept, with
-      delta = c^2 + 4 u (k + m^2) |g|_F^2, c = rtol * max(|g|_F, scale, 1)
+      delta = c^2 + 4 u (k + m^2) weight, c = rtol * max(|g|_F, scale, 1)
       and u the unit roundoff: c bounds the cut from above (|g|_F >= s_max),
       and the second term covers the rounding of the Gram and of the
       Cholesky, so success means s_min > c.  The Gram is formed only where
@@ -592,16 +608,12 @@ def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float
     ever proves that nothing is kept; a kept direction is always decided by
     the cut.
     """
-    dim = basis.shape[-1]
-    g = hs.flatten(out) / np.sqrt(dim)
-    fro = float(np.linalg.norm(g))
     if fro <= rtol * max(scale, 1.0):
         return basis
-    unit = np.trace(basis, axis1=1, axis2=2).conj() / dim
-    if _nothing_kept(g.shape[1], rtol * max(fro, scale, 1.0), fro * fro, unit,
-                     float(np.linalg.norm(unit @ g)), lambda: g @ g.conj().T):
+    unit = np.trace(basis, axis1=1, axis2=2).conj() / basis.shape[-1]
+    if _nothing_kept(k, rtol * max(fro, scale, 1.0), weight, unit, unit_image(unit), gram):
         return basis[:0]
-    return _cut(basis, g, rtol, scale)
+    return _cut(basis, rows(), rtol, scale)
 
 
 def _cut(basis: np.ndarray, g: np.ndarray, rtol: float, scale: float) -> np.ndarray:
@@ -620,12 +632,9 @@ def _cut(basis: np.ndarray, g: np.ndarray, rtol: float, scale: float) -> np.ndar
 
 def _nothing_kept(k: int, bound: float, weight: float, unit: np.ndarray, unit_image: float, gram) -> bool:
     """True only when the smallest singular value of m x k rows g exceeds
-    bound, proved by a Cholesky of the shifted Gram (see _descend_round).
-    unit holds the coordinates of the identity's projection onto the span
-    and unit_image the norm of its image row; gram() forms g g^H, and
-    weight >= |g|_F^2 bounds the rounding of its entries (|g|_F^2 itself for
-    g g^H formed from the rows).  Rows that are not finite prove nothing: a
-    Cholesky passes NaN through."""
+    bound, proved by a Cholesky of the shifted Gram; unit_image is the norm
+    of the identity's image row, and the rest are as in _decide.  Rows that
+    are not finite prove nothing: a Cholesky passes NaN through."""
     m = unit.shape[0]
     delta = bound * bound + 4 * (np.finfo(float).eps / 2) * (k + m * m) * weight
     unit_norm = float(np.linalg.norm(unit))
@@ -736,33 +745,31 @@ class _UnitFrame:
         blocks[diag, :, diag, :] += np.einsum("ajy,bjy->ab", rows, rows.conj())
         return gram * (d / dim)
 
-    def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *, scale: float = 1.0) -> tuple[int, float]:
-        """invariant_subspace over A_I, as (dimension of V, tau-norm of the
-        identity minus its projection onto V).  Round 0 runs on the units,
-        decided as _descend_round decides it: its out-of-span images are the
-        frame images of L' and R', the parts of L and R outside the factor
-        (E_I is the bimodule map of invariant_subspace), their norms and
-        Gram come from blocks, and only the singular-value cut forms them.
-        The identity's image row is (L' - R')~.  Kept directions are mapped
-        back through W, and later rounds run there as
-        invariant_subspace_under does."""
+    def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *,
+                           scale: float = 1.0) -> tuple[np.ndarray, float]:
+        """invariant_subspace over A_I: V as a tau-orthonormal (dim V, d, d)
+        stack in the region's small picture, and the tau-norm of the
+        identity minus its projection onto V.  Round 0 runs on the units and
+        is decided by _decide: its out-of-span images are the frame images
+        of L' and R', the parts of L and R outside the factor (E_I is the
+        bimodule map of invariant_subspace), their norms and Gram come from
+        blocks, only the singular-value cut forms them, and the identity's
+        image row is (L' - R')~.  Kept directions are mapped back through W,
+        later rounds run there as invariant_subspace_under does, and what
+        they keep, inside A_I, is gathered back to the small picture."""
         d, dim = self.d, left.shape[-1]
         lt, rt = self.outside(left), self.outside(right)
         units = np.sqrt(d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
         norms, weight = self.row_norms(lt, rt)
-        fro = float(np.sqrt(norms.sum()))
-        if fro <= RANK_RTOL * max(scale, 1.0):
-            kept = units
-        elif _nothing_kept(dim * dim, RANK_RTOL * max(fro, scale, 1.0), weight, np.eye(d).ravel() / np.sqrt(d),
-                           hs.hs_norm(lt - rt), lambda: self.gram(lt, rt)):
-            kept = units[:0]
-        else:
-            kept = _cut(units, hs.flatten(self.images(lt, rt)) / np.sqrt(dim), RANK_RTOL, scale)
-        if kept is units or kept.shape[0] == 0:
-            return kept.shape[0], _identity_residual(kept, d)
-        stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
-                                          self.family.iso_from_small(kept), scale=scale)
-        return stable.shape[0], _identity_residual(stable, dim)
+        root = np.sqrt(dim)
+        kept = _decide(units, float(np.sqrt(norms.sum())), weight, dim * dim, lambda _: hs.hs_norm(lt - rt),
+                       lambda: self.gram(lt, rt), lambda: hs.flatten(self.images(lt / root, rt / root)),
+                       RANK_RTOL, scale)
+        if kept is not units and kept.shape[0]:
+            stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
+                                              self.family.iso_from_small(kept), scale=scale)
+            kept = self.family.trace_pairings(stable) / (dim // d)
+        return kept, _identity_residual(kept, d)
 
     def worst_commutator(self, x: np.ndarray) -> float:
         """_worst_commutator against the scaled units: the largest image

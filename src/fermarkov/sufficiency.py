@@ -38,44 +38,27 @@ is_sufficient decomposes each of rho_phi, rho_psi and their restrictions
 rho_phi0, rho_psi0 once and reads every certificate from those four
 spectra.
 
-When s spans a whole region algebra A_I (subalgebra._unit_frame: its small
-picture fills the 2^k x 2^k factor and it leaks by at most TOL_MEMBER; the
-whole space is I = every site), the three steps that read the (4^k, D, D)
-basis run in the unit frame W^* A_I W = M_d x 1, d = 2^k, e = 2^(n-k), on
-the scaled units b_rs = sqrt(d) W (E_rs x 1) W^*.  Each certificate is
-basis-free (a Frobenius norm of a map, or a subspace), so any
-tau-orthonormal basis of A_I gives it; the witness's worst commutator over
-the units bounds [d, z] for tau-unit z in A_I as it does over any basis.
+When s spans a whole region algebra A_I (subalgebra._unit_frame; the whole
+space is I = every site), the three steps that read the (4^k, D, D) basis run
+in its unit frame W^* A_I W = M_d x 1 (subalgebra._UnitFrame), on the scaled
+units b_rs = sqrt(d) W (E_rs x 1) W^*, d = 2^k, e = 2^(n-k).  Each
+certificate is basis-free (a Frobenius norm of a map, or a subspace), so any
+tau-orthonormal basis of A_I gives it:
 
-  - Recovery-map residual: with X = G W, G b_rs G^* = sqrt(d) sum_c
+  - the recovery-map residual: with X = G W, G b_rs G^* = sqrt(d) sum_c
     X[:, (r, c)] X[:, (s, c)]^*, so a state's whole sandwich stack is
-    sqrt(d) M M^H for the (d D x e) reshape M of X: one product of inner
-    size e in place of 4^k sandwiches.
-  - Round 0 of the cocycle certificate and of factor_through's flow check:
-    the images sqrt(d) (L~' (E_rs x 1) - (E_rs x 1) R~') are scatters of
-    the columns of L~' and rows of R~', the frame pictures of L and R less
-    their conditional expectations.  Their norms come from e x e blocks, and
-    the Cholesky certificate's Gram from (d / D) [A^T x 1 + 1 x B - X - X^H]
-    with A = Tr_e L~'^* L~', B = Tr_e R~' R~'^* and X one product of inner
-    size e^2, in place of g g^H over 4^k rows of length 4^n.  Its entries
-    are sums over the two parts P_rs and Q_rs of each image, so the rounding
-    term of delta takes sum_rs (|P_rs| + |Q_rs|)^2 in place of |g|_F^2, a
-    larger bound: the certificate stays sound.  A round it cannot decide
-    goes to the same singular-value cut on the explicit images, and kept
-    directions go back through W into invariant_subspace_under.
-  - The witness's commutator check: the same block norms with
+    sqrt(d) M M^H for the (d D x e) reshape M of X;
+  - the cocycle certificate and factor_through's flow check, whose round 0
+    reads its images, their norms and their Gram from e x e blocks;
+  - the witness's commutator check, the same block norms with
     L = R = W^* d W.
 
 rho0 = s.project(rho) still reads the basis, so d and every entropy are
 those of the stack route; every other subalgebra takes the stack route.
 
-factor_through needs no second run of the certificates when its common
-factor d = rho_phi0^{-1} rho_phi is an exact witness: positive, inside the
-relative commutant and reconstructing both densities, d implies all three
-(Jencova-Petz, CMP 263 (2006); Hayden-Jozsa-Petz-Winter, CMP 246 (2004)).
-A computed d is only near such a witness, so it is returned unaided only
-while its defects sit far enough below the certificates' gates to imply
-them; otherwise the certificates decide, with the outcome they always gave.
+factor_through returns its common factor d = rho_phi0^{-1} rho_phi unaided
+while d is close enough to an exact witness to imply all three (Jencova-Petz,
+CMP 263 (2006); Hayden-Jozsa-Petz-Winter, CMP 246 (2004); see there).
 
 Channels are stored as dense superoperator matrices in the column-stacking
 convention and nothing else; complete positivity is certified through the
@@ -91,7 +74,7 @@ import numpy as np
 from . import hs
 from .entropy import TOL_EQUALITY, StateDensity, _rel_entropy_of
 from .errors import FlowUnstable, InvariantViolation, NotSufficient, SingularRestriction
-from .spectral import EPS_FAITHFUL, SpectralDecomposition, eig_hermitian, mat_log
+from .spectral import EPS_FAITHFUL, SpectralDecomposition, eig_hermitian
 from .subalgebra import (
     RANK_RTOL,
     TOL_MEMBER,
@@ -264,6 +247,7 @@ def _cocycle_orbit_residual(
     log_phi: np.ndarray,
     log_psi: np.ndarray,
     s: SubalgebraBasis,
+    scale: float | None = None,
 ) -> float:
     """Residual of the identity against the largest subspace of the span kept
     invariant by the mixed derivation z -> Lphi z - z Lpsi.
@@ -272,10 +256,18 @@ def _cocycle_orbit_residual(
     of that derivation applied to the identity, so by analyticity the cocycle
     stays inside the span for every t exactly when the identity lies in this
     invariant subspace.  The descending subspace iteration is numerically
-    stable where a direct power orbit would amplify roundoff.
+    stable where a direct power orbit would amplify roundoff.  Its scale is
+    |Lphi|_2 + |Lpsi|_2, which a caller holding the two spectra passes as
+    the largest |log lambda| of each (_log_radius).
     """
-    scale = max(1.0, float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2)))
-    return float(_invariant_in(s, log_phi, log_psi, scale)[1])
+    if scale is None:
+        scale = float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2))
+    return float(_invariant_in(s, log_phi, log_psi, max(1.0, scale))[1])
+
+
+def _log_radius(dec: SpectralDecomposition) -> float:
+    """|log rho|_2 of a faithful density from its spectrum."""
+    return float(np.abs(np.log(dec.eigenvalues)).max())
 
 
 def _invariant_in(s: SubalgebraBasis, left: np.ndarray, right: np.ndarray, scale: float) -> tuple[int, float]:
@@ -283,9 +275,8 @@ def _invariant_in(s: SubalgebraBasis, left: np.ndarray, right: np.ndarray, scale
     and the identity's residual against it: in the unit frame when s spans a
     whole region algebra, on the basis stack otherwise."""
     frame = _unit_frame(s)
-    if frame is not None:
-        return frame.invariant_subspace(left, right, scale=scale)
-    stable, residual = invariant_subspace(left, right, s.basis, scale=scale)
+    stable, residual = (invariant_subspace(left, right, s.basis, scale=scale) if frame is None
+                        else frame.invariant_subspace(left, right, scale=scale))
     return stable.shape[0], residual
 
 
@@ -300,21 +291,12 @@ def is_sufficient(
     """Run all three sufficiency certificates for the pair (phi, psi).
 
     Each of rho_phi, rho_psi and their restrictions is decomposed once; the
-    relative entropies, logarithms and recovery maps are all read from these
-    four decompositions.
-
-    s must be a unital *-algebra, as every SubalgebraBasis is by contract.
-    Then the recovery map of a state is a -> E(G^* a G) with
-    G = rho^{1/2} rho0^{-1/2}, and the residual
-    ||P_phi - P_psi||_F / max(1, ||P_psi||_F) between petz_map's
-    superoperators is computed without forming them, from
-
-      ||P_phi - P_psi||_F^2 = sum_b ||G_phi b G_phi^* - G_psi b G_psi^*||_F^2 / D
-
-    over the tau-orthonormal basis b of s (||P_psi||_F likewise, without the
-    G_phi term): one D x D product and one (m, D, D) sandwich per state, or,
-    when s spans a whole region algebra, one product of inner size 2e in its
-    unit frame (see the module docstring).
+    relative entropies, logarithms, the cocycle certificate's scale and the
+    recovery maps are all read from these four decompositions.  s must be a
+    unital *-algebra, as every SubalgebraBasis is by contract, so the
+    residual ||P_phi - P_psi||_F / max(1, ||P_psi||_F) between petz_map's
+    superoperators is read from basis sandwiches, or from the unit frame,
+    without forming them (see the module docstring).
     """
     phi.require_faithful("first state")
     psi.require_faithful("second state")
@@ -331,7 +313,7 @@ def is_sufficient(
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
     log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
-    orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s)
+    orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s, _log_radius(dec_phi) + _log_radius(dec_psi))
     roots = _petz_root(dec_phi, dec_phi0, s), _petz_root(dec_psi, dec_psi0, s)
     frame = _unit_frame(s)
     petz_res = _petz_residual(*roots, s) if frame is None else _frame_petz_residual(*roots, frame)
@@ -396,8 +378,9 @@ def factor_through(
     three residuals; a sufficient one returns d if every check passed, and
     re-raises the failed check's InvariantViolation if not.
     """
-    h = mat_log(psi.rho)
-    stable, _ = _invariant_in(s, h, h, float(np.linalg.norm(h, 2)))
+    dec = eig_hermitian(psi.rho)
+    h = dec.func("log")
+    stable, _ = _invariant_in(s, h, h, _log_radius(dec))
     if stable < s.size:
         raise FlowUnstable(f"subalgebra not stable under the reference flow: {stable} < {s.size}")
     phi.require_faithful("first state")

@@ -124,6 +124,23 @@ def test_selftest_negative_control():
     assert "matrix_units" in failed
 
 
+def test_parity_check_sees_an_entry_off_the_diagonal(monkeypatch):
+    # the check reads v v^* and v a v from v's diagonal; a v with the right
+    # diagonal and one entry off it must still fail by that entry
+    from fermarkov import cli
+
+    real = cli.parity_unitary
+
+    def off_diagonal(alg, region):
+        v = real(alg, region).copy()
+        v[0, -1] = 1e-3
+        return v
+
+    assert exact_algebra_residuals(3)["parity_conjugation"] == 0.0
+    monkeypatch.setattr(cli, "parity_unitary", off_diagonal)
+    assert exact_algebra_residuals(3)["parity_conjugation"] >= 1e-3
+
+
 def test_exact_algebra_residuals_keys():
     res = exact_algebra_residuals(2)
     assert set(res) == {

@@ -1,6 +1,7 @@
 """The graded pair (W+, W-) against the A_AB-sized invariant iteration it
-replaces, against the modular flow it is invariant under, and the n=7 set-up
-it makes affordable."""
+replaces, against the explicit stack of A_B that its unit frame replaces,
+against the modular flow it is invariant under, and the n=7 and n=8 runs it
+makes affordable."""
 
 import json
 import os
@@ -13,8 +14,8 @@ import pytest
 from scipy.linalg import expm
 
 import fermarkov
-from fermarkov import hs, markov, spectral
-from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism
+from fermarkov import hs, markov, spectral, subalgebra
+from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
 from fermarkov.entropy import embedded_restriction
 from fermarkov.errors import NotAnAlgebra
 from fermarkov.markov import Analysis
@@ -23,7 +24,9 @@ from fermarkov.states import make_block_markov, make_product_markov, random_even
 from fermarkov.subalgebra import (
     TOL_MEMBER,
     _small,
+    _UnitFrame,
     invariant_subalgebra,
+    invariant_subspace,
     membership,
     region_subalgebra,
     span_equality_residual,
@@ -70,6 +73,56 @@ def test_graded_pair_spans_the_invariant_subalgebra_of_a_ab(kind, cut):
     assert an.triplet.markov == (an.ssa.saturated and one_in_w_minus)
 
 
+def stack_route(state, regions):
+    """W+, W- and 1's residual against W- by the explicit stack route: the
+    generic invariant_subspace on A_B's (4^|B|, 2^|BC|, 2^|BC|) basis
+    stack, each W gathered to B's factor."""
+    lattice = build_algebra(len(regions.BC))
+    b_sites = tuple(regions.BC.index(i) for i in regions.B)
+    log_bc = mat_log(embedded_restriction(state, regions.BC), eps_faithful=EPS_FAITHFUL / state.alg.dim)
+    h = _small(state.alg.dim, regions.BC, log_bc)
+    ambient = region_orthobasis(lattice, b_sites)
+    scale = float(np.linalg.norm(h, 2))
+    plus, _ = invariant_subspace(h, h, ambient, scale=scale)
+    minus, identity_residual = invariant_subspace(parity_automorphism(lattice, h), h, ambient, scale=scale)
+    return _small(lattice.dim, b_sites, plus), _small(lattice.dim, b_sites, minus), identity_residual
+
+
+FRAME_CUTS = {"1|2|1": CUTS["1|2|1"], "1|3|1": CUTS["1|3|1"], "2|2|2": RegionPartition((0, 1), (2, 3), (4, 5))}
+
+
+@pytest.mark.parametrize("cut", FRAME_CUTS)
+def test_the_unit_frame_pair_equals_the_explicit_stack_route(cut, monkeypatch):
+    """Equal dimensions, spans within 1e-12 both ways and 1's residual
+    within 1e-12, on every kind and seeds 0-2; round 0 in A_B's unit frame
+    (the decision on B's 4^|B| units) keeps all of A_B, none of it and part
+    of it among these states."""
+    regions = FRAME_CUTS[cut]
+    d = 2 ** len(regions.B)
+    round_0 = set()
+    real = subalgebra._decide
+
+    def decide(basis, *args):
+        kept = real(basis, *args)
+        if basis.shape[-1] == d:
+            round_0.add("all" if kept is basis else "part" if kept.shape[0] else "none")
+        return kept
+
+    monkeypatch.setattr(subalgebra, "_decide", decide)
+    for kind, make in KINDS.items():
+        for seed in range(3):
+            state = make(regions, seed)
+            pair = markov.flow_stable_pair(embedded_restriction(state, regions.BC), state.alg, regions)
+            plus, minus, identity_residual = stack_route(state, regions)
+            for got, want in ((pair.plus, plus), (pair.minus, minus)):
+                assert got.shape == want.shape, (kind, seed)
+                if got.shape[0]:
+                    assert hs.residual_norms(want, got).max() <= 1e-12, (kind, seed)
+                    assert hs.residual_norms(got, want).max() <= 1e-12, (kind, seed)
+            assert abs(pair.identity_residual - identity_residual) <= 1e-12, (kind, seed)
+    assert round_0 == {"all", "none", "part"}
+
+
 @pytest.mark.parametrize("kind, cut", CASES, ids=[f"{k}-{c}" for k, c in CASES])
 def test_w_plus_and_w_minus_stay_in_their_span_under_their_flows(kind, cut):
     # the library certifies invariance by the iteration's last round alone;
@@ -102,20 +155,26 @@ def test_set_up_decomposes_five_matrices(mode, monkeypatch):
     assert len(calls) == 5
 
 
+def units(d):
+    """A_B's scaled matrix units in its own d x d factor, where the unit
+    frame returns W+ and W-."""
+    return np.sqrt(d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
 def test_graded_closure_certificate_refuses_a_planted_w_minus(monkeypatch):
     # a random element of A_B in place of W-: theta(W-) W- leaves W+, which
     # the graded closure certificate sees
-    real = markov.invariant_subspace
+    real = _UnitFrame.invariant_subspace
     rng = np.random.default_rng(5)
 
-    def planted(left, right, ambient, **kwargs):
-        stable, residual = real(left, right, ambient, **kwargs)
+    def planted(frame, left, right, **kwargs):
+        stable, residual = real(frame, left, right, **kwargs)
         if left is right:
             return stable, residual
-        w = np.tensordot(rng.normal(size=ambient.shape[0]), ambient, 1)
+        w = np.tensordot(rng.normal(size=frame.d ** 2), units(frame.d), 1)
         return (w / hs.hs_norm(w))[None], residual
 
-    monkeypatch.setattr(markov, "invariant_subspace", planted)
+    monkeypatch.setattr(_UnitFrame, "invariant_subspace", planted)
     with pytest.raises(NotAnAlgebra, match="closure residual"):
         Analysis(random_state(4, 3), CUTS["1|2|1"])
 
@@ -124,19 +183,19 @@ def test_graded_closure_certificate_refuses_a_planted_w_minus(monkeypatch):
 def test_w_minus_relations_refuse_a_planted_w_minus_beside_a_full_w_plus(cut, monkeypatch):
     # W+ fills A_B, so its own relations read 0 by dimension; a random element
     # in place of W- must still fail theta(W+) W- in W- and W- W+ in W-
-    real = markov.invariant_subspace
+    real = _UnitFrame.invariant_subspace
     rng = np.random.default_rng(7)
     seen = []
 
-    def planted(left, right, ambient, **kwargs):
-        stable, residual = real(left, right, ambient, **kwargs)
-        seen.append(stable.shape[0] == ambient.shape[0])
+    def planted(frame, left, right, **kwargs):
+        stable, residual = real(frame, left, right, **kwargs)
+        seen.append(stable.shape[0] == frame.d ** 2)
         if left is right:
             return stable, residual
-        w = np.tensordot(rng.normal(size=ambient.shape[0]), ambient, 1)
+        w = np.tensordot(rng.normal(size=frame.d ** 2), units(frame.d), 1)
         return (w / hs.hs_norm(w))[None], residual
 
-    monkeypatch.setattr(markov, "invariant_subspace", planted)
+    monkeypatch.setattr(_UnitFrame, "invariant_subspace", planted)
     regions = CUTS[cut]
     with pytest.raises(NotAnAlgebra, match="closure residual"):
         Analysis(make_product_markov(regions, 1, "even_even"), regions)
@@ -188,3 +247,57 @@ def test_seven_site_set_up_completes_under_an_address_space_cap():
     print(f"n=7 1|5|1 Analysis: {out['elapsed_s']:.2f} s, ru_maxrss {out['maxrss_mb']:.0f} MB")
     assert (out["dim_c"], out["dim_b"], out["markov"]) == (4 ** 6, 4 ** 5, True)
     assert out["maxrss_mb"] < 1024
+
+
+def run_capped(child: str) -> dict:
+    """Run a script in a child that caps its own address space at 3 GiB, so
+    a regression ends as a failed child, never as memory taken from the
+    machine; the last line it prints is read as JSON."""
+    src = str(Path(fermarkov.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_CAPPED_HEAD = """
+import json, resource, sys, time
+cap = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fermarkov.car import RegionPartition
+from fermarkov.cli import build_document
+from fermarkov.markov import Analysis
+from fermarkov.states import make_product_markov
+rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in kB are Linux's")
+def test_eight_site_one_six_one_set_up_completes_under_an_address_space_cap():
+    # round 0 of W+ and W- on A_B's 4096 units is read in its unit frame;
+    # the explicit stack route asked for (4096, 128, 128) image stacks
+    out = run_capped(_CAPPED_HEAD + """
+regions = RegionPartition((0,), (1, 2, 3, 4, 5, 6), (7,))
+state = make_product_markov(regions, 0, "even_even")
+start = time.perf_counter()
+an = Analysis(state, regions)
+print(json.dumps({"elapsed_s": time.perf_counter() - start, "dim_b": an.pair.dim_b,
+                  "one_in_w_minus": an.pair.identity_residual <= 1e-9, "maxrss_mb": rss()}))
+""")
+    print(f"n=8 1|6|1 Analysis: {out['elapsed_s']:.2f} s, ru_maxrss {out['maxrss_mb']:.0f} MB")
+    assert out["dim_b"] == 4 ** 6 and out["one_in_w_minus"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in kB are Linux's")
+def test_seven_site_document_stays_near_its_set_up_under_an_address_space_cap():
+    # B, its commutants and the region algebras are held by their small
+    # pictures: no (4^5, 128, 128) scatter of A_B in the whole pipeline
+    out = run_capped(_CAPPED_HEAD + """
+regions = RegionPartition((0,), (1, 2, 3, 4, 5), (6,))
+doc = build_document(make_product_markov(regions, 0), regions)
+print(json.dumps({"markov": doc.triplet["markov"], "passed": [c["passed"] for c in doc.checks],
+                  "decomposed": doc.decomposition is not None, "maxrss_mb": rss()}))
+""")
+    print(f"n=7 1|5|1 build_document: ru_maxrss {out['maxrss_mb']:.0f} MB")
+    assert out["markov"] and out["decomposed"] and out["passed"] and all(out["passed"])
+    assert out["maxrss_mb"] < 400

@@ -735,3 +735,39 @@ def test_any_matrix_size_is_a_whole_space():
     assert inv.region is None and inv.size > 0
     with pytest.raises(ValueError, match="2\\^n"):
         SubalgebraBasis(dim, s.basis, True, None, (0,))
+
+
+def test_small_picture_subalgebras_are_scattered_only_when_read(monkeypatch):
+    """After an n=5 build_document, the region algebra of B, B itself and
+    its commutant in A_B hold their small pictures only; size, small, leak
+    and region scatter nothing, and the first basis read is the scatter of
+    the small picture (for the region algebra, its scaled units up to the
+    sign of zeros), kept for later reads."""
+    from fermarkov import markov
+    from fermarkov.car import matrix_units
+    from fermarkov.cli import build_document
+
+    regions = RegionPartition((0,), (1, 2, 3), (4,))
+    state = make_block_markov(regions, 1, 1, 1)[0]
+    built = {name: [] for name in ("flow_stable_pair", "region_subalgebra", "commutant")}
+    for name, results in built.items():
+        def capture(*args, _real=getattr(markov, name), _results=results, **kwargs):
+            _results.append(_real(*args, **kwargs))
+            return _results[-1]
+
+        monkeypatch.setattr(markov, name, capture)
+    doc = build_document(state, regions)
+    assert doc.decomposition is not None and all(c["passed"] for c in doc.checks)
+
+    [pair] = built["flow_stable_pair"]
+    [b_region] = [s for s in built["region_subalgebra"] if s.region == regions.B]
+    [b_tilde] = [s for s in built["commutant"] if s.region == regions.B]
+    family = matrix_units(state.alg, regions.B)
+    for s in (b_region, pair.b_basis, b_tilde):
+        assert "basis" not in vars(s)
+        assert (s.size, s.region) == (s.small.shape[0], regions.B) and not s.leak.any()
+        assert "basis" not in vars(s)
+        eager = family.iso_from_small(s.small)
+        assert s.basis.tobytes() == eager.tobytes() and s.basis is s.basis
+        assert "basis" in vars(s)
+    assert np.array_equal(b_region.basis, family.orthobasis())

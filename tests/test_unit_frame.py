@@ -132,9 +132,9 @@ def test_a_partly_kept_round_is_mapped_back_through_w(monkeypatch):
     seen = []
     real = subalgebra.invariant_subspace_under
     monkeypatch.setattr(subalgebra, "invariant_subspace_under", lambda f, b, **k: seen.append(b) or real(f, b, **k))
-    size, residual = _UnitFrame(family).invariant_subspace(h, h, scale=1.0)
+    small, residual = _UnitFrame(family).invariant_subspace(h, h, scale=1.0)
     [kept] = seen
-    assert size == kept.shape[0] == 8
+    assert small.shape[0] == kept.shape[0] == 8
     want, want_residual = invariant_subspace(h, h, s.basis, scale=1.0)
     assert want.shape[0] == 8 and abs(residual - want_residual) <= 1e-13
     spans = SubalgebraBasis(alg.dim, kept, False), SubalgebraBasis(alg.dim, want, False)
@@ -221,7 +221,7 @@ def test_the_certificate_never_drops_a_kept_direction(plant, region):
     s = region_subalgebra(alg, region)
     kept = invariant_subspace_under(lambda stack: left @ stack - stack @ right, s.basis)
     assert kept.shape[0] >= 1 and not proved
-    assert frame.invariant_subspace(left, right)[0] == kept.shape[0]
+    assert frame.invariant_subspace(left, right)[0].shape[0] == kept.shape[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
