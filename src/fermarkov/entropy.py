@@ -6,11 +6,14 @@ Two pictures of a restriction to a site set I coexist, and the scale between
 them matters.  Up to the signed permutation W of I (car.matrix_units), the
 algebra of I is the tensor factor M_{2^|I|} x 1:
 
-  - small picture: the partial trace of W^* rho W over the complement
-    factor, a 2^|I| x 2^|I| density with unit trace (used for entropies);
-  - embedded picture: E_I(rho) = W (small x 1) W^* / 2^{n - |I|}, the
+  - small picture: the partial trace rho_I of W^* rho W over the complement
+    factor, a 2^|I| x 2^|I| density with unit trace;
+  - embedded picture: E_I(rho) = W (rho_I x 1) W^* / 2^{n - |I|}, the
     density (unit trace w.r.t. the full Tr) of the state composed with the
-    conditional expectation (used for logs, modular flows and cocycles).
+    conditional expectation.
+
+So log E_I(rho) = W (log rho_I x 1) W^* - |I^c| log 2, and the SSA report
+reads every restriction once, in its own factor.
 
 All entropies are in nats.
 """
@@ -118,8 +121,11 @@ def embedded_restriction(state: StateDensity, region: Iterable[int]) -> np.ndarr
 
 def vn_entropy(density: np.ndarray) -> float:
     """-sum lambda log lambda in nats, with 0 log 0 = 0."""
-    w = np.linalg.eigvalsh(hs.hermitian_part(np.asarray(density, dtype=complex)))
-    w = np.clip(w, 0.0, None)
+    return _entropy_of(np.linalg.eigvalsh(hs.hermitian_part(np.asarray(density, dtype=complex))))
+
+
+def _entropy_of(eigenvalues: np.ndarray) -> float:
+    w = np.clip(eigenvalues, 0.0, None)
     return float(-np.sum(xlogy(w, w)))
 
 
@@ -160,21 +166,27 @@ def ssa_gap(
 
 def _ssa_report(
     state: StateDensity, regions: RegionPartition, tol_equality: float
-) -> tuple[SsaReport, np.ndarray]:
-    """ssa_gap's report together with the E_BC(rho) its cross-check computed."""
+) -> tuple[SsaReport, SpectralDecomposition]:
+    """ssa_gap's report together with the decomposition of rho_BC its
+    cross-check read.  The only D x D spectral call is rho's eigvalsh."""
     state.require_faithful()
     if regions.n_sites != state.alg.n_sites:
         raise ValueError("regions do not match the state's site count")
     s_total = vn_entropy(state.rho)
     s_ab = vn_entropy(restrict_density(state, regions.AB))
-    s_bc = vn_entropy(restrict_density(state, regions.BC))
-    s_b = vn_entropy(restrict_density(state, regions.B))
+    dec_bc, dec_b = (eig_hermitian(restrict_density(state, r)) for r in (regions.BC, regions.B))
+    s_bc, s_b = _entropy_of(dec_bc.eigenvalues), _entropy_of(dec_b.eigenvalues)
     gap = s_ab + s_bc - s_total - s_b
 
-    rho_bc = embedded_restriction(state, regions.BC)
-    rho_ab = embedded_restriction(state, regions.AB)
-    rho_b = embedded_restriction(state, regions.B)
-    alt = rel_entropy(state.rho, rho_bc) - rel_entropy(rho_ab, rho_b)
+    # alt = D(rho || E_BC rho) - D(E_AB rho || E_B rho).  With log E_I(rho) =
+    # W (log rho_I x 1) W^* - |I^c| log 2, and Tr E_AB(rho) z = Tr rho z for z
+    # in A_B, the log 2 terms cancel; each Tr rho log E_I(rho) is a D^2 inner
+    # product of rho with the scattered small log, not rho_I's entropy
+    def log_pairing(region: tuple[int, ...], dec: SpectralDecomposition) -> float:
+        log = dec.func("log", eps_faithful=EPS_FAITHFUL / dec.eigenvalues.size)
+        return float(np.vdot(matrix_units(state.alg, region).iso_from_small(log), state.rho).real)
+
+    alt = s_ab - s_total - log_pairing(regions.BC, dec_bc) + log_pairing(regions.B, dec_b)
     cross_residual = abs(gap - alt)
     if cross_residual > TOL_CROSS:
         raise InvariantViolation(
@@ -190,7 +202,7 @@ def _ssa_report(
         tol_equality=tol_equality,
         cross_residual=float(cross_residual),
     )
-    return report, rho_bc
+    return report, dec_bc
 
 
 def cocycle(rho: np.ndarray, sigma: np.ndarray, t: float) -> np.ndarray:

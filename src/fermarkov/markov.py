@@ -9,7 +9,8 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
         C = {x in A_AB : the modular flow of the embedded restriction to B+C
              keeps x inside A_AB for all t},
         B = the same inside A_B,
-    decided algebraically by descending invariant-subspace iterations.  C is
+    decided algebraically by descending invariant-subspace iterations under
+    h = log E_BC(rho), read as log rho_BC - |A| log 2 in A_BC's factor.  C is
     held as the graded pair C = A_A^+ W+ (+) A_A^- W- (``FlowStablePair``):
     W+ = B and W- are subspaces of A_B, each decided in A_B's unit frame in
     the 2^|BC| factor of A_BC and held in B's own 2^|B| factor, and every
@@ -53,12 +54,13 @@ from .errors import (
     NotSaturated,
     UnmatchedParityAction,
 )
-from .spectral import EPS_FAITHFUL, mat_log
+from .spectral import EPS_FAITHFUL, SpectralDecomposition
 from .subalgebra import (
     TOL_MEMBER,
     SubalgebraBasis,
     _UnitFrame,
     _adjoint_residual,
+    _fills_factor,
     _from_small,
     _product_residual,
     _require_closed,
@@ -139,17 +141,21 @@ class FlowStablePair:
 
     @property
     def cond_exp_residual(self) -> float:
-        """Worst residual of E_BC(C) against B, from E_BC(a w) = tau(a) w."""
-        units, even, _ = self._ab_factor
-        taus = np.abs(np.trace(units, axis1=1, axis2=2)) / units.shape[-1]
-        odd_res, even_res = (hs.residual_norms(self.plus, w).max(initial=0.0) for w in (self.minus, self.plus))
-        return float(np.max(taus * np.where(even, even_res, odd_res)))
+        """Worst residual of E_BC(C) against B, from E_BC(a w) = tau(a) w: a
+        unit of A_A off the diagonal, every odd one among them, has tau 0, and
+        a diagonal one sqrt(d_A) e_rr has tau 1 / sqrt(d_A)."""
+        return 2.0 ** (-len(self.regions.A) / 2) * _inclusion_residual(self.plus, self.plus)
 
     @property
     def join_residual(self) -> float:
         """C against the join A_A v B, which is W- against W+ both ways."""
-        return float(max(hs.residual_norms(self.plus, self.minus).max(initial=0.0),
-                         hs.residual_norms(self.minus, self.plus).max(initial=0.0)))
+        return max(_inclusion_residual(self.plus, self.minus), _inclusion_residual(self.minus, self.plus))
+
+
+def _inclusion_residual(target: np.ndarray, stack: np.ndarray) -> float:
+    """Largest residual of a stack against the span of a tau-orthonormal
+    target in A_B's factor; 0, with no projection, for a target that fills it."""
+    return 0.0 if _fills_factor(target) else float(hs.residual_norms(target, stack).max(initial=0.0))
 
 
 def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,29 +163,32 @@ def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ..
     return tuple(within.index(i) for i in sites)
 
 
-def flow_stable_pair(rho_bc: np.ndarray, alg: CarAlgebra, regions: RegionPartition) -> FlowStablePair:
-    """W+ and W- of h = log E_BC(rho), solved in A_BC's 2^|BC| factor, where
-    A_B is the whole algebra of B's positions in a |BC|-site lattice: each
-    is decided in A_B's unit frame (``_UnitFrame.invariant_subspace``), which
-    returns it in B's 2^|B| factor and forms no (4^|B|, 2^|BC|, 2^|BC|) stack
-    unless round 0 keeps part of A_B.  Each W is certified invariant under
-    its own flow e^{it theta^p(h)} . e^{-ith} for all t by its iteration's
-    last round, and C's closure is certified there in graded form
-    (NotAnAlgebra otherwise), (a w)(a' w') = a a' theta^p'(w) w' and
-    (a w)^* = a^* theta^p(w^*) for a, a' of parities p, p', which B's
-    closure (W+ W+ and W+^* in W+) is part of.  A relation into a W that is
-    all of A_B holds for any factors by dimension and reads 0 with no
-    product formed (``_product_residual``).
+def flow_stable_pair(rho_bc: SpectralDecomposition, alg: CarAlgebra, regions: RegionPartition) -> FlowStablePair:
+    """W+ and W- of h = log E_BC(rho) in A_BC's 2^|BC| factor, from the
+    decomposition of rho_BC: E_BC(rho) has its eigenvectors there and its
+    eigenvalues over 2^|A|, floored at EPS_FAITHFUL / D.  A_B is the whole
+    algebra of B's positions in a |BC|-site lattice: each W is decided in
+    A_B's unit frame (``_UnitFrame.invariant_subspace``), which returns it in
+    B's 2^|B| factor and forms no (4^|B|, 2^|BC|, 2^|BC|) stack unless round
+    0 keeps part of A_B.  Each W is certified invariant under its own flow
+    e^{it theta^p(h)} . e^{-ith} for all t by its iteration's last round, and
+    C's closure is certified there in graded form (NotAnAlgebra otherwise),
+    (a w)(a' w') = a a' theta^p'(w) w' and (a w)^* = a^* theta^p(w^*) for a,
+    a' of parities p, p', which B's closure (W+ W+ and W+^* in W+) is part
+    of.  A relation into a W that is all of A_B holds for any factors by
+    dimension and reads 0 with no product, or theta(W), formed.
     """
-    bc = regions.BC
-    lattice = build_algebra(len(bc))
-    h = _small(alg.dim, bc, mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / alg.dim))
-    frame = _UnitFrame(matrix_units(lattice, _positions(regions.B, bc)))
+    lattice = build_algebra(len(regions.BC))
+    e_bc = SpectralDecomposition(rho_bc.eigenvalues / 2 ** len(regions.A), rho_bc.eigenvectors)
+    h = hs.hermitian_part(e_bc.func("log", eps_faithful=EPS_FAITHFUL / alg.dim))
+    frame = _UnitFrame(matrix_units(lattice, _positions(regions.B, regions.BC)))
     scale = float(np.linalg.norm(h, 2))
     plus, _ = frame.invariant_subspace(h, h, scale=scale)
     minus, identity_residual = frame.invariant_subspace(parity_automorphism(lattice, h), h, scale=scale)
     b_lattice = build_algebra(len(regions.B))
-    t_plus, t_minus = (parity_automorphism(b_lattice, w) for w in (plus, minus))
+    # None enters only relations into a W that fills A_B, which read no factor
+    theta = lambda w, *targets: None if all(map(_fills_factor, targets)) else parity_automorphism(b_lattice, w)
+    t_plus, t_minus = theta(plus, minus), theta(minus, plus, minus)
     products = max(
         _product_residual(plus, plus, plus),
         _product_residual(t_plus, minus, minus),

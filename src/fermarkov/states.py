@@ -27,7 +27,6 @@ from .entropy import StateDensity
 from .errors import CommutationFailed, RegionTooSmall
 
 _COMMUTE_TOL = 1e-10
-_MAX_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -134,24 +133,22 @@ def make_product_markov(
     if parity_mode not in ("even_even", "even_noneven"):
         raise ValueError(f"unknown parity_mode {parity_mode!r}")
     alg = build_algebra(regions.n_sites)
-    for attempt in range(_MAX_RETRIES):
-        rng = np.random.default_rng((seed, attempt))
-        x = _random_positive_region(alg, regions.AB, rng, even=True)
-        y = _random_positive_region(alg, regions.C, rng, even=True)
-        if parity_mode == "even_noneven":
-            odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
-            y = y + 0.5 * float(np.linalg.eigvalsh(y)[0]) * odd
-        comm = float(np.max(np.abs(x @ y - y @ x)))
-        if comm <= _COMMUTE_TOL:
-            rho = x @ y
-            rho = hs.hermitian_part(rho / np.trace(rho).real)
-            state = StateDensity.from_matrix(alg, rho)
-            if return_factors:
-                return state, x, y
-            return state
-    raise CommutationFailed(
-        f"factors failed to commute within {_COMMUTE_TOL:.1e} after {_MAX_RETRIES} draws"
-    )
+    # an even x in A_AB commutes exactly with every y in A_C, odd part or not
+    rng = np.random.default_rng((seed, 0))
+    x = _random_positive_region(alg, regions.AB, rng, even=True)
+    y = _random_positive_region(alg, regions.C, rng, even=True)
+    if parity_mode == "even_noneven":
+        odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
+        y = y + 0.5 * float(np.linalg.eigvalsh(y)[0]) * odd
+    comm = float(np.max(np.abs(x @ y - y @ x)))
+    if comm > _COMMUTE_TOL:
+        raise CommutationFailed(f"factors fail to commute within {_COMMUTE_TOL:.1e}: {comm:.3e}")
+    rho = x @ y
+    rho = hs.hermitian_part(rho / np.trace(rho).real)
+    state = StateDensity.from_matrix(alg, rho)
+    if return_factors:
+        return state, x, y
+    return state
 
 
 # --- block-designed even Markov states -----------------------------------------
@@ -201,8 +198,8 @@ def make_block_markov(
 
     x = np.zeros((alg.dim, alg.dim), dtype=complex)
     y = np.zeros_like(x)
-    fixed_projs: list[np.ndarray] = []
     pair_projs: list[tuple[np.ndarray, np.ndarray]] = []
+    pair_groups: list[list[int]] = []
 
     if n_pairs > 0:
         i_star = b_sites[-1]
@@ -215,60 +212,46 @@ def make_block_markov(
         # one rest-pattern per pair; leftovers join the last group of their kind
         pair_groups = [[p] for p in range(n_pairs)]
         free = list(range(n_pairs, n_rest))
-        fixed_states = [2 * p + b for p in free for b in (0, 1)]  # (rest, i*) composite
+        # i* is B's last site, so 2 * rest-pattern + i*-bit is B's pattern
+        fixed_states = [2 * p + b for p in free for b in (0, 1)]
         if k_fixed == 0:
             pair_groups[-1].extend(free)
             fixed_groups: list[list[int]] = []
         else:
             fixed_groups = [[fixed_states[j]] for j in range(k_fixed)]
             fixed_groups[-1].extend(fixed_states[k_fixed:])
-        full_region = tuple(sorted(rest + (i_star,)))
 
         a_s, ad_s = alg.annihilators[i_star], alg.creators[i_star]
         w_mix = a_s + ad_s
         # central direction swapped by parity: odd corner elements anticommute
         # with i(a - a^*) alone, so the rest-parity factor is needed
         w_cen = parity_unitary(alg, rest) @ (1j * (a_s - ad_s))
-
-        for group in fixed_groups:
-            # composite index (rest-pattern, i*-bit) -> occupation pattern of B
-            patterns = []
-            for comp in group:
-                rest_pat, bit = comp // 2, comp % 2
-                patterns.append(_composite_pattern(rest, i_star, full_region, rest_pat, bit))
-            r = _diag_projection(alg, full_region, patterns)
-            fixed_projs.append(r)
-            g = _random_positive_region(alg, regions.A, rng, even=True)
-            h = _random_positive_region(alg, regions.C, rng, even=True)
-            x = x + r @ g
-            y = y + r @ h
-
-        for group in pair_groups:
-            r = _diag_projection(alg, rest, group)
-            g_even = _random_positive_region(alg, regions.A, rng, even=True)
-            g_odd = _random_odd_selfadjoint_region(alg, regions.A, rng)
-            gamma = 0.5 * float(np.linalg.eigvalsh(g_even)[0])
-            x_part = g_even + gamma * 1j * (g_odd @ w_cen)
-            h_even = _random_positive_region(alg, regions.C, rng, even=True)
-            c_odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
-            beta = 0.5 * float(np.linalg.eigvalsh(h_even)[0])
-            y_part = h_even + beta * 1j * (w_mix @ c_odd)
-            x = x + r @ x_part
-            y = y + r @ y_part
-            p_plus = r @ (eye + w_cen) / 2
-            p_minus = r @ (eye - w_cen) / 2
-            pair_projs.append((p_plus, p_minus))
     else:
-        n_full = 2 ** len(b_sites)
-        groups = [[j] for j in range(k_fixed)]
-        groups[-1].extend(range(k_fixed, n_full))
-        for group in groups:
-            r = _diag_projection(alg, b_sites, group)
-            fixed_projs.append(r)
-            g = _random_positive_region(alg, regions.A, rng, even=True)
-            h = _random_positive_region(alg, regions.C, rng, even=True)
-            x = x + r @ g
-            y = y + r @ h
+        fixed_groups = [[j] for j in range(k_fixed)]
+        fixed_groups[-1].extend(range(k_fixed, 2 ** len(b_sites)))
+
+    fixed_projs = [_diag_projection(alg, b_sites, group) for group in fixed_groups]
+    for r in fixed_projs:
+        g = _random_positive_region(alg, regions.A, rng, even=True)
+        h = _random_positive_region(alg, regions.C, rng, even=True)
+        x = x + r @ g
+        y = y + r @ h
+
+    for group in pair_groups:
+        r = _diag_projection(alg, rest, group)
+        g_even = _random_positive_region(alg, regions.A, rng, even=True)
+        g_odd = _random_odd_selfadjoint_region(alg, regions.A, rng)
+        gamma = 0.5 * float(np.linalg.eigvalsh(g_even)[0])
+        x_part = g_even + gamma * 1j * (g_odd @ w_cen)
+        h_even = _random_positive_region(alg, regions.C, rng, even=True)
+        c_odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
+        beta = 0.5 * float(np.linalg.eigvalsh(h_even)[0])
+        y_part = h_even + beta * 1j * (w_mix @ c_odd)
+        x = x + r @ x_part
+        y = y + r @ y_part
+        p_plus = r @ (eye + w_cen) / 2
+        p_minus = r @ (eye - w_cen) / 2
+        pair_projs.append((p_plus, p_minus))
 
     x, y = hs.hermitian_part(x), hs.hermitian_part(y)
     comm = float(np.max(np.abs(x @ y - y @ x)))
@@ -279,21 +262,6 @@ def make_block_markov(
     state = StateDensity.from_matrix(alg, rho)
     design = BlockDesign(k_fixed, n_pairs, fixed_projs, pair_projs, x, y)
     return state, design
-
-
-def _composite_pattern(
-    rest: tuple[int, ...], i_star: int, full_region: tuple[int, ...], rest_pat: int, bit: int
-) -> int:
-    """Merge a rest-pattern and the designated-site bit into a full-region pattern."""
-    k = len(full_region)
-    bits = {}
-    for idx, site in enumerate(rest):
-        bits[site] = (rest_pat >> (len(rest) - 1 - idx)) & 1
-    bits[i_star] = bit
-    pattern = 0
-    for pos, site in enumerate(full_region):
-        pattern |= bits[site] << (k - 1 - pos)
-    return pattern
 
 
 def generate(spec: GeneratorSpec) -> StateDensity:

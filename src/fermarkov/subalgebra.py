@@ -758,7 +758,8 @@ class _UnitFrame:
         later rounds run there as invariant_subspace_under does, and what
         they keep, inside A_I, is gathered back to the small picture."""
         d, dim = self.d, left.shape[-1]
-        lt, rt = self.outside(left), self.outside(right)
+        lt = self.outside(left)
+        rt = lt if right is left else self.outside(right)
         units = np.sqrt(d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
         norms, weight = self.row_norms(lt, rt)
         root = np.sqrt(dim)

@@ -355,11 +355,12 @@ def test_sweep_row_builds_the_analysis_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_build_document_takes_e_bc_of_rho_once(monkeypatch):
-    # E_BC(rho) is shared by the SSA cross-check and the flow generator:
-    # E_BC, E_AB and E_B of rho; the triplet takes E_BC of C's basis in the
-    # small picture of A_BC, with no full conditional expectation, and the
-    # factorization's region residuals take E_AB(x) and E_BC(y)
+def test_build_document_takes_no_conditional_expectation_of_rho(monkeypatch):
+    # the SSA cross-check and the flow generator read rho_BC, rho_AB and rho_B
+    # in their own factors, with no E_I(rho); the triplet takes E_BC of C's
+    # basis in the small picture of A_BC, with no full conditional
+    # expectation, and the factorization's region residuals take E_AB(x) and
+    # E_BC(y)
     state = make_product_markov(REGIONS_4, 5)
     calls = []
     for module in (entropy, markov):
@@ -367,6 +368,5 @@ def test_build_document_takes_e_bc_of_rho_once(monkeypatch):
         monkeypatch.setattr(module, "cond_expect",
                             lambda *a, _real=real, **k: calls.append((a[2], a[1] is state.rho)) or _real(*a, **k))
     build_document(state, REGIONS_4)
-    of_rho = sorted(region for region, is_rho in calls if is_rho)
-    assert of_rho == sorted([REGIONS_4.BC, REGIONS_4.AB, REGIONS_4.B])
+    assert [region for region, is_rho in calls if is_rho] == []
     assert sorted(region for region, is_rho in calls if not is_rho) == sorted([REGIONS_4.AB, REGIONS_4.BC])

@@ -1,7 +1,8 @@
 """The graded pair (W+, W-) against the A_AB-sized invariant iteration it
 replaces, against the explicit stack of A_B that its unit frame replaces,
 against the modular flow it is invariant under, and the n=7 and n=8 runs it
-makes affordable."""
+makes affordable; the set-up's SSA report and flow generator against the
+route through the embedded restrictions E_I(rho) that they replace."""
 
 import json
 import os
@@ -14,12 +15,12 @@ import pytest
 from scipy.linalg import expm
 
 import fermarkov
-from fermarkov import hs, markov, spectral, subalgebra
+from fermarkov import car, hs, markov, subalgebra
 from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
-from fermarkov.entropy import embedded_restriction
+from fermarkov.entropy import embedded_restriction, rel_entropy, restrict_density, vn_entropy
 from fermarkov.errors import NotAnAlgebra
 from fermarkov.markov import Analysis
-from fermarkov.spectral import EPS_FAITHFUL, mat_log
+from fermarkov.spectral import EPS_FAITHFUL, eig_hermitian, mat_log
 from fermarkov.states import make_block_markov, make_product_markov, random_even_state, random_state
 from fermarkov.subalgebra import (
     TOL_MEMBER,
@@ -112,7 +113,7 @@ def test_the_unit_frame_pair_equals_the_explicit_stack_route(cut, monkeypatch):
     for kind, make in KINDS.items():
         for seed in range(3):
             state = make(regions, seed)
-            pair = markov.flow_stable_pair(embedded_restriction(state, regions.BC), state.alg, regions)
+            pair = markov.flow_stable_pair(eig_hermitian(restrict_density(state, regions.BC)), state.alg, regions)
             plus, minus, identity_residual = stack_route(state, regions)
             for got, want in ((pair.plus, plus), (pair.minus, minus)):
                 assert got.shape == want.shape, (kind, seed)
@@ -143,16 +144,70 @@ def test_w_plus_and_w_minus_stay_in_their_span_under_their_flows(kind, cut):
 
 
 @pytest.mark.parametrize("mode", ["even_even", "even_noneven"])
-def test_set_up_decomposes_five_matrices(mode, monkeypatch):
-    # four for the SSA cross-check's two relative entropies, one for log rho_BC
-    calls = []
-    real = spectral.eig_hermitian
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fermarkov") and getattr(module, "eig_hermitian", None) is real:
-            monkeypatch.setattr(module, "eig_hermitian", lambda *a: calls.append(1) or real(*a))
+def test_set_up_decomposes_no_full_matrix_but_rho(mode, monkeypatch):
+    # rho's eigvalsh, for S(rho), is the one D x D spectral call: rho_AB,
+    # rho_BC and rho_B are decomposed in their own factors, h is log rho_BC
+    # there, and no conditional expectation of rho is taken
     regions = CUTS["1|3|1"]
-    Analysis(make_product_markov(regions, 1, mode), regions)
-    assert len(calls) == 5
+    state = make_product_markov(regions, 1, mode)
+    full, of_rho = [], []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, *a, _real=real, _name=name, **k:
+                            (m.shape[-1] == state.dim and full.append(_name)) or _real(m, *a, **k))
+    real_cond_expect = car.cond_expect
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fermarkov") and getattr(module, "cond_expect", None) is real_cond_expect:
+            monkeypatch.setattr(module, "cond_expect", lambda alg, x, region:
+                                (x is state.rho and of_rho.append(region)) or real_cond_expect(alg, x, region))
+    Analysis(state, regions)
+    assert full == ["eigvalsh"]
+    assert of_rho == []
+
+
+KIND_SEEDS = {**KINDS, "block_2_1": lambda r, seed: make_block_markov(r, seed, 2, 1)[0]}
+
+
+@pytest.mark.parametrize("cut", FRAME_CUTS)
+def test_set_up_matches_the_embedded_route(cut, monkeypatch):
+    """The gap, its cross-check's relative-entropy difference alt and the
+    flow generator h against the route through the D x D embedded
+    restrictions: alt = D(rho || E_BC rho) - D(E_AB rho || E_B rho) by two
+    full-D relative entropies, and h the gather to A_BC's factor of the
+    full-D log E_BC(rho).  The set-up reports only |gap - alt|, so alt is
+    bounded through the gap."""
+    regions = FRAME_CUTS[cut]
+    generators = []
+    real = _UnitFrame.invariant_subspace
+    monkeypatch.setattr(_UnitFrame, "invariant_subspace",
+                        lambda frame, left, right, **k: generators.append(right) or real(frame, left, right, **k))
+    for kind, make in KIND_SEEDS.items():
+        for seed in range(3):
+            state = make(regions, seed)
+            generators.clear()
+            ssa = Analysis(state, regions).ssa
+            rho_bc, rho_ab, rho_b = (embedded_restriction(state, r) for r in (regions.BC, regions.AB, regions.B))
+            gap = sum(s * vn_entropy(restrict_density(state, r))
+                      for s, r in ((1, regions.AB), (1, regions.BC), (-1, regions.B))) - vn_entropy(state.rho)
+            alt = rel_entropy(state.rho, rho_bc) - rel_entropy(rho_ab, rho_b)
+            h = _small(state.dim, regions.BC, mat_log(rho_bc, eps_faithful=EPS_FAITHFUL / state.dim))
+            assert abs(ssa.gap - gap) <= 1e-12, (kind, seed)
+            assert ssa.cross_residual + abs(ssa.gap - alt) <= 1e-12, (kind, seed)
+            assert len(generators) == 2 and generators[0] is generators[1], (kind, seed)
+            assert np.max(np.abs(generators[0] - h)) <= 1e-12, (kind, seed)
+
+
+def test_the_pairs_residuals_project_nothing_when_both_ws_fill_a_b(monkeypatch):
+    # an even 1|3|1 product state: W+ = W- = A_B, so E_BC(C) in B and C
+    # against the join read 0 by dimension
+    regions = CUTS["1|3|1"]
+    pair = Analysis(make_product_markov(regions, 1, "even_even"), regions).pair
+    assert pair.plus.shape[0] == pair.minus.shape[0] == 4 ** 3
+    calls = []
+    real = hs.residual_norms
+    monkeypatch.setattr(hs, "residual_norms", lambda *a: calls.append(1) or real(*a))
+    assert (pair.cond_exp_residual, pair.join_residual) == (0.0, 0.0)
+    assert calls == []
 
 
 def units(d):
@@ -208,7 +263,7 @@ def test_a_proper_w_plus_and_w_minus_keep_all_six_closure_projections(monkeypatc
     # only projections once both iterations have run
     regions = CUTS["1|3|1"]
     state = make_product_markov(regions, 1, "even_noneven")
-    rho_bc = embedded_restriction(state, regions.BC)
+    rho_bc = eig_hermitian(restrict_density(state, regions.BC))
     calls = []
     real = hs.residual_norms
     monkeypatch.setattr(hs, "residual_norms", lambda basis, stack: calls.append(basis.shape[0]) or real(basis, stack))
