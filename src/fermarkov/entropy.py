@@ -103,14 +103,20 @@ class SsaReport:
 
 def restrict_density(state: StateDensity, region: Iterable[int]) -> np.ndarray:
     """Unit-trace density of the restriction on the 2^|I|-dimensional algebra."""
+    return _restriction(state, region, np.linalg.eigvalsh)[0]
+
+
+def _restriction(state: StateDensity, region: Iterable[int], decompose):
+    """(rho_I, decompose(rho_I)), rho_I validated as a density from that spectrum."""
     region = tuple(sorted(int(i) for i in region))
     small = hs.hermitian_part(matrix_units(state.alg, region).trace_pairings(state.rho))
-    w = np.linalg.eigvalsh(small)
+    spectrum = decompose(small)
+    w = getattr(spectrum, "eigenvalues", spectrum)
     if w[0] < -1e-10 or abs(np.trace(small).real - 1.0) > 1e-8:
         raise InvariantViolation(
             f"restriction to {region} not a density: min eig {w[0]:.3e}, trace {np.trace(small).real!r}"
         )
-    return small
+    return small, spectrum
 
 
 def embedded_restriction(state: StateDensity, region: Iterable[int]) -> np.ndarray:
@@ -173,8 +179,8 @@ def _ssa_report(
     if regions.n_sites != state.alg.n_sites:
         raise ValueError("regions do not match the state's site count")
     s_total = vn_entropy(state.rho)
-    s_ab = vn_entropy(restrict_density(state, regions.AB))
-    dec_bc, dec_b = (eig_hermitian(restrict_density(state, r)) for r in (regions.BC, regions.B))
+    s_ab = _entropy_of(_restriction(state, regions.AB, np.linalg.eigvalsh)[1])
+    (_, dec_bc), (_, dec_b) = (_restriction(state, r, eig_hermitian) for r in (regions.BC, regions.B))
     s_bc, s_b = _entropy_of(dec_bc.eigenvalues), _entropy_of(dec_b.eigenvalues)
     gap = s_ab + s_bc - s_total - s_b
 

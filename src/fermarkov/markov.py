@@ -21,9 +21,11 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
     state on C and y = x^{-1} rho, certified to lie in the B+C algebra;
   - for even Markov states, the central structure of B under the parity
     automorphism and the block decomposition of rho into parity-fixed blocks
-    and parity-swapped block pairs; every block cuts x and y by a minimal
-    central projection q of C, and each factor is certified by one rule for
-    all blocks: q x against C, q y against p_A C~ + (1 - p_A) C~.
+    and parity-swapped block pairs.  B's minimal central projections are
+    drawn once, by the commutant solve for B~ in B's 2^|B| factor, and
+    matched there; every block cuts x and y by a minimal central projection
+    q of C, and each factor is certified by one rule for all blocks: q x
+    against C, q y against p_A C~ + (1 - p_A) C~.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .subalgebra import (
     SubalgebraBasis,
     _UnitFrame,
     _adjoint_residual,
+    _commutant_and_projections,
     _fills_factor,
     _from_small,
     _product_residual,
@@ -68,7 +71,6 @@ from .subalgebra import (
     commutant,
     is_projection_family,
     membership,
-    minimal_central_projections,
     parity_split,
     product_algebra,
     region_subalgebra,
@@ -408,65 +410,62 @@ class Analysis:
 
     @cached_property
     def central(self) -> CentralStructure:
-        """Minimal central projections of B, parity-matched and paired,
-        together with the induced minimal central projections of C."""
+        """Minimal central projections of B, parity-matched and paired, with
+        the induced minimal central projections of C.  B's, drawn with B~ in
+        B's 2^|B| factor, are matched and weighted there, the q are built and
+        checked in A_AB's factor, and both lists scatter to D x D at the end."""
         self._require_even_markov("central structure")
-        state = self.state
-        p_raw = minimal_central_projections(self.b_basis)
+        alg, regions = self.state.alg, self.regions
+        p_raw = np.stack(self._b_tilde[1])
         m = len(p_raw)
-
+        b_lattice = build_algebra(len(regions.B))
+        # the gate reads the scattered P = W (p x 1) W^*, sqrt(D / 2^|B|) times p in Frobenius norm
+        stretch = np.sqrt(alg.dim / b_lattice.dim)
         perm = []
         for i, p in enumerate(p_raw):
-            image = parity_automorphism(state.alg, p)
-            dists = [float(np.linalg.norm(image - q)) for q in p_raw]
-            j = int(np.argmin(dists))
-            if dists[j] > 1e-8 * max(1.0, float(np.linalg.norm(p))):
-                raise UnmatchedParityAction(
-                    f"parity image of central projection {i} matches nothing: distance {dists[j]:.3e}"
-                )
-            perm.append(j)
+            dists = stretch * np.linalg.norm(parity_automorphism(b_lattice, p) - p_raw, axis=(1, 2))
+            perm.append(int(np.argmin(dists)))
+            if dists.min() > 1e-8 * max(1.0, stretch * float(np.linalg.norm(p))):
+                raise UnmatchedParityAction(f"parity image of central projection {i} matches nothing: "
+                                            f"distance {dists.min():.3e}")
         if any(perm[perm[i]] != i for i in range(m)):
             raise UnmatchedParityAction(f"parity action is not an involution: {perm}")
 
-        rho = state.rho
-        fixed = sorted(
-            (i for i in range(m) if perm[i] == i),
-            key=lambda i: -float(np.trace(p_raw[i] @ rho).real),
-        )
-        pair_reps = sorted(
-            (i for i in range(m) if perm[i] > i),
-            key=lambda i: -float(np.trace((p_raw[i] + p_raw[perm[i]]) @ rho).real),
-        )
-        if len(fixed) + 2 * len(pair_reps) != m:
-            raise UnmatchedParityAction(f"inconsistent parity pairing: {perm}")
+        rho_b = matrix_units(alg, regions.B).trace_pairings(self.state.rho)
+        weight = [float(np.vdot(p, rho_b).real) for p in p_raw]    # Tr(P rho) = Tr(p rho_B)
+        fixed = sorted((i for i in range(m) if perm[i] == i), key=lambda i: -weight[i])
+        pair_reps = sorted((i for i in range(m) if perm[i] > i), key=lambda i: -weight[i] - weight[perm[i]])
 
-        p_list = [p_raw[i] for i in fixed]
-        pairs: list[tuple[int, int]] = []
-        for i in pair_reps:
-            first, second = p_raw[i], p_raw[perm[i]]
-            if _lex_key(second) < _lex_key(first):
-                first, second = second, first
-            pairs.append((len(p_list), len(p_list) + 1))
-            p_list.extend([first, second])
+        # each pair stores its lexicographically smaller projection first
+        order = fixed + [j for i in pair_reps for j in sorted((i, perm[i]), key=lambda j: _lex_key(p_raw[j]))]
         k = len(fixed)
+        pairs = [(i, i + 1) for i in range(k, m, 2)]
 
-        eye = state.alg.identity()
-        p_a = (eye + parity_unitary(state.alg, self.regions.A)) / 2
-        q_list = list(p_list[:k])
+        b_in_ab = self.pair._ab_factor[2]     # B's family in A_AB's |AB|-site lattice
+        p_ab = list(b_in_ab.iso_from_small(p_raw[order]))
+        # p_A = (1 + v_A) / 2 is diagonal: q = p_A p_i + (1 - p_A) p_j has p_i's rows where v_A = 1
+        rows = np.diag(parity_unitary(b_in_ab.alg, _positions(regions.A, regions.AB))).real[:, None] > 0
+        q_list = p_ab[:k]
         for i, j in pairs:
-            q_list.append(p_a @ p_list[i] + (eye - p_a) @ p_list[j])
-            q_list.append((eye - p_a) @ p_list[i] + p_a @ p_list[j])
+            q_list += [np.where(rows, p_ab[i], p_ab[j]), np.where(rows, p_ab[j], p_ab[i])]
 
-        if not is_projection_family(q_list, state.alg.dim) or any(
-            np.max(np.abs(q_list[i] + q_list[j] - p_list[i] - p_list[j])) > 1e-9 for i, j in pairs
+        if not is_projection_family(q_list, b_in_ab.alg.dim) or any(
+            np.max(np.abs(q_list[i] + q_list[j] - p_ab[i] - p_ab[j])) > 1e-9 for i, j in pairs
         ):
             raise UnmatchedParityAction("central projections of C do not resolve the identity into the pairs of B")
-        return CentralStructure(p_list=p_list, q_list=q_list, k=k, pairs=pairs)
+        scatter = matrix_units(alg, regions.AB).iso_from_small
+        return CentralStructure(p_list=list(scatter(np.stack(p_ab))), q_list=list(scatter(np.stack(q_list))),
+                                k=k, pairs=pairs)
+
+    @cached_property
+    def _b_tilde(self) -> tuple[SubalgebraBasis, list[np.ndarray]]:
+        """B~ = B' n A_B and B's minimal central projections, from one commutant solve in B's factor."""
+        return _commutant_and_projections(self.b_basis, region_subalgebra(self.state.alg, self.regions.B))
 
     @cached_property
     def _lemma_algebras(self) -> _LemmaAlgebras:
         alg, regions = self.state.alg, self.regions
-        b_tilde = commutant(self.b_basis, ambient=region_subalgebra(alg, regions.B))
+        b_tilde = self._b_tilde[0]
         # C~ is built in A_BC's factor, a |BC|-site lattice: B~ scattered from
         # B's factor, and A_C's units, which are homogeneous: the odd ones,
         # times v_B, commute with A_B
@@ -498,22 +497,13 @@ class Analysis:
         self._require_even_markov("block decomposition")
         if not self.triplet.markov:
             raise NotMarkov(f"A-side generators escape the stable algebra: residual {self.triplet.a_in_c_residual:.3e}")
-        state, tol_member = self.state, self.tol_member
-        fact, central = self.factorization, self.central
-
-        alg = state.alg
-        x, y = fact.x, fact.y
+        # C~'s product stack is built before the D x D central projections exist
         c_tilde = self._lemma_algebras.c_tilde
+        state, alg, tol_member = self.state, self.state.alg, self.tol_member
+        x, y, central = self.factorization.x, self.factorization.y, self.central
         v_a = parity_unitary(alg, self.regions.A)
-
-        def x_residual(z: np.ndarray) -> float:
-            return hs.hs_norm(z - self.pair.project(z))
-
-        def y_residual(w: np.ndarray) -> float:
-            return hs.hs_norm(w - c_tilde.project(w) - v_a @ c_tilde.project(v_a @ w))
-
         lemma_join = self.pair.join_residual
-        _, y_comm_res = membership(y, c_tilde, tol_member)
+        y_comm_ok, y_comm_res = membership(y, c_tilde, tol_member)
 
         blocks: list[Block] = []
         total = np.zeros_like(state.rho)
@@ -532,29 +522,18 @@ class Analysis:
                     "partner_x_residual": hs.hs_norm(q2 @ x - tz),
                     "partner_y_residual": hs.hs_norm(q2 @ y - tw),
                 }
-            blocks.append(
-                Block(
-                    kind=kind,
-                    projection=projection,
-                    x_factor=z,
-                    y_factor=w,
-                    weight=float(np.trace(projection @ state.rho).real),
-                    x_membership_residual=x_residual(z),
-                    y_membership_residual=y_residual(w),
-                    **partners,
-                )
-            )
+            y_res = hs.hs_norm(w - c_tilde.project(w) - v_a @ c_tilde.project(v_a @ w))
+            blocks.append(Block(kind=kind, projection=projection, x_factor=z, y_factor=w,
+                                weight=float(np.vdot(projection, state.rho).real),
+                                x_membership_residual=hs.hs_norm(z - self.pair.project(z)),
+                                y_membership_residual=y_res, **partners))
             total = total + z @ w + images
 
         reassembly = hs.hs_norm(total - state.rho)
-        worst_member = max(
-            [b.x_membership_residual for b in blocks] + [b.y_membership_residual for b in blocks]
-        )
-        worst_partner = max(
-            [r for b in blocks for r in (b.partner_x_residual, b.partner_y_residual) if r is not None],
-            default=0.0,
-        )
-        if reassembly > TOL_BLOCK or lemma_join > TOL_BLOCK or y_comm_res > tol_member * (1 + hs.hs_norm(y)):
+        worst_member = max(max(b.x_membership_residual, b.y_membership_residual) for b in blocks)
+        partner_residuals = [r for b in blocks for r in (b.partner_x_residual, b.partner_y_residual) if r is not None]
+        worst_partner = max(partner_residuals, default=0.0)
+        if reassembly > TOL_BLOCK or lemma_join > TOL_BLOCK or not y_comm_ok:
             raise BlockCertificationFailed(
                 f"reassembly {reassembly:.3e}, join identity {lemma_join:.3e}, "
                 f"y commutant membership {y_comm_res:.3e}"
@@ -615,9 +594,10 @@ class Analysis:
         )
 
 
-def _lex_key(p: np.ndarray) -> bytes:
-    flat = np.concatenate([p.real.ravel(), p.imag.ravel()])
-    return np.round(flat, 9).tobytes()
+def _lex_key(p: np.ndarray) -> list[float]:
+    """p's entries rounded to 1e-9, real parts then imaginary parts, as
+    numbers compared in order, so -0.0 and 0.0 are one value."""
+    return np.round(np.concatenate([p.real.ravel(), p.imag.ravel()]), 9).tolist()
 
 
 # --- entry points: one shared analysis per call ------------------------------------

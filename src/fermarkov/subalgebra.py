@@ -18,8 +18,8 @@ commutants inherit it from their ambient, products take the union of their
 factors' regions, and subalgebra_from_matrices holds its span in the smallest
 region that contains it (site j drops out when the span leaks out of
 A_{[n] minus j} by at most TOL_MEMBER; A_I n A_J = A_{I n J}).  A subalgebra
-built from its small picture holds only that picture: its (m, D, D) basis is
-a scatter made when first read.
+built from its small picture holds only that picture and projects through
+it: its (m, D, D) basis is a scatter made when first read.
 
 A whole region algebra A_I has a unit frame, W^* A_I W = M_d x 1, where a
 product with a scaled unit sqrt(d) E_rs x 1 is a scatter of columns or rows
@@ -34,6 +34,8 @@ s (Murota-Kanno-Kojima-Kojima, Math. Program. 122 (2010) 1-33), and a small
 random sketch of s is solved once inside it.  Nothing is retried: the result
 is certified to commute with all of s, and a completeness count over the
 central projections of s sees a direction lost to a split eigenvalue cluster.
+Those projections, drawn once in the factor of s's region, are what
+minimal_central_projections returns.
 
 The invariant-subalgebra solver decides the "stable under e^{itH} . e^{-itH}
 for all t" condition algebraically: the largest subspace V of the ambient span
@@ -76,9 +78,12 @@ class SubalgebraBasis:
     ``small`` is the basis in the region's 2^k x 2^k tensor factor (the basis
     itself for the whole space) and ``leak`` the tau-norm of each basis
     element outside the region algebra, gathered on first read.  One built
-    by ``_from_small`` holds only its small picture, with no leak, and
-    ``basis`` is its scatter W (small x 1) W^*, made on first read.
+    by ``_from_small`` holds only its small picture, with no leak, projects
+    through it, and ``basis`` is its scatter W (small x 1) W^*, made on
+    first read.
     """
+
+    _by_small = False   # set by _from_small: project through the small picture
 
     def __init__(self, dim_ambient: int, basis: np.ndarray, contains_identity: bool,
                  parity_stable: bool | None = None, region: Iterable[int] | None = None):
@@ -98,7 +103,12 @@ class SubalgebraBasis:
         return (self.small if held is None else held).shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return hs.project(self.basis, x)
+        """E_s(x); one built from its small picture projects there, with no
+        scatter: s lies in A_I, so E_s = E_s o E_I and E_s(x) = W (P(x_I) x 1) W^*."""
+        if not self._by_small:
+            return hs.project(self.basis, x)
+        small = hs.project(self.small, _small(self.dim_ambient, self.region, x))
+        return small if self.region is None else _family(self.dim_ambient, self.region).iso_from_small(small)
 
     @cached_property
     def _picture(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +178,7 @@ def _from_small(dim: int, region: Iterable[int] | None, small: np.ndarray, conta
     its cached picture with no leak."""
     s = SubalgebraBasis.__new__(SubalgebraBasis)
     vars(s).update(dim_ambient=dim, contains_identity=contains_identity, parity_stable=parity_stable,
-                   region=_normal_region(dim, region), _picture=(small, np.zeros(small.shape[0])))
+                   region=_normal_region(dim, region), _picture=(small, np.zeros(small.shape[0])), _by_small=True)
     return s
 
 
@@ -233,7 +243,7 @@ def membership(x: np.ndarray, s: SubalgebraBasis, tol: float = TOL_MEMBER) -> tu
 
     Inside iff residual <= tol * (1 + ||x||).
     """
-    residual = hs.hs_norm(x - hs.project(s.basis, x))
+    residual = hs.hs_norm(x - s.project(x))
     return residual <= tol * (1.0 + hs.hs_norm(x)), float(residual)
 
 
@@ -384,28 +394,17 @@ def _worst_commutator(x: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(hs.flatten(comms), axis=1).max() / np.sqrt(x.shape[-1]))
 
 
-def _central_projections(z: np.ndarray, unit: np.ndarray, rng: np.random.Generator, gap: float) -> list[np.ndarray]:
-    """Minimal projections of a commutative *-algebra z with the given unit:
-    the eigenspaces under the unit of one random self-adjoint element, distinct
-    on distinct blocks almost surely (DegenerateCenter when they are not)."""
-    [el] = _hermitian_combos(z, 1, rng)
-    projections = [u @ u.conj().T for u in _eigenspaces(el, gap)]
-    projections = [p for p in projections if np.vdot(p, unit).real > 0.5]
-    if len(projections) != z.shape[0]:
-        raise DegenerateCenter(f"one draw separated {len(projections)} of {z.shape[0]} central blocks")
-    return projections
-
-
 def _require_complete(basis: np.ndarray, stack: np.ndarray, ambient: np.ndarray | None,
-                      rng: np.random.Generator) -> None:
-    """InvariantViolation unless the commutant stack of s = span(basis) in the
-    ambient A (None: all matrices) has every direction.  With e_A the unit of
-    A and p_i the minimal central projections of s~ = s + C e_A (drawn from
-    the commutant's part inside s~, its center), s~ p_i = M_{d_i} sits in
-    p_i A p_i = M_{d_i} x (s' n A) p_i, so the count sum_i sqrt(dim(s~ p_i)
-    dim(s' p_i)) equals sum_i sqrt(dim(p_i A p_i)), the rank of the space for
-    all matrices or a region's factor; a split eigenvalue cluster of h shrinks
-    some dim(s' p_i).  dim(X p) = sum_k ||x_k p||^2 and dim(p A p) =
+                      rng: np.random.Generator, gap: float = _GAP) -> list[np.ndarray]:
+    """The minimal central projections p_i of s~ = s + C e_A, e_A the unit of
+    the ambient A (None: all matrices), after an InvariantViolation check that
+    the commutant stack of s = span(basis) in A has every direction.  The p_i
+    are the eigenspaces under e_A (relative gap ``gap``) of one random element
+    of the commutant's part inside s~, its center (DegenerateCenter when they
+    are fewer).  s~ p_i = M_{d_i} sits in p_i A p_i = M_{d_i} x (s' n A) p_i,
+    so the count sum_i sqrt(dim(s~ p_i) dim(s' p_i)) equals the rank
+    sum_i sqrt(dim(p_i A p_i)); a split eigenvalue cluster of h shrinks some
+    dim(s' p_i).  dim(X p) = sum_k ||x_k p||^2 and dim(p A p) =
     sum_k ||p a_k p||^2 in tau-norms over tau-orthonormal stacks."""
     d = basis.shape[-1]
     unit = np.eye(d, dtype=complex) if ambient is None else hs.project(ambient, np.eye(d, dtype=complex))
@@ -413,12 +412,18 @@ def _require_complete(basis: np.ndarray, stack: np.ndarray, ambient: np.ndarray 
     if hs.hs_norm(extra) > TOL_MEMBER:
         basis = np.concatenate([basis, extra[None] / hs.hs_norm(extra)])
     outside = hs.flatten(stack - hs.project_stack(basis, stack)) / np.sqrt(d)
+    z = _null_combinations(outside, stack, 1.0)
+    [el] = _hermitian_combos(z, 1, rng)
+    projections = [p for p in (u @ u.conj().T for u in _eigenspaces(el, gap)) if np.vdot(p, unit).real > 0.5]
+    if len(projections) != z.shape[0]:
+        raise DegenerateCenter(f"one draw separated {len(projections)} of {z.shape[0]} central blocks")
     count = rank = 0.0
-    for p in _central_projections(_null_combinations(outside, stack, 1.0), unit, rng, _GAP):
+    for p in projections:
         count += np.linalg.norm(basis @ p) * np.linalg.norm(stack @ p) / d
         rank += np.trace(p).real if ambient is None else np.linalg.norm(p @ ambient @ p) / np.sqrt(d)
     if abs(count - rank) > RANK_RTOL * rank:
         raise InvariantViolation(f"commutant completeness count {count:.6f} differs from the rank {rank:.6f}")
+    return projections
 
 
 def commutant(
@@ -440,6 +445,12 @@ def commutant(
     holds, and a basis element of s or the ambient leaking out of it by more
     than TOL_MEMBER raises NotAnAlgebra.
     """
+    return _commutant_and_projections(s, ambient, rng)[0]
+
+
+def _commutant_and_projections(s: SubalgebraBasis, ambient: SubalgebraBasis | None = None, rng=None,
+                               gap: float = _GAP) -> tuple[SubalgebraBasis, list[np.ndarray]]:
+    """commutant(s, ambient) and the projections _require_complete drew, in the result's factor."""
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     dim = s.dim_ambient
     region = None if ambient is None else _union(dim, s.region, ambient.region)
@@ -457,8 +468,8 @@ def commutant(
     worst = max((_worst_commutator(x, basis) for x in stack), default=0.0)
     if worst > TOL_MEMBER:
         raise InvariantViolation(f"commutant element fails to commute with s: residual {worst:.3e}")
-    _require_complete(basis, stack, amb, rng)
-    return _from_small(dim, region, stack, _contains_identity(stack, basis.shape[-1]))
+    projections = _require_complete(basis, stack, amb, rng, gap)
+    return _from_small(dim, region, stack, _contains_identity(stack, basis.shape[-1])), projections
 
 
 def center(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> SubalgebraBasis:
@@ -471,11 +482,14 @@ def center(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> Sub
 def minimal_central_projections(s: SubalgebraBasis, *, rng: np.random.Generator | None = None,
                                 gap: float = _GAP) -> list[np.ndarray]:
     """Minimal central projections, orthogonal and summing to the identity,
-    largest trace first: the eigenvalue clusters (relative gap ``gap``) of one
-    random self-adjoint central element.  DegenerateCenter when their number
-    is not the center's dimension."""
-    rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
-    projections = _central_projections(center(s, rng=rng).basis, np.eye(s.dim_ambient), rng, gap)
+    largest trace first: those the commutant solve of s in its region's
+    factor draws there (see _require_complete), scattered to D x D."""
+    if not s.contains_identity:
+        raise ValueError("center requires a subalgebra containing the identity")
+    ambient = None if s.region is None else region_subalgebra(_family(s.dim_ambient, s.region).alg, s.region)
+    _, projections = _commutant_and_projections(s, ambient, rng, gap)
+    if s.region is not None:
+        projections = _family(s.dim_ambient, s.region).iso_from_small(np.stack(projections))
     return sorted(projections, key=lambda p: -float(np.trace(p).real))
 
 

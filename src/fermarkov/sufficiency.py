@@ -53,8 +53,8 @@ tau-orthonormal basis of A_I gives it:
   - the witness's commutator check, the same block norms with
     L = R = W^* d W.
 
-rho0 = s.project(rho) still reads the basis, so d and every entropy are
-those of the stack route; every other subalgebra takes the stack route.
+rho0 is projected on the basis, not through a small picture, so d and every
+entropy are those of the stack route; every other subalgebra takes it too.
 
 factor_through returns its common factor d = rho_phi0^{-1} rho_phi unaided
 while d is close enough to an exact witness to imply all three (Jencova-Petz,
@@ -163,7 +163,7 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis) -> QuantumChannel:
     a -> E(G^* a G) with G = H K (see the module docstring).
     """
     psi.require_faithful("recovery-map state")
-    rho0 = hs.hermitian_part(s.project(psi.rho))
+    rho0 = hs.hermitian_part(hs.project(s.basis, psi.rho))
     sup = _petz_superop(eig_hermitian(psi.rho), eig_hermitian(rho0), s)
     return QuantumChannel(psi.dim, psi.dim, sup)
 
@@ -301,8 +301,8 @@ def is_sufficient(
     phi.require_faithful("first state")
     psi.require_faithful("second state")
 
-    rho_phi0 = hs.hermitian_part(s.project(phi.rho))
-    rho_psi0 = hs.hermitian_part(s.project(psi.rho))
+    rho_phi0 = hs.hermitian_part(hs.project(s.basis, phi.rho))
+    rho_psi0 = hs.hermitian_part(hs.project(s.basis, psi.rho))
     dec_phi, dec_psi = eig_hermitian(phi.rho), eig_hermitian(psi.rho)
     dec_phi0, dec_psi0 = eig_hermitian(rho_phi0), eig_hermitian(rho_psi0)
 
@@ -412,7 +412,7 @@ def _certified_factor(
     """d = rho_phi0^{-1} rho_phi and its largest defect in certificate units
     (see factor_through), or InvariantViolation naming the first check d
     fails."""
-    rho_phi0 = hs.hermitian_part(s.project(phi.rho))
+    rho_phi0 = hs.hermitian_part(hs.project(s.basis, phi.rho))
     d = np.linalg.solve(rho_phi0, phi.rho)
     herm_defect = hs.hs_norm(d - d.conj().T)
     if herm_defect > 1e-7 * (1.0 + hs.hs_norm(d)):
@@ -428,7 +428,7 @@ def _certified_factor(
     if res > tol_member * (1.0 + hs.hs_norm(d)):
         raise InvariantViolation(f"factor outside the relative commutant: residual {res:.3e}")
 
-    rho_psi0 = hs.hermitian_part(s.project(psi.rho))
+    rho_psi0 = hs.hermitian_part(hs.project(s.basis, psi.rho))
     recon_psi = hs.hs_norm(rho_psi0 @ d - psi.rho)
     recon_phi = hs.hs_norm(rho_phi0 @ d - phi.rho)
     if recon_psi > TOL_RECON or recon_phi > TOL_RECON:

@@ -165,6 +165,22 @@ def test_set_up_decomposes_no_full_matrix_but_rho(mode, monkeypatch):
     assert of_rho == []
 
 
+@pytest.mark.parametrize("cut", ["1|3|1", "02|13|4"])
+def test_set_up_decomposes_each_restriction_once(cut, monkeypatch):
+    # rho_AB, rho_BC and rho_B are each decomposed once, and validated as
+    # densities from that spectrum: three small spectral calls beside rho's
+    regions = CUTS[cut]
+    state = make_product_markov(regions, 1)
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, *a, _real=real, **k: sizes.append(m.shape[-1]) or _real(m, *a, **k))
+    Analysis(state, regions)
+    small = sorted(size for size in sizes if size < state.dim)
+    assert small == sorted(2 ** len(r) for r in (regions.AB, regions.BC, regions.B))
+
+
 KIND_SEEDS = {**KINDS, "block_2_1": lambda r, seed: make_block_markov(r, seed, 2, 1)[0]}
 
 

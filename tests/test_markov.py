@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fermarkov import hs, markov
+from fermarkov import hs, markov, subalgebra
 from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import BlockCertificationFailed, FactorizationFailed, NotEven, NotMarkov, NotSaturated
@@ -356,3 +356,44 @@ def test_block_certificate_rejects_a_non_central_projection(monkeypatch, regions
     monkeypatch.setattr(markov, "TOL_BLOCK", float("inf"))
     with pytest.raises(BlockCertificationFailed, match="block certificates failed: membership"):
         an.decomposition
+
+
+def test_block_decomposition_solves_b_once_in_its_factor(monkeypatch):
+    # B~ and B's minimal central projections come from one commutant solve in
+    # B's 2^|B| factor: central runs no larger spectral call, and C~ is read
+    # in its small picture, never scattered
+    regions = RegionPartition((0,), (1, 2, 3), (4,))
+    state, _ = make_block_markov(regions, 0, 2, 1)
+    an = Analysis(state, regions)
+    solves, sizes = [], []
+    real_complete = subalgebra._require_complete
+    monkeypatch.setattr(subalgebra, "_require_complete",
+                        lambda basis, *a: solves.append(basis.shape[-1]) or real_complete(basis, *a))
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, *a, _real=real, **k: sizes.append(m.shape[-1]) or _real(m, *a, **k))
+    an.central
+    assert sizes and max(sizes) <= 2 ** len(regions.B)
+    dec = an.decomposition
+    assert (dec.central.k, len(dec.central.pairs)) == (2, 1)
+    assert solves == [2 ** len(regions.B)]
+    assert "basis" not in vars(an._lemma_algebras.c_tilde)
+
+
+def test_pair_order_ignores_the_sign_of_zero():
+    # the representative of a parity pair is the lexicographically smaller
+    # projection; a zero entry rounded to -0.0 must not decide it
+    def negate_zeros(p):
+        out = p.copy()
+        out.real[p.real == 0] = -0.0
+        out.imag[p.imag == 0] = -0.0
+        return out
+
+    regions = RegionPartition((0,), (1, 2), (3,))
+    state, _ = make_block_markov(regions, 0, 0, 1)
+    first, second = central_structure(state, regions).p_list
+    assert not np.array_equal(np.signbit(first.real), np.signbit(negate_zeros(first).real))
+    for p, q in ((first, second), (second, first)):
+        assert markov._lex_key(negate_zeros(p)) == markov._lex_key(p)
+        assert (markov._lex_key(p) < markov._lex_key(q)) == (markov._lex_key(negate_zeros(p)) < markov._lex_key(q))

@@ -749,7 +749,7 @@ def test_small_picture_subalgebras_are_scattered_only_when_read(monkeypatch):
 
     regions = RegionPartition((0,), (1, 2, 3), (4,))
     state = make_block_markov(regions, 1, 1, 1)[0]
-    built = {name: [] for name in ("flow_stable_pair", "region_subalgebra", "commutant")}
+    built = {name: [] for name in ("flow_stable_pair", "region_subalgebra", "_commutant_and_projections")}
     for name, results in built.items():
         def capture(*args, _real=getattr(markov, name), _results=results, **kwargs):
             _results.append(_real(*args, **kwargs))
@@ -761,7 +761,7 @@ def test_small_picture_subalgebras_are_scattered_only_when_read(monkeypatch):
 
     [pair] = built["flow_stable_pair"]
     [b_region] = [s for s in built["region_subalgebra"] if s.region == regions.B]
-    [b_tilde] = [s for s in built["commutant"] if s.region == regions.B]
+    [b_tilde] = [s for s, _ in built["_commutant_and_projections"] if s.region == regions.B]
     family = matrix_units(state.alg, regions.B)
     for s in (b_region, pair.b_basis, b_tilde):
         assert "basis" not in vars(s)
@@ -771,3 +771,53 @@ def test_small_picture_subalgebras_are_scattered_only_when_read(monkeypatch):
         assert s.basis.tobytes() == eager.tobytes() and s.basis is s.basis
         assert "basis" in vars(s)
     assert np.array_equal(b_region.basis, family.orthobasis())
+
+
+def center_route_projections(s, rng):
+    """The minimal central projections as drawn from the center's D x D
+    basis: the eigenspaces of one random central element, largest trace
+    first."""
+    z = center(s, rng=rng).basis
+    w = rng.normal(size=z.shape[0]) + 1j * rng.normal(size=z.shape[0])
+    el = hs.hermitian_part(np.einsum("k,kij->ij", w, z))
+    projections = [u @ u.conj().T for u in subalgebra._eigenspaces(el, subalgebra._GAP)]
+    return sorted(projections, key=lambda p: -float(np.trace(p).real))
+
+
+BLOCK_DESIGNS = [(RegionPartition((0,), (1, 2), (3,)), design, seed)
+                 for design in ((1, 1), (2, 1), (0, 2)) for seed in (0, 1)]
+BLOCK_DESIGNS += [(RegionPartition((0,), (1, 2, 3), (4,)), design, 0) for design in ((2, 1), (0, 2), (3, 0))]
+
+
+def test_minimal_central_projections_match_the_center_route():
+    # drawn once in the factor of s's region, they are the projections the
+    # center's scattered basis gives, as a set
+    algebras = [block_direct_sum(), site_parity_sum(build_algebra(3)), region_alg((0, 2))]
+    for regions, design, seed in BLOCK_DESIGNS:
+        algebras.append(Analysis(make_block_markov(regions, seed, *design)[0], regions).b_basis)
+    for s in algebras:
+        got = minimal_central_projections(s)
+        want = center_route_projections(s, np.random.default_rng(3))
+        assert len(got) == len(want) and len(got) >= 1
+        for p in got:
+            assert min(np.max(np.abs(p - q)) for q in want) <= 1e-12
+    assert [len(minimal_central_projections(s)) for s in algebras[:2]] == [2, 2]
+
+
+def test_small_held_subalgebras_project_in_their_factor():
+    # a subalgebra built from its small picture projects through it, E_s =
+    # E_s o E_I, and equals the projection on its scattered basis
+    regions = RegionPartition((0,), (1, 2, 3), (4,))
+    state = make_block_markov(regions, 0, 1, 1)[0]
+    an = Analysis(state, regions)
+    b_region = region_subalgebra(state.alg, regions.B)
+    held = [an.b_basis, b_region, commutant(an.b_basis, b_region), an._lemma_algebras.c_tilde,
+            commutant(region_subalgebra(state.alg, (0,)))]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(state.dim, state.dim)) + 1j * rng.normal(size=(state.dim, state.dim))
+    for s in held:
+        got = s.project(x)
+        inside, residual = membership(x, s)
+        assert "basis" not in vars(s)
+        assert np.max(np.abs(got - hs.project(s.basis, x))) <= 1e-13
+        assert not inside and residual == hs.hs_norm(x - got)
