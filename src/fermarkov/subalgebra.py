@@ -739,21 +739,26 @@ class _UnitFrame:
     def gram(self, lt: np.ndarray, rt: np.ndarray) -> np.ndarray:
         """Gram g g^H of the images' rows g = flatten(images) / sqrt(D), from
         blocks: with A = Tr_e(lt^* lt), B = Tr_e(rt rt^*) and
-        X[(r, s), (r', s')] = Tr(P_{r's'}^* Q_rs), a product of inner size e^2,
+        X[(r, s), (r', s')] = Tr(P_{r's'}^* Q_rs),
 
           g g^H = (d / D) [A^T x 1 + 1 x B - X - X^H].
 
-        Each entry is a sum of products whose moduli add up to at most
-        (|P_rs| + |Q_rs|)(|P_r's'| + |Q_r's'|), so row_norms' weight bounds
-        its rounding in _nothing_kept."""
+        X + X^H is one (d^2 x 2e^2)(2e^2 x d^2) product, X's terms and X^H's
+        side by side in the inner index, and one permutation; the sum
+        holds the same products as X and X^H formed apart.  Each entry is a
+        sum of products whose moduli add up to at most (|P_rs| + |Q_rs|)
+        (|P_r's'| + |Q_r's'|), so row_norms' weight bounds its rounding in
+        _nothing_kept."""
         d, dim = self.d, lt.shape[-1]
         e, diag = dim // d, np.arange(d)
         cols, rows = lt.reshape(dim, d, e), rt.reshape(d, e, dim)
-        # lt~[(r, i), (r', j)] against rt~[(s, i), (s', j)], summed over i, j
-        left = self._blocks(lt).transpose(0, 2, 1, 3).reshape(d * d, e * e)
-        right = self._blocks(rt).transpose(0, 2, 1, 3).reshape(d * d, e * e)
-        x = (left.conj() @ right.T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        gram = -(x + x.conj().T)
+        # lt~[(r, i), (r', j)] against rt~[(s, i), (s', j)], summed over i, j,
+        # for X; X^H is the same sum with (r, r') and (s, s') swapped and conjugated
+        left = self._blocks(lt).transpose(0, 2, 1, 3).reshape(d, d, e * e)
+        right = self._blocks(rt).transpose(0, 2, 1, 3).reshape(d, d, e * e)
+        left = np.concatenate([left.conj(), left.transpose(1, 0, 2)], axis=2).reshape(d * d, 2 * e * e)
+        right = np.concatenate([right, right.transpose(1, 0, 2).conj()], axis=2).reshape(d * d, 2 * e * e)
+        gram = -(left @ right.T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
         blocks = gram.reshape(d, d, d, d)                           # [r, s, r', s']
         blocks[:, diag, :, diag] += np.einsum("xaj,xbj->ba", cols.conj(), cols)
         blocks[diag, :, diag, :] += np.einsum("ajy,bjy->ab", rows, rows.conj())

@@ -47,7 +47,10 @@ tau-orthonormal basis of A_I gives it:
 
   - the recovery-map residual: with X = G W, G b_rs G^* = sqrt(d) sum_c
     X[:, (r, c)] X[:, (s, c)]^*, so a state's whole sandwich stack is
-    sqrt(d) M M^H for the (d D x e) reshape M of X;
+    sqrt(d) M M^H for the (d D x e) reshape M of X, and the difference of
+    the two stacks is read from the 2e x 2e R factor of [M_phi M_psi]
+    (backward stable, where a Gram of M would square the condition), with
+    no (d D x d D) product;
   - the cocycle certificate and factor_through's flow check, whose round 0
     reads its images, their norms and their Gram from e x e blocks;
   - the witness's commutator check, the same block norms with
@@ -210,17 +213,32 @@ def _frame_petz_residual(g_phi: np.ndarray, g_psi: np.ndarray, frame: _UnitFrame
     """_petz_residual over a whole region algebra, from its units: with
     X = G W, G b_rs G^* = sqrt(d) sum_j X[:, (r, j)] X[:, (s, j)]^*, so the
     whole sandwich stack of a state is sqrt(d) M M^H for the (d D x e)
-    reshape M of X.  The difference of the two stacks is one product of
-    inner size 2e, [M_phi M_psi] [M_phi -M_psi]^H, in place of 2 d^2
-    sandwiches, and |M M^H|_F = |M^H M|_F needs no product of that size."""
+    reshape M of X, and the residual's numerator is
+    |M_phi M_phi^H - M_psi M_psi^H|_F, a (d D x d D) difference.
+
+    It is read from the 2e x 2e R factor of [M_phi M_psi] = Q [r_phi r_psi]:
+    Q has orthonormal columns, so the difference is Q (r_phi r_phi^H -
+    r_psi r_psi^H) Q^H with the same Frobenius norm, and no matrix of d D
+    rows is formed but the reshapes (at n = 7 against A_AB of 1|5|1 the
+    explicit difference would be 8192 x 8192, 1 GiB).  Householder QR is
+    backward stable: r is the exact R factor of [M_phi M_psi] + delta with
+    |delta| <= c u |M|, so the absolute error stays at u |M|^2, as for the
+    explicit product.  A Gram route (A^H A, its Cholesky or
+    tr((S A^H A)^2)) would square the condition instead: where
+    G_psi = G_phi W (1 x U) W^* for a unitary U, so that the two maps are
+    equal, it reads about 2e-8, above TOL_PETZ_EQ, while the R factor reads
+    roundoff.  The denominator |M_psi M_psi^H|_F is |r_psi^H r_psi|_F."""
     family, d, dim = frame.family, frame.d, g_phi.shape[-1]
     m_phi, m_psi = (
         (g[:, family.perm] * family.sign).reshape(dim, d, -1).transpose(1, 0, 2).reshape(d * dim, -1)
         for g in (g_phi, g_psi)
     )
-    diff = np.hstack([m_phi, m_psi]) @ np.hstack([m_phi, -m_psi]).conj().T
+    e = m_phi.shape[1]
+    r = np.linalg.qr(np.hstack([m_phi, m_psi]), mode="r")
+    r_phi, r_psi = r[:, :e], r[:, e:]
+    diff = r_phi @ r_phi.conj().T - r_psi @ r_psi.conj().T
     scale = np.sqrt(d / dim)
-    return float(scale * np.linalg.norm(diff) / max(1.0, scale * np.linalg.norm(m_psi.conj().T @ m_psi)))
+    return float(scale * np.linalg.norm(diff) / max(1.0, scale * np.linalg.norm(r_psi.conj().T @ r_psi)))
 
 
 @dataclass(frozen=True)
@@ -341,9 +359,10 @@ def factor_through(
 ) -> np.ndarray:
     """Common positive factor d with rho_phi = rho_phi0 d and rho_psi = rho_psi0 d.
 
-    Requires the subalgebra S to be stable under the modular flow of psi
-    (FlowUnstable unless the invariant subspace of [log rho_psi, .] in S is
-    all of S) and the pair to be sufficient; d then lies in the relative
+    Requires both states to be faithful (NotFaithful, checked first, as in
+    is_sufficient), the subalgebra S to be stable under the modular flow of
+    psi (FlowUnstable unless the invariant subspace of [log rho_psi, .] in S
+    is all of S) and the pair to be sufficient; d then lies in the relative
     commutant S'.
 
     The candidate d = rho_phi0^{-1} rho_phi is checked first: self-adjoint,
@@ -378,13 +397,13 @@ def factor_through(
     three residuals; a sufficient one returns d if every check passed, and
     re-raises the failed check's InvariantViolation if not.
     """
+    phi.require_faithful("first state")
+    psi.require_faithful("second state")
     dec = eig_hermitian(psi.rho)
     h = dec.func("log")
     stable, _ = _invariant_in(s, h, h, _log_radius(dec))
     if stable < s.size:
         raise FlowUnstable(f"subalgebra not stable under the reference flow: {stable} < {s.size}")
-    phi.require_faithful("first state")
-    psi.require_faithful("second state")
     try:
         d, defect = _certified_factor(phi, psi, s, tol_member)
     except InvariantViolation:

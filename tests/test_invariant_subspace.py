@@ -195,10 +195,15 @@ def test_sufficient_pair_projects_no_stack(monkeypatch):
 
 
 def test_insufficient_pair_factors_nothing(monkeypatch):
+    # the cocycle certificate's round factors nothing; the one QR is the
+    # recovery-map residual's R factor of [M_phi M_psi], (d D, 2e)
     phi, psi = _pair(random_state(5, 4), N5)
     s = subalgebra_from_matrices(region_orthobasis(phi.alg, N5.AB))
-    qr = _spy(monkeypatch, np.linalg, "qr")
+    shapes = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *r, **k: shapes.append(np.shape(a)) or real_qr(a, *r, **k))
     svd = _spy(monkeypatch, np.linalg, "svd")
     report = is_sufficient(phi, psi, s)
     assert not report.ok_cocycle and report.cocycle_residual == 1.0
-    assert qr == [] and svd == []
+    d, dim = 2 ** len(N5.AB), phi.alg.dim
+    assert shapes == [(d * dim, 2 * dim // d)] and svd == []

@@ -9,7 +9,14 @@ import pytest
 from fermarkov import hs, markov, subalgebra
 from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
-from fermarkov.errors import BlockCertificationFailed, FactorizationFailed, NotEven, NotMarkov, NotSaturated
+from fermarkov.errors import (
+    BlockCertificationFailed,
+    FactorizationFailed,
+    NotEven,
+    NotMarkov,
+    NotSaturated,
+    UnmatchedParityAction,
+)
 from fermarkov.markov import (
     Analysis,
     analyze_triplet,
@@ -155,6 +162,26 @@ def test_central_structure_rejects_nonmarkov():
     state = perturb(make_product_markov(REGIONS, 40), 0.05, 7, keep_even=True)
     with pytest.raises(NotMarkov):
         central_structure(state, REGIONS)
+
+
+_PLANTED_B = {
+    # the parity image of (1 + sigma_x) / 2 is (1 - sigma_x) / 2, far from every planted projection
+    "matches nothing": [np.full((2, 2), 0.5)],
+    # two copies of the identity both pick the first as their parity image
+    "not an involution": [np.eye(2), np.eye(2)],
+    # a parity-fixed projection that misses half of the identity
+    "do not resolve the identity": [np.diag([1.0, 0.0])],
+}
+
+
+@pytest.mark.parametrize("message", list(_PLANTED_B))
+def test_central_structure_rejects_planted_projections_of_b(message):
+    # B = site 1 of the tracial 1|1|1 state, whose 2 x 2 factor takes the
+    # planted projections in place of the ones its commutant solve draws
+    an = Analysis(tracial(), REGIONS)
+    an.__dict__["_b_tilde"] = (an._b_tilde[0], [p.astype(complex) for p in _PLANTED_B[message]])
+    with pytest.raises(UnmatchedParityAction, match=message):
+        an.central
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,11 @@
 """Tests for recovery maps, the three sufficiency certificates and the
 common-factor construction."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +14,7 @@ import pytest
 from fermarkov import subalgebra, sufficiency
 from fermarkov.car import RegionPartition, build_algebra, even_odd_split, parity_unitary, region_orthobasis
 from fermarkov.entropy import StateDensity, cocycle, embedded_restriction
-from fermarkov.errors import FlowUnstable, InvariantViolation, NotSufficient
+from fermarkov.errors import FlowUnstable, InvariantViolation, NotFaithful, NotSufficient
 from fermarkov.spectral import mat_pow
 from fermarkov.states import make_product_markov, random_even_state, random_state
 from fermarkov.subalgebra import commutant, membership, region_subalgebra, subalgebra_from_matrices
@@ -187,6 +192,19 @@ def test_factor_through_rejects_unstable_flow():
         factor_through(phi, psi, ab_subalgebra())
 
 
+@pytest.mark.parametrize("which", ["first", "second"])
+@pytest.mark.parametrize("entry", [is_sufficient, factor_through], ids=["is_sufficient", "factor_through"])
+def test_a_state_that_is_not_faithful_is_refused_before_any_decomposition(entry, which):
+    # |0><0| has no logarithm; both entry points name the state, before the
+    # flow check or a log could fail on it
+    pure = np.zeros((ALG.dim, ALG.dim), dtype=complex)
+    pure[0, 0] = 1.0
+    pair = [random_state(3, 0), random_state(3, 1)]
+    pair[which == "second"] = StateDensity.from_matrix(ALG, pure)
+    with pytest.raises(NotFaithful, match=f"{which} state"):
+        entry(*pair, region_subalgebra(ALG, (0, 1)))
+
+
 @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (4, 4)])
 def test_choi_matches_unit_images(d_in, d_out):
     rng = np.random.default_rng(d_in * 10 + d_out)
@@ -320,3 +338,39 @@ def test_petz_map_needs_the_identity():
     corner[0, 0] = 1.0
     with pytest.raises(ValueError, match="containing the identity"):
         petz_map(random_state(3, 1), subalgebra_from_matrices([corner]))
+
+
+_N7_RECOVERY_CHILD = """
+import json, resource, sys
+cap = 2560 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fermarkov.car import RegionPartition
+from fermarkov.entropy import StateDensity, embedded_restriction
+from fermarkov.states import make_product_markov
+from fermarkov.subalgebra import region_subalgebra
+from fermarkov.sufficiency import factor_through, is_sufficient
+regions = RegionPartition((0,), (1, 2, 3, 4, 5), (6,))
+phi = make_product_markov(regions, 0)
+psi = StateDensity.from_matrix(phi.alg, embedded_restriction(phi, regions.BC))
+s = region_subalgebra(phi.alg, regions.AB)
+if sys.argv[1] == "is_sufficient":
+    print(json.dumps({"sufficient": is_sufficient(phi, psi, s).overall}))
+else:
+    print(json.dumps({"d_shape": factor_through(phi, psi, s).shape}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("entry", ["is_sufficient", "factor_through"])
+def test_seven_site_recovery_fits_under_an_address_space_cap(entry):
+    # n=7 1|5|1 against A_AB: the recovery-map residual reads a (8192, 4) R
+    # factor, where the explicit product of the two sandwich stacks was an
+    # (8192, 8192) array of 1 GiB.  The child caps its own address space at
+    # 2.5 GiB, so a regression ends as a failed child
+    src = str(Path(sufficiency.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _N7_RECOVERY_CHILD, entry], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == ({"sufficient": True} if entry == "is_sufficient" else {"d_shape": [128, 128]})

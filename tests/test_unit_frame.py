@@ -1,7 +1,9 @@
 """Whole region algebras decided in their unit frame W^* A_I W = M_d x 1,
 against the stack route that reads the same basis as a plain
 SubalgebraBasis of the whole space; the block Gram of round 0 against the
-explicit g g^H; and the region subalgebra_from_matrices infers."""
+explicit g g^H; the recovery-map residual's R factor against the explicit
+product of the two sandwich stacks; and the region subalgebra_from_matrices
+infers."""
 
 import itertools
 
@@ -12,6 +14,7 @@ from fermarkov import hs, subalgebra, sufficiency
 from fermarkov.car import build_algebra, matrix_units, region_orthobasis
 from fermarkov.entropy import StateDensity
 from fermarkov.errors import FermarkovError
+from fermarkov.spectral import eig_hermitian
 from fermarkov.states import random_state
 from fermarkov.subalgebra import (
     RANK_RTOL,
@@ -189,6 +192,57 @@ def test_the_block_gram_is_the_gram_of_the_images(n):
 def random_unitary(rng, d):
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q
+
+
+def petz_roots(phi, psi, s):
+    """The roots G = rho^{1/2} rho0^{-1/2} is_sufficient reads the recovery
+    maps from."""
+    decs = [(eig_hermitian(x.rho), eig_hermitian(hs.hermitian_part(hs.project(s.basis, x.rho)))) for x in (phi, psi)]
+    return [sufficiency._petz_root(dec, dec0, s) for dec, dec0 in decs]
+
+
+def product_residual(g_phi, g_psi, frame):
+    """The recovery-map residual from the explicit (d D x d D) product
+    [M_phi M_psi][M_phi -M_psi]^H of the two sandwich stacks, the reference
+    for the R factor."""
+    family, d, dim = frame.family, frame.d, g_phi.shape[-1]
+    m_phi, m_psi = (
+        (g[:, family.perm] * family.sign).reshape(dim, d, -1).transpose(1, 0, 2).reshape(d * dim, -1)
+        for g in (g_phi, g_psi)
+    )
+    diff = np.hstack([m_phi, m_psi]) @ np.hstack([m_phi, -m_psi]).conj().T
+    scale = np.sqrt(d / dim)
+    return float(scale * np.linalg.norm(diff) / max(1.0, scale * np.linalg.norm(m_psi.conj().T @ m_psi)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_r_factor_reads_the_residual_of_the_explicit_product(n):
+    alg = build_algebra(n)
+    for region in regions(n):
+        s = region_subalgebra(alg, region)
+        frame = _unit_frame(s)
+        for phi, psi in frame_pairs(alg, region, 10 * n + len(region)):
+            roots = petz_roots(phi, psi, s)
+            got, want = sufficiency._frame_petz_residual(*roots, frame), product_residual(*roots, frame)
+            assert abs(got - want) <= 1e-14 + 1e-12 * want, (region, got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equal_sandwiches_read_zero(n):
+    """G_psi = G_phi W (1 x U) W^*, U a unitary of the complement: every
+    sandwich G b G^* of A_I is the same for both, so the residual is 0 and
+    the R factor reads roundoff.  A Gram of [M_phi M_psi] squares its
+    condition: through tr((S A^H A)^2) the worst region of each n reads
+    about 2e-8 here, above TOL_PETZ_EQ."""
+    alg = build_algebra(n)
+    rng = np.random.default_rng(n)
+    for region in regions(n):
+        s = region_subalgebra(alg, region)
+        frame = _unit_frame(s)
+        family = frame.family
+        g_phi, _ = petz_roots(*frame_pairs(alg, region, n)[0], s)
+        u = scatter_product(family, np.eye(family.small_dim), random_unitary(rng, alg.dim // family.small_dim))
+        assert sufficiency._frame_petz_residual(g_phi, g_phi @ u, frame) <= 1e-14, region
 
 
 @pytest.mark.parametrize("plant", ["near_equal", "conjugated"])
