@@ -80,8 +80,10 @@ class StateDensity:
             raise NotFaithful(f"{what}: min eigenvalue {self.min_eig:.3e} <= {EPS_FAITHFUL:.1e}")
 
     def parity_defect(self) -> float:
-        """Entrywise deviation of rho from its parity conjugate."""
-        return float(np.max(np.abs(self.rho - parity_automorphism(self.alg, self.rho))))
+        """Entrywise deviation of rho from its parity conjugate, computed once per state."""
+        if "_parity_defect" not in vars(self):
+            vars(self)["_parity_defect"] = float(np.max(np.abs(self.rho - parity_automorphism(self.alg, self.rho))))
+        return vars(self)["_parity_defect"]
 
     def is_even(self, tol: float = TOL_EVEN) -> bool:
         return self.parity_defect() <= tol

@@ -26,6 +26,9 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
     matched there; every block cuts x and y by a minimal central projection
     q of C, and each factor is certified by one rule for all blocks: q x
     against C, q y against p_A C~ + (1 - p_A) C~.
+  - when W+ and W- fill A_B (every even product Markov state), closed forms:
+    B~ = C1 with the one projection 1 and no commutant solve, E_C = E_AB, and
+    C~ = A_C's twisted units, from product_algebra with no product round.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ from .spectral import EPS_FAITHFUL, SpectralDecomposition
 from .subalgebra import (
     TOL_MEMBER,
     SubalgebraBasis,
+    _stack,
     _UnitFrame,
+    _WholeFactor,
     _adjoint_residual,
     _commutant_and_projections,
     _fills_factor,
@@ -92,23 +97,28 @@ class FlowStablePair:
     odd, A_AB is the tau-orthogonal sum of the a_k A_B, hence
     C = A_A^+ W+ (+) A_A^- W- with W+ (= B) and W- the largest subspaces of
     A_B invariant under b -> [h, b] and b -> theta(h) b - b h.  For an even
-    state theta(h) = h and C is the join A_A v B.  plus and minus are
-    tau-orthonormal stacks in A_B's own 2^|B| factor.
+    state theta(h) = h and C is the join A_A v B.  Each W is a tau-orthonormal
+    stack in A_B's 2^|B| factor, or all of A_B as a _WholeFactor, whose stack
+    plus or minus forms on read; when both fill A_B, E_C = E_AB.
     """
 
     alg: CarAlgebra
     regions: RegionPartition
-    plus: np.ndarray                 # W+ = B
-    minus: np.ndarray                # W-
-    identity_residual: float         # tau-norm of 1 minus its projection onto W-
+    w_plus: np.ndarray | _WholeFactor    # W+ = B
+    w_minus: np.ndarray | _WholeFactor   # W-
+    identity_residual: float             # tau-norm of 1 minus its projection onto W-
+
+    plus = property(lambda self: _stack(self.w_plus))
+    minus = property(lambda self: _stack(self.w_minus))
+    fills = property(lambda self: _fills_factor(self.w_plus) and _fills_factor(self.w_minus))
 
     @property
     def dim_b(self) -> int:
-        return self.plus.shape[0]
+        return self.w_plus.shape[0]
 
     @property
     def dim_c(self) -> int:
-        return 4 ** len(self.regions.A) // 2 * (self.plus.shape[0] + self.minus.shape[0])
+        return 4 ** len(self.regions.A) // 2 * (self.w_plus.shape[0] + self.w_minus.shape[0])
 
     @cached_property
     def _ab_factor(self):
@@ -133,31 +143,34 @@ class FlowStablePair:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """E_C(x): the coefficients E_B(a_k^* E_AB(x)) of E_AB(x) over A_A's
-        units, each projected onto W+ or W- by the parity of a_k."""
-        units, even, b = self._ab_factor
+        units, each projected onto W+ or W- by the parity of a_k; E_AB(x)
+        itself when both W fill A_B."""
         ab = _small(self.alg.dim, self.regions.AB, x)
-        coeffs = b.trace_pairings(np.conj(units.transpose(0, 2, 1)) @ ab) / (ab.shape[-1] // b.small_dim)
-        coeffs[even] = hs.project_stack(self.plus, coeffs[even])
-        coeffs[~even] = hs.project_stack(self.minus, coeffs[~even])
-        return matrix_units(self.alg, self.regions.AB).iso_from_small((units @ b.iso_from_small(coeffs)).sum(axis=0))
+        if not self.fills:
+            units, even, b = self._ab_factor
+            coeffs = b.trace_pairings(np.conj(units.transpose(0, 2, 1)) @ ab) / (ab.shape[-1] // b.small_dim)
+            coeffs[even] = hs.project_stack(self.plus, coeffs[even])
+            coeffs[~even] = hs.project_stack(self.minus, coeffs[~even])
+            ab = (units @ b.iso_from_small(coeffs)).sum(axis=0)
+        return matrix_units(self.alg, self.regions.AB).iso_from_small(ab)
 
     @property
     def cond_exp_residual(self) -> float:
         """Worst residual of E_BC(C) against B, from E_BC(a w) = tau(a) w: a
         unit of A_A off the diagonal, every odd one among them, has tau 0, and
         a diagonal one sqrt(d_A) e_rr has tau 1 / sqrt(d_A)."""
-        return 2.0 ** (-len(self.regions.A) / 2) * _inclusion_residual(self.plus, self.plus)
+        return 2.0 ** (-len(self.regions.A) / 2) * _inclusion_residual(self.w_plus, self.w_plus)
 
     @property
     def join_residual(self) -> float:
         """C against the join A_A v B, which is W- against W+ both ways."""
-        return max(_inclusion_residual(self.plus, self.minus), _inclusion_residual(self.minus, self.plus))
+        return max(_inclusion_residual(self.w_plus, self.w_minus), _inclusion_residual(self.w_minus, self.w_plus))
 
 
-def _inclusion_residual(target: np.ndarray, stack: np.ndarray) -> float:
+def _inclusion_residual(target: np.ndarray | _WholeFactor, stack: np.ndarray | _WholeFactor) -> float:
     """Largest residual of a stack against the span of a tau-orthonormal
     target in A_B's factor; 0, with no projection, for a target that fills it."""
-    return 0.0 if _fills_factor(target) else float(hs.residual_norms(target, stack).max(initial=0.0))
+    return 0.0 if _fills_factor(target) else float(hs.residual_norms(target, _stack(stack)).max(initial=0.0))
 
 
 def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,8 +184,9 @@ def flow_stable_pair(rho_bc: SpectralDecomposition, alg: CarAlgebra, regions: Re
     eigenvalues over 2^|A|, floored at EPS_FAITHFUL / D.  A_B is the whole
     algebra of B's positions in a |BC|-site lattice: each W is decided in
     A_B's unit frame (``_UnitFrame.invariant_subspace``), which returns it in
-    B's 2^|B| factor and forms no (4^|B|, 2^|BC|, 2^|BC|) stack unless round
-    0 keeps part of A_B.  Each W is certified invariant under its own flow
+    B's 2^|B| factor (all of A_B, with no stack, when round 0 keeps every
+    unit) and forms no (4^|B|, 2^|BC|, 2^|BC|) stack unless it keeps part of
+    A_B.  Each W is certified invariant under its own flow
     e^{it theta^p(h)} . e^{-ith} for all t by its iteration's last round, and
     C's closure is certified there in graded form (NotAnAlgebra otherwise),
     (a w)(a' w') = a a' theta^p'(w) w' and (a w)^* = a^* theta^p(w^*) for a,
@@ -184,12 +198,12 @@ def flow_stable_pair(rho_bc: SpectralDecomposition, alg: CarAlgebra, regions: Re
     e_bc = SpectralDecomposition(rho_bc.eigenvalues / 2 ** len(regions.A), rho_bc.eigenvectors)
     h = hs.hermitian_part(e_bc.func("log", eps_faithful=EPS_FAITHFUL / alg.dim))
     frame = _UnitFrame(matrix_units(lattice, _positions(regions.B, regions.BC)))
-    scale = float(np.linalg.norm(h, 2))
+    scale = e_bc.log_radius()     # |h|_2, read from the spectrum
     plus, _ = frame.invariant_subspace(h, h, scale=scale)
     minus, identity_residual = frame.invariant_subspace(parity_automorphism(lattice, h), h, scale=scale)
     b_lattice = build_algebra(len(regions.B))
     # None enters only relations into a W that fills A_B, which read no factor
-    theta = lambda w, *targets: None if all(map(_fills_factor, targets)) else parity_automorphism(b_lattice, w)
+    theta = lambda w, *targets: None if all(map(_fills_factor, targets)) else parity_automorphism(b_lattice, _stack(w))
     t_plus, t_minus = theta(plus, minus), theta(minus, plus, minus)
     products = max(
         _product_residual(plus, plus, plus),
@@ -441,7 +455,7 @@ class Analysis:
         k = len(fixed)
         pairs = [(i, i + 1) for i in range(k, m, 2)]
 
-        b_in_ab = self.pair._ab_factor[2]     # B's family in A_AB's |AB|-site lattice
+        b_in_ab = matrix_units(build_algebra(len(regions.AB)), _positions(regions.B, regions.AB))   # in A_AB's lattice
         p_ab = list(b_in_ab.iso_from_small(p_raw[order]))
         # p_A = (1 + v_A) / 2 is diagonal: q = p_A p_i + (1 - p_A) p_j has p_i's rows where v_A = 1
         rows = np.diag(parity_unitary(b_in_ab.alg, _positions(regions.A, regions.AB))).real[:, None] > 0
@@ -459,6 +473,9 @@ class Analysis:
     @cached_property
     def _b_tilde(self) -> tuple[SubalgebraBasis, list[np.ndarray]]:
         """B~ = B' n A_B and B's minimal central projections, from one commutant solve in B's factor."""
+        if _fills_factor(self.pair.w_plus):     # B = A_B, a factor: B~ = C1, and 1 its one projection
+            one = np.eye(self.pair.w_plus.shape[-1], dtype=complex)
+            return _from_small(self.state.alg.dim, self.regions.B, one[None], True), [one]
         return _commutant_and_projections(self.b_basis, region_subalgebra(self.state.alg, self.regions.B))
 
     @cached_property

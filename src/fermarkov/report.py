@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class AnalysisDocument:
     decomposition: dict | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields by name, unset optional sections omitted, not copied."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         for key in ("factorization", "decomposition"):
             if d[key] is None:
                 del d[key]
@@ -83,7 +84,8 @@ def emit(doc: AnalysisDocument, fmt: str = "json") -> bytes:
     NonFiniteNumber), text is one verdict per line."""
     if fmt == "json":
         try:
-            return json.dumps(doc.to_dict(), indent=2, sort_keys=True, allow_nan=False).encode()
+            # a nested dataclass, such as a Check, is written as its fields
+            return json.dumps(doc.to_dict(), indent=2, sort_keys=True, allow_nan=False, default=asdict).encode()
         except ValueError as exc:
             raise NonFiniteNumber(f"document holds NaN or infinity, which JSON cannot represent: {exc}") from exc
     if fmt == "text":

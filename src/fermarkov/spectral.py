@@ -36,6 +36,10 @@ class SpectralDecomposition:
         u = self.eigenvectors
         return (u * values) @ u.conj().T
 
+    def log_radius(self) -> float:
+        """|log m|_2 of a positive definite matrix, from its spectrum."""
+        return float(np.abs(np.log(self.eigenvalues)).max())
+
     def func(
         self,
         kind: str,

@@ -188,7 +188,24 @@ def _require_inside(leak: np.ndarray, bound, region: tuple[int, ...] | None, wha
         raise NotAnAlgebra(f"{what} leaves the algebra of sites {region}: leak {leak.max():.3e}")
 
 
-def _fills_factor(stack: np.ndarray) -> bool:
+@dataclass(frozen=True)
+class _WholeFactor:
+    """All of M_d as a span, held by d: shape reads as its tau-orthonormal
+    (d^2, d, d) stack of scaled units sqrt(d) E_rs, which only units forms."""
+
+    d: int
+    shape = property(lambda self: (self.d * self.d, self.d, self.d))
+
+    def units(self) -> np.ndarray:
+        return np.sqrt(self.d) * np.eye(self.d * self.d, dtype=complex).reshape(self.shape)
+
+
+def _stack(span: np.ndarray | _WholeFactor) -> np.ndarray:
+    """A span's tau-orthonormal stack, the units for a whole factor."""
+    return span.units() if isinstance(span, _WholeFactor) else span
+
+
+def _fills_factor(stack: np.ndarray | _WholeFactor) -> bool:
     """True when a tau-orthonormal (m, d, d) stack spans all of M_d, m = d^2:
     every d x d matrix lies in its span, so a relation "inside the span"
     holds for anything and constrains nothing."""
@@ -198,9 +215,7 @@ def _fills_factor(stack: np.ndarray) -> bool:
 def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis:
     """The algebra of a site set: the scaled matrix units of its factor."""
     family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
-    d = family.small_dim
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d) * np.sqrt(d)
-    return _from_small(alg.dim, family.region, units, True, True)
+    return _from_small(alg.dim, family.region, _WholeFactor(family.small_dim).units(), True, True)
 
 
 def subalgebra_from_matrices(
@@ -336,8 +351,10 @@ def product_algebra(
         spans.append(hs.orthonormalize(np.concatenate([eye, small])))
     lhs, rhs = spans
     d = lhs.shape[-1]
-    products = (lhs[:, None] @ rhs[None, :]).reshape(-1, d, d)
-    result = _from_small(dim, region, hs.orthonormalize(products), True)
+    # a factor that spans only the scalars leaves the other's span: no product round
+    small = (rhs if lhs.shape[0] == 1 else lhs if rhs.shape[0] == 1
+             else hs.orthonormalize((lhs[:, None] @ rhs[None, :]).reshape(-1, d, d)))
+    result = _from_small(dim, region, small, True)
     _verify_algebra_closure(result, TOL_MEMBER)
     return result
 
@@ -592,15 +609,15 @@ def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float
                    lambda: g @ g.conj().T, lambda: g, rtol, scale)
 
 
-def _decide(basis: np.ndarray, fro: float, weight: float, k: int, unit_image, gram, rows,
-            rtol: float, scale: float) -> np.ndarray:
+def _decide(basis: np.ndarray | _WholeFactor, fro: float, weight: float, k: int, unit_image, gram, rows,
+            rtol: float, scale: float) -> np.ndarray | _WholeFactor:
     """The decision of every round of the descending iteration: the
     directions of the span of a tau-orthonormal stack whose images'
     out-of-span rows g (m x k) stay within the cut, or the stack itself when
-    every direction does.  fro is |g|_F, weight >= |g|_F^2 bounds the
-    rounding of gram() = g g^H, unit_image(a) is |a^T g| for the
-    coordinates a of the identity's projection onto the span, and rows()
-    forms g, which only the cut reads.
+    every direction does (a whole factor's units are formed only after).  fro
+    is |g|_F, weight >= |g|_F^2 bounds the rounding of gram() = g g^H,
+    unit_image(a) is |a^T g| for the coordinates a of the identity's
+    projection onto the span, and rows() forms g, which only the cut reads.
 
     A direction is dropped when its image leaves the span by more than
     rtol * max(s_max, scale, 1), where the s are the singular values of g.
@@ -624,10 +641,12 @@ def _decide(basis: np.ndarray, fro: float, weight: float, k: int, unit_image, gr
     """
     if fro <= rtol * max(scale, 1.0):
         return basis
-    unit = np.trace(basis, axis1=1, axis2=2).conj() / basis.shape[-1]
+    stack = _stack(basis)
+    unit = np.trace(stack, axis1=1, axis2=2).conj() / stack.shape[-1]
     if _nothing_kept(k, rtol * max(fro, scale, 1.0), weight, unit, unit_image(unit), gram):
-        return basis[:0]
-    return _cut(basis, rows(), rtol, scale)
+        return stack[:0]
+    kept = _cut(stack, rows(), rtol, scale)
+    return basis if kept is stack else kept
 
 
 def _cut(basis: np.ndarray, g: np.ndarray, rtol: float, scale: float) -> np.ndarray:
@@ -765,31 +784,32 @@ class _UnitFrame:
         return gram * (d / dim)
 
     def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *,
-                           scale: float = 1.0) -> tuple[np.ndarray, float]:
+                           scale: float = 1.0) -> tuple[np.ndarray | _WholeFactor, float]:
         """invariant_subspace over A_I: V as a tau-orthonormal (dim V, d, d)
         stack in the region's small picture, and the tau-norm of the
-        identity minus its projection onto V.  Round 0 runs on the units and
-        is decided by _decide: its out-of-span images are the frame images
-        of L' and R', the parts of L and R outside the factor (E_I is the
-        bimodule map of invariant_subspace), their norms and Gram come from
-        blocks, only the singular-value cut forms them, and the identity's
-        image row is (L' - R')~.  Kept directions are mapped back through W,
-        later rounds run there as invariant_subspace_under does, and what
-        they keep, inside A_I, is gathered back to the small picture."""
+        identity minus its projection onto V (all of M_d as a _WholeFactor,
+        residual 0).  Round 0 runs on the units and is decided by _decide:
+        its out-of-span images are the frame images of L' and R', the parts
+        of L and R outside the factor (E_I is the bimodule map of
+        invariant_subspace), their norms and Gram come from blocks, only the
+        singular-value cut forms them, and the identity's image row is
+        (L' - R')~.  Kept directions are mapped back through W, later rounds
+        run there as invariant_subspace_under does, and what they keep,
+        inside A_I, is gathered back to the small picture."""
         d, dim = self.d, left.shape[-1]
         lt = self.outside(left)
         rt = lt if right is left else self.outside(right)
-        units = np.sqrt(d) * np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        whole = _WholeFactor(d)
         norms, weight = self.row_norms(lt, rt)
         root = np.sqrt(dim)
-        kept = _decide(units, float(np.sqrt(norms.sum())), weight, dim * dim, lambda _: hs.hs_norm(lt - rt),
+        kept = _decide(whole, float(np.sqrt(norms.sum())), weight, dim * dim, lambda _: hs.hs_norm(lt - rt),
                        lambda: self.gram(lt, rt), lambda: hs.flatten(self.images(lt / root, rt / root)),
                        RANK_RTOL, scale)
-        if kept is not units and kept.shape[0]:
+        if kept is not whole and kept.shape[0]:
             stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
                                               self.family.iso_from_small(kept), scale=scale)
             kept = self.family.trace_pairings(stable) / (dim // d)
-        return kept, _identity_residual(kept, d)
+        return kept, 0.0 if kept is whole else _identity_residual(kept, d)
 
     def worst_commutator(self, x: np.ndarray) -> float:
         """_worst_commutator against the scaled units: the largest image
@@ -829,7 +849,7 @@ def _product_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -
     if _fills_factor(target):
         return 0.0
     i, j = _closure_pairs(left.shape[0], _CLOSURE_SAMPLES, right.shape[0])
-    products = left[i] @ right[j]
+    products = _stack(left)[i] @ _stack(right)[j]
     scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(products.shape[-1])
     return float((hs.residual_norms(target, products) / scale).max(initial=0.0))
 
@@ -841,7 +861,7 @@ def _adjoint_residual(stack: np.ndarray, target: np.ndarray) -> float:
     if _fills_factor(target):
         return 0.0
     i, _ = _closure_pairs(stack.shape[0], _CLOSURE_SAMPLES, 1)
-    adj = np.conj(np.transpose(stack[i], (0, 2, 1)))
+    adj = np.conj(np.transpose(_stack(stack)[i], (0, 2, 1)))
     return float(hs.residual_norms(target, adj).max(initial=0.0))
 
 

@@ -276,16 +276,11 @@ def _cocycle_orbit_residual(
     invariant subspace.  The descending subspace iteration is numerically
     stable where a direct power orbit would amplify roundoff.  Its scale is
     |Lphi|_2 + |Lpsi|_2, which a caller holding the two spectra passes as
-    the largest |log lambda| of each (_log_radius).
+    the largest |log lambda| of each (SpectralDecomposition.log_radius).
     """
     if scale is None:
         scale = float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2))
     return float(_invariant_in(s, log_phi, log_psi, max(1.0, scale))[1])
-
-
-def _log_radius(dec: SpectralDecomposition) -> float:
-    """|log rho|_2 of a faithful density from its spectrum."""
-    return float(np.abs(np.log(dec.eigenvalues)).max())
 
 
 def _invariant_in(s: SubalgebraBasis, left: np.ndarray, right: np.ndarray, scale: float) -> tuple[int, float]:
@@ -331,7 +326,7 @@ def is_sufficient(
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
     log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
-    orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s, _log_radius(dec_phi) + _log_radius(dec_psi))
+    orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s, dec_phi.log_radius() + dec_psi.log_radius())
     roots = _petz_root(dec_phi, dec_phi0, s), _petz_root(dec_psi, dec_psi0, s)
     frame = _unit_frame(s)
     petz_res = _petz_residual(*roots, s) if frame is None else _frame_petz_residual(*roots, frame)
@@ -401,7 +396,7 @@ def factor_through(
     psi.require_faithful("second state")
     dec = eig_hermitian(psi.rho)
     h = dec.func("log")
-    stable, _ = _invariant_in(s, h, h, _log_radius(dec))
+    stable, _ = _invariant_in(s, h, h, dec.log_radius())
     if stable < s.size:
         raise FlowUnstable(f"subalgebra not stable under the reference flow: {stable} < {s.size}")
     try:

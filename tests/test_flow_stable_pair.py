@@ -372,3 +372,20 @@ print(json.dumps({"markov": doc.triplet["markov"], "passed": [c["passed"] for c 
     print(f"n=7 1|5|1 build_document: ru_maxrss {out['maxrss_mb']:.0f} MB")
     assert out["markov"] and out["decomposed"] and out["passed"] and all(out["passed"])
     assert out["maxrss_mb"] < 400
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in kB are Linux's")
+@pytest.mark.parametrize("n, peak_mb", [(8, 500), (9, 1024)])
+def test_a_pair_that_fills_a_b_decomposes_under_an_address_space_cap(n, peak_mb):
+    # W+ and W- are all of A_B, held with no stack of its 4^(n-2) units, so
+    # B~, C~ and E_C take their closed forms; at n=9 the units alone were
+    # a 4 GiB np.eye(16384)
+    out = run_capped(_CAPPED_HEAD + f"""
+regions = RegionPartition((0,), tuple(range(1, {n - 1})), ({n - 1},))
+doc = build_document(make_product_markov(regions, 0), regions)
+print(json.dumps({{"markov": doc.triplet["markov"], "passed": [c["passed"] for c in doc.checks],
+                  "decomposed": doc.decomposition is not None, "maxrss_mb": rss()}}))
+""")
+    print(f"n={n} 1|{n - 2}|1 build_document: ru_maxrss {out['maxrss_mb']:.0f} MB")
+    assert out["markov"] and out["decomposed"] and out["passed"] and all(out["passed"])
+    assert out["maxrss_mb"] < peak_mb
