@@ -435,14 +435,22 @@ def _gen_state(args) -> tuple[StateDensity, RegionPartition, dict]:
     meta = {"kind": args.kind, "seed": seed, **params}
     if args.kind != "perturbed":
         spec = GeneratorSpec(args.kind, seed, regions, {**params, "floor": args.floor})
-        return generate(spec), regions, meta
+        return _generated(generate, spec), regions, meta
     # a perturbed state perturbs the state of its --base file, not a generated one
     if not args.base:
         raise ParseError("--kind perturbed requires --base STATEFILE")
     base, base_regions, _ = read_state_file(args.base)
     if base_regions != regions:
         raise ParseError("--regions disagrees with the base state file")
-    return perturb(base, args.epsilon, seed, keep_even=args.keep_even), regions, meta
+    return _generated(perturb, base, args.epsilon, seed, keep_even=args.keep_even), regions, meta
+
+
+def _generated(make, *args, **kwargs) -> StateDensity:
+    """The state a generator makes; parameters it rejects are a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def cmd_gen(args) -> int:
@@ -502,7 +510,7 @@ def cmd_sweep(args) -> int:
         seed = seed0 + idx
         spec = GeneratorSpec(args.kind, seed, regions, _generator_params(args))
         t0 = time.perf_counter()
-        state = generate(spec)
+        state = _generated(generate, spec)
         an = Analysis(state, regions, tol_equality=args.tol_equality)
         analysis = an.triplet
         row = {

@@ -43,6 +43,7 @@ from . import hs
 from .car import (
     CarAlgebra,
     RegionPartition,
+    _parity_diagonal,
     build_algebra,
     cond_expect,
     even_odd_split,
@@ -99,7 +100,7 @@ class FlowStablePair:
     A_B invariant under b -> [h, b] and b -> theta(h) b - b h.  For an even
     state theta(h) = h and C is the join A_A v B.  Each W is a tau-orthonormal
     stack in A_B's 2^|B| factor, or all of A_B as a _WholeFactor, whose stack
-    plus or minus forms on read; when both fill A_B, E_C = E_AB.
+    plus or minus forms on read; when both fill A_B, C = A_AB and E_C = E_AB.
     """
 
     alg: CarAlgebra
@@ -130,11 +131,15 @@ class FlowStablePair:
 
     @cached_property
     def b_basis(self) -> SubalgebraBasis:
-        return _from_small(self.alg.dim, self.regions.B, self.plus, True)
+        """B held as W+ is: all of A_B, with no stack, when W+ fills it."""
+        return _from_small(self.alg.dim, self.regions.B, self.w_plus, True)
 
     @cached_property
     def c_basis(self) -> SubalgebraBasis:
-        """The products a_k w, tau-orthonormal, scattered from A_AB's factor."""
+        """The products a_k w, tau-orthonormal, scattered from A_AB's factor,
+        or A_AB itself when both W fill A_B."""
+        if self.fills:
+            return region_subalgebra(self.alg, self.regions.AB)
         units, even, b = self._ab_factor
         d = units.shape[-1]
         parts = [units[even][:, None] @ b.iso_from_small(self.plus)[None],
@@ -517,7 +522,7 @@ class Analysis:
         c_tilde = self._lemma_algebras.c_tilde
         state, alg, tol_member = self.state, self.state.alg, self.tol_member
         x, y, central = self.factorization.x, self.factorization.y, self.central
-        v_a = parity_unitary(alg, self.regions.A)
+        v_a = _parity_diagonal(alg, self.regions.A)[:, None]     # v_A is diagonal: a product is a row scaling
         lemma_join = self.pair.join_residual
         y_comm_ok, y_comm_res = membership(y, c_tilde, tol_member)
 
@@ -538,7 +543,7 @@ class Analysis:
                     "partner_x_residual": hs.hs_norm(q2 @ x - tz),
                     "partner_y_residual": hs.hs_norm(q2 @ y - tw),
                 }
-            y_res = hs.hs_norm(w - c_tilde.project(w) - v_a @ c_tilde.project(v_a @ w))
+            y_res = hs.hs_norm(w - c_tilde.project(w) - v_a * c_tilde.project(v_a * w))
             blocks.append(Block(kind=kind, projection=projection, x_factor=z, y_factor=w,
                                 weight=float(np.vdot(projection, state.rho).real),
                                 x_membership_residual=hs.hs_norm(z - self.pair.project(z)),

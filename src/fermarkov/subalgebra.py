@@ -19,7 +19,11 @@ factors' regions, and subalgebra_from_matrices holds its span in the smallest
 region that contains it (site j drops out when the span leaks out of
 A_{[n] minus j} by at most TOL_MEMBER; A_I n A_J = A_{I n J}).  A subalgebra
 built from its small picture holds only that picture and projects through
-it: its (m, D, D) basis is a scatter made when first read.
+it: its (m, D, D) basis is a scatter made when first read.  A whole region
+algebra (region_subalgebra, or a W that fills A_B) holds its factor by size
+alone, a _WholeFactor: it projects as E_I, a gather and a scatter, relations
+into it read 0 by dimension, and its units form only when small or basis is
+read.
 
 A whole region algebra A_I has a unit frame, W^* A_I W = M_d x 1, where a
 product with a scaled unit sqrt(d) E_rs x 1 is a scatter of columns or rows
@@ -100,14 +104,15 @@ class SubalgebraBasis:
     @property
     def size(self) -> int:
         held = vars(self).get("basis")
-        return (self.small if held is None else held).shape[0]
+        return (self._picture[0] if held is None else held).shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """E_s(x); one built from its small picture projects there, with no
-        scatter: s lies in A_I, so E_s = E_s o E_I and E_s(x) = W (P(x_I) x 1) W^*."""
+        """E_s(x); one built from its small picture projects there, with no scatter: s lies
+        in A_I, so E_s = E_s o E_I and E_s(x) = W (P(x_I) x 1) W^*, P = 1 for all of A_I."""
         if not self._by_small:
             return hs.project(self.basis, x)
-        small = hs.project(self.small, _small(self.dim_ambient, self.region, x))
+        small = _small(self.dim_ambient, self.region, x)
+        small = small if isinstance(self._picture[0], _WholeFactor) else hs.project(self.small, small)
         return small if self.region is None else _family(self.dim_ambient, self.region).iso_from_small(small)
 
     @cached_property
@@ -116,8 +121,8 @@ class SubalgebraBasis:
 
     @property
     def small(self) -> np.ndarray:
-        """(size, 2^k, 2^k) basis in the region's tensor factor."""
-        return self._picture[0]
+        """(size, 2^k, 2^k) basis in the region's tensor factor (a whole one's units, formed on read)."""
+        return _stack(self._picture[0])
 
     @property
     def leak(self) -> np.ndarray:
@@ -168,14 +173,14 @@ def _gather(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> tupl
 
 
 def _picture_in(s: SubalgebraBasis, region: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(small picture, leak) of a basis in the factor of a region holding s's."""
-    return (s.small, s.leak) if region == s.region else _gather(s.dim_ambient, region, s.basis)
+    """(small picture, leak) of a basis in the factor of a region holding s's, as held in s's own."""
+    return s._picture if region == s.region else _gather(s.dim_ambient, region, s.basis)
 
 
-def _from_small(dim: int, region: Iterable[int] | None, small: np.ndarray, contains_identity: bool,
-                parity_stable: bool | None = None) -> SubalgebraBasis:
-    """The subalgebra of a region held by its small picture alone, set as
-    its cached picture with no leak."""
+def _from_small(dim: int, region: Iterable[int] | None, small: np.ndarray | _WholeFactor,
+                contains_identity: bool, parity_stable: bool | None = None) -> SubalgebraBasis:
+    """The subalgebra of a region held by its small picture alone, a stack or
+    all of the factor, set as its cached picture with no leak."""
     s = SubalgebraBasis.__new__(SubalgebraBasis)
     vars(s).update(dim_ambient=dim, contains_identity=contains_identity, parity_stable=parity_stable,
                    region=_normal_region(dim, region), _picture=(small, np.zeros(small.shape[0])), _by_small=True)
@@ -213,9 +218,10 @@ def _fills_factor(stack: np.ndarray | _WholeFactor) -> bool:
 
 
 def region_subalgebra(alg: CarAlgebra, region: Iterable[int]) -> SubalgebraBasis:
-    """The algebra of a site set: the scaled matrix units of its factor."""
+    """The algebra A_I of a site set, held as all of its factor by its size: it
+    projects as E_I, and its scaled units form only when small or basis is read."""
     family = matrix_units(alg, tuple(sorted(int(i) for i in region)))
-    return _from_small(alg.dim, family.region, _WholeFactor(family.small_dim).units(), True, True)
+    return _from_small(alg.dim, family.region, _WholeFactor(family.small_dim), True, True)
 
 
 def subalgebra_from_matrices(
@@ -265,10 +271,10 @@ def membership(x: np.ndarray, s: SubalgebraBasis, tol: float = TOL_MEMBER) -> tu
 def _inclusion_defects(s1: SubalgebraBasis, s2: SubalgebraBasis) -> np.ndarray:
     """tau-norm of the part of each basis element of s1 orthogonal to the span
     of s2, computed in the factor of the union of their regions: the small
-    picture's residual and the leak add in quadrature."""
+    picture's residual and the leak add in quadrature (the leak alone if s2 fills it)."""
     region = _union(s1.dim_ambient, s1.region, s2.region)
     (a, leak), (b, _) = _picture_in(s1, region), _picture_in(s2, region)
-    return np.hypot(hs.residual_norms(b, a), leak)
+    return leak if _fills_factor(b) else np.hypot(hs.residual_norms(b, _stack(a)), leak)
 
 
 def span_equality_residual(s1: SubalgebraBasis, s2: SubalgebraBasis) -> float:
@@ -473,7 +479,7 @@ def _commutant_and_projections(s: SubalgebraBasis, ambient: SubalgebraBasis | No
     region = None if ambient is None else _union(dim, s.region, ambient.region)
     basis, leak = _picture_in(s, region)
     _require_inside(leak, TOL_MEMBER, region, "commutant argument")
-    amb = None
+    basis, amb = _stack(basis), None     # the general solve reads a whole factor's units
     if ambient is not None:
         amb, amb_leak = _picture_in(ambient, region)
         _require_inside(amb_leak, TOL_MEMBER, region, "commutant ambient")
@@ -824,7 +830,7 @@ def _unit_frame(s: SubalgebraBasis) -> _UnitFrame | None:
     off 2^n x 2^n matrices."""
     dim = s.dim_ambient
     n = dim.bit_length() - 1
-    if dim != 2 ** n or not 1 <= n <= MAX_SITES or not _fills_factor(s.small) or s.leak.max(initial=0.0) > TOL_MEMBER:
+    if dim != 2 ** n or not 1 <= n <= MAX_SITES or not _fills_factor(s._picture[0]) or s.leak.max(initial=0.0) > TOL_MEMBER:
         return None
     return _UnitFrame(_family(dim, tuple(range(n)) if s.region is None else s.region))
 

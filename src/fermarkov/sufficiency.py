@@ -38,12 +38,14 @@ is_sufficient decomposes each of rho_phi, rho_psi and their restrictions
 rho_phi0, rho_psi0 once and reads every certificate from those four
 spectra.
 
-When s spans a whole region algebra A_I (subalgebra._unit_frame; the whole
-space is I = every site), the three steps that read the (4^k, D, D) basis run
-in its unit frame W^* A_I W = M_d x 1 (subalgebra._UnitFrame), on the scaled
-units b_rs = sqrt(d) W (E_rs x 1) W^*, d = 2^k, e = 2^(n-k).  Each
-certificate is basis-free (a Frobenius norm of a map, or a subspace), so any
-tau-orthonormal basis of A_I gives it:
+Each restriction rho0 is s.project(rho): E_I(rho), a gather and a scatter,
+for region_subalgebra's A_I, and the projection on the basis for a span held
+explicitly.  When s spans a whole region algebra A_I (subalgebra._unit_frame;
+the whole space is I = every site), the three steps that would read its
+(4^k, D, D) basis run in its unit frame W^* A_I W = M_d x 1
+(subalgebra._UnitFrame), on the scaled units b_rs = sqrt(d) W (E_rs x 1) W^*,
+d = 2^k, e = 2^(n-k).  Each certificate is basis-free (a Frobenius norm of a
+map, or a subspace), so any tau-orthonormal basis of A_I gives it:
 
   - the recovery-map residual: with X = G W, G b_rs G^* = sqrt(d) sum_c
     X[:, (r, c)] X[:, (s, c)]^*, so a state's whole sandwich stack is
@@ -55,9 +57,6 @@ tau-orthonormal basis of A_I gives it:
     reads its images, their norms and their Gram from e x e blocks;
   - the witness's commutator check, the same block norms with
     L = R = W^* d W.
-
-rho0 is projected on the basis, not through a small picture, so d and every
-entropy are those of the stack route; every other subalgebra takes it too.
 
 factor_through returns its common factor d = rho_phi0^{-1} rho_phi unaided
 while d is close enough to an exact witness to imply all three (Jencova-Petz,
@@ -166,7 +165,7 @@ def petz_map(psi: StateDensity, s: SubalgebraBasis) -> QuantumChannel:
     a -> E(G^* a G) with G = H K (see the module docstring).
     """
     psi.require_faithful("recovery-map state")
-    rho0 = hs.hermitian_part(hs.project(s.basis, psi.rho))
+    rho0 = hs.hermitian_part(s.project(psi.rho))
     sup = _petz_superop(eig_hermitian(psi.rho), eig_hermitian(rho0), s)
     return QuantumChannel(psi.dim, psi.dim, sup)
 
@@ -314,8 +313,8 @@ def is_sufficient(
     phi.require_faithful("first state")
     psi.require_faithful("second state")
 
-    rho_phi0 = hs.hermitian_part(hs.project(s.basis, phi.rho))
-    rho_psi0 = hs.hermitian_part(hs.project(s.basis, psi.rho))
+    rho_phi0 = hs.hermitian_part(s.project(phi.rho))
+    rho_psi0 = hs.hermitian_part(s.project(psi.rho))
     dec_phi, dec_psi = eig_hermitian(phi.rho), eig_hermitian(psi.rho)
     dec_phi0, dec_psi0 = eig_hermitian(rho_phi0), eig_hermitian(rho_psi0)
 
@@ -426,7 +425,7 @@ def _certified_factor(
     """d = rho_phi0^{-1} rho_phi and its largest defect in certificate units
     (see factor_through), or InvariantViolation naming the first check d
     fails."""
-    rho_phi0 = hs.hermitian_part(hs.project(s.basis, phi.rho))
+    rho_phi0 = hs.hermitian_part(s.project(phi.rho))
     d = np.linalg.solve(rho_phi0, phi.rho)
     herm_defect = hs.hs_norm(d - d.conj().T)
     if herm_defect > 1e-7 * (1.0 + hs.hs_norm(d)):
@@ -442,7 +441,7 @@ def _certified_factor(
     if res > tol_member * (1.0 + hs.hs_norm(d)):
         raise InvariantViolation(f"factor outside the relative commutant: residual {res:.3e}")
 
-    rho_psi0 = hs.hermitian_part(hs.project(s.basis, psi.rho))
+    rho_psi0 = hs.hermitian_part(s.project(psi.rho))
     recon_psi = hs.hs_norm(rho_psi0 @ d - psi.rho)
     recon_phi = hs.hs_norm(rho_phi0 @ d - phi.rho)
     if recon_psi > TOL_RECON or recon_phi > TOL_RECON:

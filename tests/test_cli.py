@@ -305,6 +305,35 @@ def test_bad_usage_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+REJECTED_FLAGS = {
+    "no-blocks": ["--kind", "block_markov", "--k-fixed", "0", "--n-pairs", "0"],
+    "negative-k-fixed": ["--kind", "block_markov", "--k-fixed", "-1"],
+    "floor": ["--kind", "random", "--floor", "5"],
+    "epsilon": ["--kind", "perturbed", "--epsilon", "2"],
+}
+REJECTED_CASES = [("gen", name) for name in REJECTED_FLAGS] + [
+    ("sweep", name) for name in REJECTED_FLAGS if name != "floor"   # sweep has no --floor
+]
+
+
+@pytest.mark.parametrize("command, name", REJECTED_CASES, ids=[f"{c}-{n}" for c, n in REJECTED_CASES])
+def test_a_parameter_the_generator_rejects_is_a_usage_error(command, name, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, *REJECTED_FLAGS[name], "--regions", "A=0:B=1:C=2"]
+    if command == "gen":
+        argv += ["--out", str(out)]
+        if name == "epsilon":
+            base = str(tmp_path / "base.json")
+            write_state_file(base, make_product_markov(REGIONS, 9), REGIONS)
+            argv += ["--base", base]
+    else:
+        argv += ["--count", "1", "--csv", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FERMARKOV_SEED", "77")
     p1 = str(tmp_path / "s1.json")

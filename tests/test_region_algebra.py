@@ -1,0 +1,163 @@
+"""A whole region algebra A_I held by its size alone (a _WholeFactor): every
+reading of region_subalgebra against an explicitly held twin of its scaled
+units, sufficiency on it with no units formed, and the envelope this opens,
+each in a child that caps its own address space."""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fermarkov
+from fermarkov.car import RegionPartition, build_algebra
+from fermarkov.entropy import StateDensity, embedded_restriction
+from fermarkov.errors import FermarkovError
+from fermarkov.states import make_product_markov, perturb, random_state
+from fermarkov.subalgebra import (
+    _WholeFactor,
+    _closure_residuals,
+    _from_small,
+    center,
+    commutant,
+    membership,
+    minimal_central_projections,
+    region_subalgebra,
+    span_equality_residual,
+)
+from fermarkov.sufficiency import factor_through, is_sufficient
+
+
+def regions(n):
+    """Every site set of an n-site lattice, the empty one and all sites too."""
+    return [r for k in range(n + 1) for r in itertools.combinations(range(n), k)]
+
+
+def twin(alg, region):
+    """A_I held by its explicit scaled units, as region_subalgebra held it before."""
+    d = 2 ** len(region)
+    return _from_small(alg.dim, region, _WholeFactor(d).units(), True, True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_whole_region_algebra_reads_as_its_explicit_twin(n):
+    alg = build_algebra(n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(alg.dim, alg.dim)) + 1j * rng.normal(size=(alg.dim, alg.dim))
+    for region in regions(n):
+        s, t = region_subalgebra(alg, region), twin(alg, region)
+        assert isinstance(s._picture[0], _WholeFactor)
+        assert (s.size, s.region, s.contains_identity) == (t.size, t.region, t.contains_identity)
+        assert s.small.tobytes() == t.small.tobytes() and s.basis.tobytes() == t.basis.tobytes()
+
+        s, t = region_subalgebra(alg, region), twin(alg, region)
+        assert np.abs(s.project(x) - t.project(x)).max() <= 1e-13
+        (got_in, got), (want_in, want) = membership(x, s), membership(x, t)
+        assert got_in == want_in and abs(got - want) <= 1e-13
+        assert span_equality_residual(s, t) <= 1e-12 and span_equality_residual(t, s) <= 1e-12
+        assert "basis" not in vars(s)
+        assert _closure_residuals(s) == _closure_residuals(t) == (0.0, 0.0)
+
+        for solve in (commutant, center):
+            got, want = solve(region_subalgebra(alg, region)), solve(twin(alg, region))
+            assert got.size == want.size and span_equality_residual(got, want) <= 1e-12, (region, solve)
+        [p] = minimal_central_projections(region_subalgebra(alg, region))
+        assert np.abs(p - np.eye(alg.dim)).max() <= 1e-12
+
+
+def recovery_pairs(regions_):
+    """(rho, E_BC(rho)) for even product Markov states, sufficient for A_AB,
+    and for random and perturbed states, which are not."""
+    n = regions_.n_sites
+    pairs = []
+    for seed in range(3):
+        for phi in (make_product_markov(regions_, seed), random_state(n, seed),
+                    perturb(make_product_markov(regions_, seed), 1e-3, seed + 1)):
+            pairs.append((phi, StateDensity.from_matrix(phi.alg, embedded_restriction(phi, regions_.BC))))
+    return pairs
+
+
+def test_sufficiency_on_a_region_algebra_forms_no_units(monkeypatch):
+    # rho0 is E_AB(rho), the flow check keeps the whole factor in round 0 and
+    # the witness is read in the unit frame: a sufficient pair forms no
+    # units and no basis; an insufficient one may form the units for the
+    # certificate of its dropping round, never the basis
+    regions_ = RegionPartition((0,), (1, 2, 3), (4,))
+    units = []
+    real = _WholeFactor.units
+    monkeypatch.setattr(_WholeFactor, "units", lambda self: units.append(self.d) or real(self))
+    verdicts = []
+    for phi, psi in recovery_pairs(regions_):
+        units.clear()
+        s = region_subalgebra(phi.alg, regions_.AB)
+        report = is_sufficient(phi, psi, s)
+        try:
+            factor_through(phi, psi, s)
+        except FermarkovError:
+            pass
+        assert "basis" not in vars(s)
+        assert not report.overall or units == []
+        verdicts.append(report.overall)
+    assert any(verdicts) and not all(verdicts)
+
+
+def run_capped(child: str, cap_mb: int = 1024) -> dict:
+    """Run a script in a child that caps its own address space, so a
+    regression ends as a failed child, never as memory taken from the
+    machine; the last line it prints is read as JSON."""
+    head = f"import json, resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap_mb} << 20, {cap_mb} << 20))\n"
+    src = str(Path(fermarkov.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", head + child], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_the_eight_site_recovery_pair_is_sufficient_under_one_gib():
+    # A_AB of 1|6|1 has 16384 units of 256 x 256, 4 GiB as a stack
+    out = run_capped("""
+from fermarkov.car import RegionPartition
+from fermarkov.entropy import StateDensity, embedded_restriction
+from fermarkov.states import make_product_markov
+from fermarkov.subalgebra import region_subalgebra
+from fermarkov.sufficiency import factor_through, is_sufficient
+regions = RegionPartition((0,), (1, 2, 3, 4, 5, 6), (7,))
+phi = make_product_markov(regions, 0)
+psi = StateDensity.from_matrix(phi.alg, embedded_restriction(phi, regions.BC))
+s = region_subalgebra(phi.alg, regions.AB)
+print(json.dumps({"sufficient": is_sufficient(phi, psi, s).overall, "d": factor_through(phi, psi, s).shape}))
+""")
+    assert out == {"sufficient": True, "d": [256, 256]}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_the_nine_site_b_and_c_are_held_by_their_size_under_one_gib():
+    out = run_capped("""
+from fermarkov.car import RegionPartition
+from fermarkov.markov import Analysis
+from fermarkov.states import make_product_markov
+regions = RegionPartition((0,), tuple(range(1, 8)), (8,))
+an = Analysis(make_product_markov(regions, 0), regions)
+print(json.dumps({"b": an.b_basis.size, "c": an.triplet.c_basis.size}))
+""")
+    assert out == {"b": 4 ** 7, "c": 4 ** 8}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+def test_membership_in_a_seven_site_algebra_of_ten_projects_under_one_gib():
+    # the units of A_{0..6} at n=10 would be 16384 matrices of 1024 x 1024
+    out = run_capped("""
+from fermarkov.car import build_algebra
+from fermarkov.subalgebra import membership, region_subalgebra
+alg = build_algebra(10)
+s = region_subalgebra(alg, range(7))
+inside, residual = membership(alg.annihilators[7] + alg.annihilators[0], s)
+print(json.dumps({"inside": bool(inside), "residual": residual, "basis": "basis" in vars(s)}))
+""")
+    # a_7 lies outside A_{0..6}, a_0 inside: the residual is |a_7|_tau = 1 / sqrt(2)
+    assert not out["inside"] and not out["basis"] and abs(out["residual"] - 2 ** -0.5) <= 1e-12
