@@ -27,10 +27,11 @@ read.
 
 A whole region algebra A_I has a unit frame, W^* A_I W = M_d x 1, where a
 product with a scaled unit sqrt(d) E_rs x 1 is a scatter of columns or rows
-(_UnitFrame): the first round of an invariant subspace, its Gram
-certificate and the commutators with the units are read there from e x e
-blocks, with no (4^k, D, D) stack of products.  It decides the flow-stable
-pair's W+ and W- in A_B and sufficiency of a subalgebra that spans A_I.
+(_UnitFrame): the first round of an invariant subspace, its certificates
+(a spectral floor from the d x d diagonal blocks, then a Gram) and the
+commutators with the units are read there from blocks, with no (4^k, D, D)
+stack of products.  It decides the flow-stable pair's W+ and W- in A_B and
+sufficiency of a subalgebra that spans A_I.
 
 Commutants and centers (the commutant of s inside s) take one random draw:
 s' lies in {h}', the block-diagonal algebra over the eigenspaces of any h in
@@ -616,41 +617,47 @@ def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float
 
 
 def _decide(basis: np.ndarray | _WholeFactor, fro: float, weight: float, k: int, unit_image, gram, rows,
-            rtol: float, scale: float) -> np.ndarray | _WholeFactor:
+            rtol: float, scale: float, floor=None) -> np.ndarray | _WholeFactor:
     """The decision of every round of the descending iteration: the
     directions of the span of a tau-orthonormal stack whose images'
     out-of-span rows g (m x k) stay within the cut, or the stack itself when
-    every direction does (a whole factor's units are formed only after).  fro
-    is |g|_F, weight >= |g|_F^2 bounds the rounding of gram() = g g^H,
-    unit_image(a) is |a^T g| for the coordinates a of the identity's
-    projection onto the span, and rows() forms g, which only the cut reads.
+    every direction does.  fro is |g|_F, weight >= |g|_F^2 bounds the
+    rounding of gram() = g g^H, unit_image(a) is |a^T g| for the
+    coordinates a of the identity's projection onto the span, floor(), when
+    given, a lower bound on g's smallest singular value (a whole factor's,
+    _UnitFrame.floor), and rows() forms g, which only the cut reads.  A
+    whole factor's identity has the closed-form coordinates 1 / sqrt(d) on
+    its d diagonal units, and its units are formed only when the cut runs.
 
     A direction is dropped when its image leaves the span by more than
     rtol * max(s_max, scale, 1), where the s are the singular values of g.
-    Two decisions need no factorization:
+    Two decisions need no singular values:
 
     - |g|_F <= rtol * max(scale, 1) keeps every row: every singular value is
       at most |g|_F, so none can exceed the cut.
-    - A Cholesky of g g^H - delta I proves that nothing is kept, with
-      delta = c^2 + 4 u (k + m^2) weight, c = rtol * max(|g|_F, scale, 1)
-      and u the unit roundoff: c bounds the cut from above (|g|_F >= s_max),
-      and the second term covers the rounding of the Gram and of the
-      Cholesky, so success means s_min > c.  The Gram is formed only where
-      the certificate can succeed: m <= k, and the image of the identity's
-      projection onto the span (an element of tau-norm |a|, image row a^T g)
-      leaves by more than sqrt(delta) |a|, since s_min <= |a^T g| / |a|.  A
-      kept identity, as under L = R, costs nothing.
+    - _nothing_kept proves that nothing is kept, s_min > c with
+      c = rtol * max(|g|_F, scale, 1), which bounds the cut from above
+      (|g|_F >= s_max): by floor() > c, in a unit frame s_min^2 >= (1/e)
+      sum_j max(0, gap_j - eps_j)^2 from the spectral gaps of the diagonal
+      complement blocks, eps_j their eigenvalue rounding and
+      anti-Hermitian parts (_UnitFrame.floor), or by a Cholesky of
+      g g^H - delta I.
 
-    Otherwise _cut decides on the singular values.  The certificate only
-    ever proves that nothing is kept; a kept direction is always decided by
+    Otherwise _cut decides on the singular values.  Both certificates only
+    ever prove that nothing is kept; a kept direction is always decided by
     the cut.
     """
     if fro <= rtol * max(scale, 1.0):
         return basis
+    d = basis.shape[-1]
+    if isinstance(basis, _WholeFactor):
+        unit = np.zeros(d * d)
+        unit[:: d + 1] = np.sqrt(d) / d     # tau(sqrt(d) E_rs) = delta_rs / sqrt(d)
+    else:
+        unit = np.trace(basis, axis1=1, axis2=2).conj() / d
+    if _nothing_kept(k, rtol * max(fro, scale, 1.0), weight, unit, unit_image(unit), gram, floor):
+        return np.zeros((0, d, d), dtype=complex)
     stack = _stack(basis)
-    unit = np.trace(stack, axis1=1, axis2=2).conj() / stack.shape[-1]
-    if _nothing_kept(k, rtol * max(fro, scale, 1.0), weight, unit, unit_image(unit), gram):
-        return stack[:0]
     kept = _cut(stack, rows(), rtol, scale)
     return basis if kept is stack else kept
 
@@ -669,14 +676,32 @@ def _cut(basis: np.ndarray, g: np.ndarray, rtol: float, scale: float) -> np.ndar
     return hs.unflatten(u[:, keep].conj().T @ hs.flatten(basis), basis.shape[-1])
 
 
-def _nothing_kept(k: int, bound: float, weight: float, unit: np.ndarray, unit_image: float, gram) -> bool:
+def _nothing_kept(k: int, bound: float, weight: float, unit: np.ndarray, unit_image: float, gram,
+                  floor=None) -> bool:
     """True only when the smallest singular value of m x k rows g exceeds
-    bound, proved by a Cholesky of the shifted Gram; unit_image is the norm
-    of the identity's image row, and the rest are as in _decide.  Rows that
-    are not finite prove nothing: a Cholesky passes NaN through."""
+    bound; unit_image is the norm of the identity's image row, and the rest
+    are as in _decide.  In order:
+
+    - the identity's image declines: s_min <= |a^T g| / |a|, so an image
+      within bound |a| proves nothing (a kept identity, as under L = R or
+      on an even state's W-, costs nothing);
+    - floor() > bound proves it with no Gram (_UnitFrame.floor's
+      s_min^2 >= (1/e) sum_j max(0, gap_j - eps_j)^2);
+    - otherwise a Cholesky of g g^H - delta I, delta = bound^2 +
+      4 u (k + m^2) weight with u the unit roundoff, proves it: the second
+      term covers the rounding of the Gram and of the Cholesky.  The Gram
+      is formed only where that can succeed: m <= k, and the identity's
+      image leaves by more than sqrt(delta) |a|.
+
+    Rows that are not finite prove nothing: a floor reads NaN, which
+    declines, and a Cholesky passes NaN through."""
     m = unit.shape[0]
-    delta = bound * bound + 4 * (np.finfo(float).eps / 2) * (k + m * m) * weight
     unit_norm = float(np.linalg.norm(unit))
+    if unit_norm > 0.0 and unit_image <= bound * unit_norm:
+        return False
+    if floor is not None and floor() > bound:
+        return True
+    delta = bound * bound + 4 * (np.finfo(float).eps / 2) * (k + m * m) * weight
     if m > k or not np.isfinite(delta):
         return False
     if unit_norm > 0.0 and unit_image ** 2 <= delta * unit_norm ** 2:
@@ -789,6 +814,42 @@ class _UnitFrame:
         blocks[diag, :, diag, :] += np.einsum("ajy,bjy->ab", rows, rows.conj())
         return gram * (d / dim)
 
+    def floor(self, lt: np.ndarray, rt: np.ndarray) -> float:
+        """A lower bound on the smallest singular value of the images' rows
+        g, from the spectra of the d x d diagonal blocks l_j = lt~[(., j),
+        (., j)] and r_j of rt~, j < e, with no Gram.  A direction of A_I
+        reads z~ = z x 1 in the frame, and block (j, j) of its image is
+        l_j z - z r_j, so |T z|_tau^2 >= (1/e) sum_j |l_j z - z r_j|_tau^2.
+        For Hermitian blocks the Sylvester map z -> l z - z r has the
+        singular values |lambda_a(l) - mu_b(r)| (Bhatia-Rosenthal, Bull. LMS
+        29 (1997) 1), so
+
+          s_min(g)^2 >= (1/e) sum_j max(0, gap_j - eps_j)^2,
+
+        gap_j the least distance between the computed spectra of the
+        Hermitian parts of l_j and r_j.  eps_j covers eigvalsh's rounding,
+        8 d u (|h(l_j)|_F + |h(r_j)|_F) by Weyl, and the anti-Hermitian
+        parts k, which move the map by at most |k(l_j)|_F + |k(r_j)|_F, as
+        L and R need not be Hermitian; the last factor covers the sum's own
+        rounding.  Blocks that are not finite read 0 or NaN, which proves
+        nothing."""
+        d = self.d
+        e = lt.shape[-1] // d
+        diag = np.arange(e)
+        u = np.finfo(float).eps / 2
+        spectra, eps = [], 0.0
+        for xt in (lt, rt):
+            blocks = self._blocks(xt)[:, diag, :, diag]             # [j, r, r']
+            herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+            eps = eps + 8 * d * u * np.linalg.norm(herm, axis=(1, 2)) + np.linalg.norm(blocks - herm, axis=(1, 2))
+            try:
+                spectra.append(np.linalg.eigvalsh(herm))
+            except np.linalg.LinAlgError:
+                return 0.0
+        lam, mu = spectra
+        gap = np.abs(lam[:, :, None] - mu[:, None, :]).min(axis=(1, 2))
+        return float(np.sqrt(np.mean(np.maximum(0.0, gap - eps) ** 2)) * (1 - (e + 2) * u))
+
     def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *,
                            scale: float = 1.0) -> tuple[np.ndarray | _WholeFactor, float]:
         """invariant_subspace over A_I: V as a tau-orthonormal (dim V, d, d)
@@ -797,20 +858,25 @@ class _UnitFrame:
         residual 0).  Round 0 runs on the units and is decided by _decide:
         its out-of-span images are the frame images of L' and R', the parts
         of L and R outside the factor (E_I is the bimodule map of
-        invariant_subspace), their norms and Gram come from blocks, only the
-        singular-value cut forms them, and the identity's image row is
-        (L' - R')~.  Kept directions are mapped back through W, later rounds
-        run there as invariant_subspace_under does, and what they keep,
-        inside A_I, is gathered back to the small picture."""
+        invariant_subspace), and the identity's image row is (L' - R')~.
+        "Nothing kept" is proved first by floor, from the spectra of the
+        d x d diagonal blocks of L'~ and R'~ (2 e eigenvalue problems of
+        size d, skipped when right is left, as the identity is then kept),
+        and only then by the Gram, from blocks; only the singular-value cut
+        forms the images.  Kept directions are mapped back through W, later
+        rounds run there as invariant_subspace_under does, and what they
+        keep, inside A_I, is gathered back to the small picture."""
         d, dim = self.d, left.shape[-1]
         lt = self.outside(left)
         rt = lt if right is left else self.outside(right)
         whole = _WholeFactor(d)
         norms, weight = self.row_norms(lt, rt)
         root = np.sqrt(dim)
+        # under L = R the identity is always kept, and the floor would prove nothing
+        floor = None if right is left else (lambda: self.floor(lt, rt))
         kept = _decide(whole, float(np.sqrt(norms.sum())), weight, dim * dim, lambda _: hs.hs_norm(lt - rt),
                        lambda: self.gram(lt, rt), lambda: hs.flatten(self.images(lt / root, rt / root)),
-                       RANK_RTOL, scale)
+                       RANK_RTOL, scale, floor)
         if kept is not whole and kept.shape[0]:
             stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
                                               self.family.iso_from_small(kept), scale=scale)

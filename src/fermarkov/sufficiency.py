@@ -17,10 +17,13 @@ certificates checked here:
         so subalgebra.invariant_subspace reads the first round's out-of-span
         images as L' z - z R' with L' and R' the parts of the two logarithms
         outside s (the projection onto s is an s-bimodule map), and proves
-        by one Cholesky of a shifted Gram that every direction leaves when
-        it does: a sufficient pair keeps s in one round with no projection of
-        the image stack, and an insufficient one whose directions all leave
-        needs no QR or SVD.
+        that every direction leaves when it does: a sufficient pair keeps s
+        in one round with no projection of the image stack, and an
+        insufficient one whose directions all leave needs no QR or SVD.  On
+        a whole region algebra that proof is read from the spectra of the
+        diagonal blocks of L' and R' in its unit frame, with no Gram and no
+        units; elsewhere, or when that floor declines, by one Cholesky of a
+        shifted Gram.
   (iv)  the state-dependent recovery maps of the two states coincide as
         superoperators.  The recovery map of a state is
         P = Ad_K o E o Ad_H with K = rho0^{-1/2}, H = rho^{1/2} and E the
@@ -90,6 +93,9 @@ from .subalgebra import (
 TOL_CHANNEL = 1e-9       # unitality / state-preservation residual
 TOL_PETZ_EQ = 1e-8       # superoperator distance accepted as "equal maps"
 TOL_RECON = 1e-8         # tau-norm residual of a density rebuilt from the common factor
+TOL_MONOTONE = 1e-7      # relative entropy gained under restriction that is read as rounding
+TOL_FACTOR_HERM = 1e-7   # self-adjointness defect of the common factor, relative to 1 + its norm
+TOL_FACTOR_POS = 1e-9    # negative eigenvalue of the common factor that is read as rounding
 _WITNESS_MARGIN = 0.1    # factor defect, as a share of the certificates' gates, that needs no certificate
 
 
@@ -321,7 +327,7 @@ def is_sufficient(
     s_full = _rel_entropy_of(dec_phi, dec_psi)
     s_rest = _rel_entropy_of(dec_phi0, dec_psi0)
     drop = s_full - s_rest
-    if drop < -1e-7:
+    if drop < -TOL_MONOTONE:
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
     log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
@@ -428,11 +434,11 @@ def _certified_factor(
     rho_phi0 = hs.hermitian_part(s.project(phi.rho))
     d = np.linalg.solve(rho_phi0, phi.rho)
     herm_defect = hs.hs_norm(d - d.conj().T)
-    if herm_defect > 1e-7 * (1.0 + hs.hs_norm(d)):
+    if herm_defect > TOL_FACTOR_HERM * (1.0 + hs.hs_norm(d)):
         raise InvariantViolation(f"factor is not self-adjoint: defect {herm_defect:.3e}")
     d = hs.hermitian_part(d)
     min_eig = float(np.linalg.eigvalsh(d)[0])
-    if min_eig < -1e-9:
+    if min_eig < -TOL_FACTOR_POS:
         raise InvariantViolation(f"factor has negative eigenvalue {min_eig:.3e}")
 
     # the relative commutant by its defining property: [d, b] = 0 for every b

@@ -136,6 +136,26 @@ print(json.dumps({"sufficient": is_sufficient(phi, psi, s).overall, "d": factor_
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("n", [8, 9])
+def test_an_insufficient_recovery_pair_is_decided_under_one_gib(n):
+    # round 0 is proved empty by the spectra of A_AB's diagonal blocks: no
+    # (4^(n-1))^2 Gram, and no stack of the 4^(n-1) units to read 1 from
+    out = run_capped(f"""
+from fermarkov.car import RegionPartition
+from fermarkov.entropy import StateDensity, embedded_restriction
+from fermarkov.states import random_state
+from fermarkov.subalgebra import region_subalgebra
+from fermarkov.sufficiency import is_sufficient
+regions = RegionPartition((0,), tuple(range(1, {n} - 1)), ({n} - 1,))
+phi = random_state({n}, 0)
+psi = StateDensity.from_matrix(phi.alg, embedded_restriction(phi, regions.BC))
+report = is_sufficient(phi, psi, region_subalgebra(phi.alg, regions.AB))
+print(json.dumps({{"overall": report.overall, "cocycle": report.cocycle_residual}}))
+""")
+    assert out == {"overall": False, "cocycle": 1.0}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
 def test_the_nine_site_b_and_c_are_held_by_their_size_under_one_gib():
     out = run_capped("""
 from fermarkov.car import RegionPartition

@@ -209,9 +209,15 @@ def test_is_sufficient_decomposes_each_density_once(monkeypatch, regions, kind):
         phi, psi = random_state(regions.n_sites, 42), random_state(regions.n_sites, 43)
     want = reference_report(phi, psi, s)
     eigh = spy_on(monkeypatch, np.linalg, "eigh")
-    eigvalsh = spy_on(monkeypatch, np.linalg, "eigvalsh")
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: shapes.append(np.shape(a)) or real_eigvalsh(a, *r, **k))
     got = is_sufficient(phi, psi, s)
-    assert len(eigh) == 4 and eigvalsh == []
+    # no density is decomposed twice; an insufficient pair's round 0 reads
+    # the spectra of the (e, d, d) diagonal blocks of L' and R' in A_AB's frame
+    dim, d = phi.dim, 2 ** len(regions.AB)
+    assert len(eigh) == 4 and (dim, dim) not in shapes
+    assert shapes == ([] if kind == "sufficient" else [(dim // d, d, d)] * 2)
     # is_sufficient reads the residual from basis sandwiches, the reference
     # from petz_map's superoperators: equal up to rounding, not bit for bit
     assert abs(got.petz_residual - want.petz_residual) <= 1e-14 + 1e-12 * want.petz_residual
