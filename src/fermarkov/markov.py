@@ -205,7 +205,8 @@ def flow_stable_pair(rho_bc: SpectralDecomposition, alg: CarAlgebra, regions: Re
     frame = _UnitFrame(matrix_units(lattice, _positions(regions.B, regions.BC)))
     scale = e_bc.log_radius()     # |h|_2, read from the spectrum
     plus, _ = frame.invariant_subspace(h, h, scale=scale)
-    minus, identity_residual = frame.invariant_subspace(parity_automorphism(lattice, h), h, scale=scale)
+    # W^* v W = p x q (diagonal +-1), so theta(h)'s diagonal blocks p r_j p have h's spectra: no floor
+    minus, identity_residual = frame.invariant_subspace(parity_automorphism(lattice, h), h, scale=scale, floor=False)
     b_lattice = build_algebra(len(regions.B))
     # None enters only relations into a W that fills A_B, which read no factor
     theta = lambda w, *targets: None if all(map(_fills_factor, targets)) else parity_automorphism(b_lattice, _stack(w))

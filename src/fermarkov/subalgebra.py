@@ -20,8 +20,9 @@ region that contains it (site j drops out when the span leaks out of
 A_{[n] minus j} by at most TOL_MEMBER; A_I n A_J = A_{I n J}).  A subalgebra
 built from its small picture holds only that picture and projects through
 it: its (m, D, D) basis is a scatter made when first read.  A whole region
-algebra (region_subalgebra, or a W that fills A_B) holds its factor by size
-alone, a _WholeFactor: it projects as E_I, a gather and a scatter, relations
+algebra (region_subalgebra, a span subalgebra_from_matrices finds filling
+its region's factor, or a W that fills A_B) holds its factor by size alone,
+a _WholeFactor: it projects as E_I, a gather and a scatter, relations
 into it read 0 by dimension, and its units form only when small or basis is
 read.
 
@@ -100,7 +101,8 @@ class SubalgebraBasis:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return self.small if self.region is None else _family(self.dim_ambient, self.region).iso_from_small(self.small)
+        small = _stack(self._picture[0])
+        return small if self.region is None else _family(self.dim_ambient, self.region).iso_from_small(small)
 
     @property
     def size(self) -> int:
@@ -113,7 +115,8 @@ class SubalgebraBasis:
         if not self._by_small:
             return hs.project(self.basis, x)
         small = _small(self.dim_ambient, self.region, x)
-        small = small if isinstance(self._picture[0], _WholeFactor) else hs.project(self.small, small)
+        span = self._picture[0]
+        small = small if isinstance(span, _WholeFactor) else hs.project(span, small)
         return small if self.region is None else _family(self.dim_ambient, self.region).iso_from_small(small)
 
     @cached_property
@@ -122,8 +125,9 @@ class SubalgebraBasis:
 
     @property
     def small(self) -> np.ndarray:
-        """(size, 2^k, 2^k) basis in the region's tensor factor (a whole one's units, formed on read)."""
-        return _stack(self._picture[0])
+        """(size, 2^k, 2^k) basis in the region's tensor factor: the basis itself for the whole
+        space, else a whole factor's units formed on read."""
+        return self.basis if self.region is None else _stack(self._picture[0])
 
     @property
     def leak(self) -> np.ndarray:
@@ -229,12 +233,17 @@ def subalgebra_from_matrices(
     mats: np.ndarray | list[np.ndarray], *, parity_stable: bool | None = None
 ) -> SubalgebraBasis:
     """Orthonormalize a spanning set into a SubalgebraBasis (span only; no
-    closure), held by the smallest region whose algebra contains the span."""
+    closure), held by the smallest region whose algebra contains the span.
+    A span that fills that region's factor and leaks out of it by at most
+    TOL_MEMBER (the test of _unit_frame) is the region algebra A_I, and is
+    held as region_subalgebra holds it: by its size, projecting as E_I."""
     stack = np.stack([np.asarray(m, dtype=complex) for m in mats]) if isinstance(mats, list) else np.asarray(mats, dtype=complex)
     dim = stack.shape[-1]
     basis = hs.orthonormalize(stack)
-    has_id = _contains_identity(basis, dim)
-    return SubalgebraBasis(dim, basis, has_id, parity_stable, _smallest_region(basis))
+    s = SubalgebraBasis(dim, basis, _contains_identity(basis, dim), parity_stable, _smallest_region(basis))
+    if _unit_frame(s) is None:
+        return s
+    return _from_small(dim, s.region, _WholeFactor(s._picture[0].shape[-1]), True, parity_stable)
 
 
 def _smallest_region(basis: np.ndarray) -> tuple[int, ...] | None:
@@ -251,9 +260,9 @@ def _smallest_region(basis: np.ndarray) -> tuple[int, ...] | None:
 
 
 def _identity_residual(basis: np.ndarray, dim: int) -> float:
-    """tau-norm of the identity minus its projection onto the span of a stack."""
+    """tau-norm of the identity minus its projection onto the span of a stack (1 for an empty one)."""
     eye = np.eye(dim, dtype=complex)
-    return hs.hs_norm(eye - hs.project(basis, eye))
+    return hs.hs_norm(eye - hs.project(basis, eye)) if basis.shape[0] else 1.0
 
 
 def _contains_identity(basis: np.ndarray, dim: int) -> bool:
@@ -850,8 +859,8 @@ class _UnitFrame:
         gap = np.abs(lam[:, :, None] - mu[:, None, :]).min(axis=(1, 2))
         return float(np.sqrt(np.mean(np.maximum(0.0, gap - eps) ** 2)) * (1 - (e + 2) * u))
 
-    def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *,
-                           scale: float = 1.0) -> tuple[np.ndarray | _WholeFactor, float]:
+    def invariant_subspace(self, left: np.ndarray, right: np.ndarray, *, scale: float = 1.0,
+                           floor: bool = True) -> tuple[np.ndarray | _WholeFactor, float]:
         """invariant_subspace over A_I: V as a tau-orthonormal (dim V, d, d)
         stack in the region's small picture, and the tau-norm of the
         identity minus its projection onto V (all of M_d as a _WholeFactor,
@@ -861,9 +870,9 @@ class _UnitFrame:
         invariant_subspace), and the identity's image row is (L' - R')~.
         "Nothing kept" is proved first by floor, from the spectra of the
         d x d diagonal blocks of L'~ and R'~ (2 e eigenvalue problems of
-        size d, skipped when right is left, as the identity is then kept),
-        and only then by the Gram, from blocks; only the singular-value cut
-        forms the images.  Kept directions are mapped back through W, later
+        size d, skipped when right is left, as the identity is then kept,
+        and when floor is False), and only then by the Gram, from blocks;
+        only the singular-value cut forms the images.  Kept directions are mapped back through W, later
         rounds run there as invariant_subspace_under does, and what they
         keep, inside A_I, is gathered back to the small picture."""
         d, dim = self.d, left.shape[-1]
@@ -873,7 +882,7 @@ class _UnitFrame:
         norms, weight = self.row_norms(lt, rt)
         root = np.sqrt(dim)
         # under L = R the identity is always kept, and the floor would prove nothing
-        floor = None if right is left else (lambda: self.floor(lt, rt))
+        floor = None if right is left or not floor else (lambda: self.floor(lt, rt))
         kept = _decide(whole, float(np.sqrt(norms.sum())), weight, dim * dim, lambda _: hs.hs_norm(lt - rt),
                        lambda: self.gram(lt, rt), lambda: hs.flatten(self.images(lt / root, rt / root)),
                        RANK_RTOL, scale, floor)

@@ -42,14 +42,20 @@ rho_phi0, rho_psi0 once and reads every certificate from those four
 spectra.
 
 Each restriction rho0 is s.project(rho): E_I(rho), a gather and a scatter,
-for region_subalgebra's A_I, and the projection on the basis for a span held
-explicitly.  When s spans a whole region algebra A_I (subalgebra._unit_frame;
-the whole space is I = every site), the three steps that would read its
-(4^k, D, D) basis run in its unit frame W^* A_I W = M_d x 1
-(subalgebra._UnitFrame), on the scaled units b_rs = sqrt(d) W (E_rs x 1) W^*,
-d = 2^k, e = 2^(n-k).  Each certificate is basis-free (a Frobenius norm of a
-map, or a subspace), so any tau-orthonormal basis of A_I gives it:
+for a whole region algebra A_I, held by its size whether region_subalgebra or
+subalgebra_from_matrices built it, and the projection on the basis for any
+other span.  When s spans a whole region algebra A_I (subalgebra._unit_frame;
+the whole space is I = every site), the steps that would read its
+(4^k, D, D) basis or its D x D restrictions run in its unit frame
+W^* A_I W = M_d x 1 (subalgebra._UnitFrame), on the scaled units
+b_rs = sqrt(d) W (E_rs x 1) W^*, d = 2^k, e = 2^(n-k).  Each certificate is
+basis-free (a Frobenius norm of a map, or a subspace), so any tau-orthonormal
+basis of A_I gives it:
 
+  - the restrictions: is_sufficient forms no rho0 and decomposes each
+    restriction once at d, as the tau-small picture k = rho_I / e, whose
+    eigenvalues are rho0's, each taken e times; so D(rho_phi0 || rho_psi0)
+    = e D(k_phi || k_psi), and rho0^{-1/2} = W (k^{-1/2} x 1) W^*;
   - the recovery-map residual: with X = G W, G b_rs G^* = sqrt(d) sum_c
     X[:, (r, c)] X[:, (s, c)]^*, so a state's whole sandwich stack is
     sqrt(d) M M^H for the (d D x e) reshape M of X, and the difference of
@@ -196,11 +202,14 @@ def _require_recoverable(dec0: SpectralDecomposition, s: SubalgebraBasis) -> Non
         )
 
 
-def _petz_root(dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis) -> np.ndarray:
+def _petz_root(dec: SpectralDecomposition, dec0: SpectralDecomposition, s: SubalgebraBasis,
+               frame: _UnitFrame | None = None) -> np.ndarray:
     """G = r^{1/2} r0^{-1/2} from the decompositions of r and r0: the recovery
-    map is a -> E(G^* a G) when s is a unital *-algebra."""
+    map is a -> E(G^* a G) when s is a unital *-algebra.  In a unit frame
+    dec0 is r0's small picture k, and r0^{-1/2} = W (k^{-1/2} x 1) W^*."""
     _require_recoverable(dec0, s)
-    return dec.func("pow", 0.5) @ dec0.func("pow", -0.5)
+    inv_half0 = dec0.func("pow", -0.5)
+    return dec.func("pow", 0.5) @ (inv_half0 if frame is None else frame.family.iso_from_small(inv_half0))
 
 
 def _petz_residual(g_phi: np.ndarray, g_psi: np.ndarray, s: SubalgebraBasis) -> float:
@@ -308,9 +317,11 @@ def is_sufficient(
 ) -> SufficiencyReport:
     """Run all three sufficiency certificates for the pair (phi, psi).
 
-    Each of rho_phi, rho_psi and their restrictions is decomposed once; the
-    relative entropies, logarithms, the cocycle certificate's scale and the
-    recovery maps are all read from these four decompositions.  s must be a
+    Each of rho_phi, rho_psi and their restrictions is decomposed once, a
+    restriction in the d x d factor of the region algebra s spans, if it
+    spans one (see the module docstring); the relative entropies,
+    logarithms, the cocycle certificate's scale and the recovery maps are
+    all read from these four decompositions.  s must be a
     unital *-algebra, as every SubalgebraBasis is by contract, so the
     residual ||P_phi - P_psi||_F / max(1, ||P_psi||_F) between petz_map's
     superoperators is read from basis sandwiches, or from the unit frame,
@@ -319,21 +330,22 @@ def is_sufficient(
     phi.require_faithful("first state")
     psi.require_faithful("second state")
 
-    rho_phi0 = hs.hermitian_part(s.project(phi.rho))
-    rho_psi0 = hs.hermitian_part(s.project(psi.rho))
+    frame = _unit_frame(s)
+    e = 1 if frame is None else phi.dim // frame.d
+    restrict = ((lambda rho: hs.hermitian_part(s.project(rho))) if frame is None
+                else (lambda rho: frame.family.trace_pairings(rho) / e))
     dec_phi, dec_psi = eig_hermitian(phi.rho), eig_hermitian(psi.rho)
-    dec_phi0, dec_psi0 = eig_hermitian(rho_phi0), eig_hermitian(rho_psi0)
+    dec_phi0, dec_psi0 = eig_hermitian(restrict(phi.rho)), eig_hermitian(restrict(psi.rho))
 
     s_full = _rel_entropy_of(dec_phi, dec_psi)
-    s_rest = _rel_entropy_of(dec_phi0, dec_psi0)
+    s_rest = e * _rel_entropy_of(dec_phi0, dec_psi0)
     drop = s_full - s_rest
     if drop < -TOL_MONOTONE:
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
     log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
     orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s, dec_phi.log_radius() + dec_psi.log_radius())
-    roots = _petz_root(dec_phi, dec_phi0, s), _petz_root(dec_psi, dec_psi0, s)
-    frame = _unit_frame(s)
+    roots = _petz_root(dec_phi, dec_phi0, s, frame), _petz_root(dec_psi, dec_psi0, s, frame)
     petz_res = _petz_residual(*roots, s) if frame is None else _frame_petz_residual(*roots, frame)
 
     return SufficiencyReport(

@@ -181,6 +181,38 @@ def test_set_up_decomposes_each_restriction_once(cut, monkeypatch):
     assert small == sorted(2 ** len(r) for r in (regions.AB, regions.BC, regions.B))
 
 
+@pytest.mark.parametrize("cut", FRAME_CUTS)
+def test_the_w_minus_round_asks_no_floor(cut, monkeypatch):
+    """W^* v W = p x q for diagonal +-1 p and q, so every diagonal block of
+    theta(h)' in A_B's frame is p r_j p, with the spectrum of h''s block r_j:
+    the floor reads 0 on the W- round and proves nothing.  flow_stable_pair
+    asks for no floor, and its pair is bit for bit the one it builds when
+    the floor is asked for."""
+    regions = FRAME_CUTS[cut]
+    lattice = build_algebra(len(regions.BC))
+    frame = _UnitFrame(matrix_units(lattice, markov._positions(regions.B, regions.BC)))
+    real_floor, real_subspace = _UnitFrame.floor, _UnitFrame.invariant_subspace
+    floors = []
+    for kind, make in KINDS.items():
+        for seed in range(3):
+            state = make(regions, seed)
+            rho_bc = restrict_density(state, regions.BC)
+            h = hs.hermitian_part(mat_log(rho_bc))
+            assert frame.floor(frame.outside(parity_automorphism(lattice, h)), frame.outside(h)) == 0.0
+            with monkeypatch.context() as m:
+                m.setattr(_UnitFrame, "floor", lambda *a: floors.append(1) or real_floor(*a))
+                got = markov.flow_stable_pair(eig_hermitian(rho_bc), state.alg, regions)
+            with monkeypatch.context() as m:
+                m.setattr(_UnitFrame, "invariant_subspace",
+                          lambda *a, **k: real_subspace(*a, **{**k, "floor": True}))
+                want = markov.flow_stable_pair(eig_hermitian(rho_bc), state.alg, regions)
+            for w_got, w_want in ((got.w_plus, want.w_plus), (got.w_minus, want.w_minus)):
+                assert type(w_got) is type(w_want), (kind, seed)
+                assert subalgebra._stack(w_got).tobytes() == subalgebra._stack(w_want).tobytes(), (kind, seed)
+            assert got.identity_residual == want.identity_residual, (kind, seed)
+    assert floors == []
+
+
 KIND_SEEDS = {**KINDS, "block_2_1": lambda r, seed: make_block_markov(r, seed, 2, 1)[0]}
 
 

@@ -1,6 +1,7 @@
 """A whole region algebra A_I held by its size alone (a _WholeFactor): every
 reading of region_subalgebra against an explicitly held twin of its scaled
-units, sufficiency on it with no units formed, and the envelope this opens,
+units, spans subalgebra_from_matrices finds filling their factor held the
+same way, sufficiency on it with no units formed, and the envelope this opens,
 each in a child that caps its own address space."""
 
 import itertools
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import fermarkov
-from fermarkov.car import RegionPartition, build_algebra
+from fermarkov import hs
+from fermarkov.car import RegionPartition, build_algebra, matrix_units, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import FermarkovError
 from fermarkov.states import make_product_markov, perturb, random_state
@@ -28,6 +30,7 @@ from fermarkov.subalgebra import (
     minimal_central_projections,
     region_subalgebra,
     span_equality_residual,
+    subalgebra_from_matrices,
 )
 from fermarkov.sufficiency import factor_through, is_sufficient
 
@@ -67,6 +70,70 @@ def test_a_whole_region_algebra_reads_as_its_explicit_twin(n):
             assert got.size == want.size and span_equality_residual(got, want) <= 1e-12, (region, solve)
         [p] = minimal_central_projections(region_subalgebra(alg, region))
         assert np.abs(p - np.eye(alg.dim)).max() <= 1e-12
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_span_that_fills_its_factor_is_held_as_the_region_algebra(n):
+    # the scaled units of A_I, and the same span under a random unitary mix
+    # of its tau-orthonormal elements, are both held by their size
+    alg = build_algebra(n)
+    rng = np.random.default_rng(100 + n)
+    x = random_matrix(rng, alg.dim)
+    for region in regions(n):
+        units = region_orthobasis(alg, region)
+        mix, _ = np.linalg.qr(random_matrix(rng, units.shape[0]))
+        for stack in (units, hs.unflatten(mix @ hs.flatten(units), alg.dim)):
+            s = subalgebra_from_matrices(stack, parity_stable=True)
+            assert isinstance(s._picture[0], _WholeFactor) and s.size == 4 ** len(region), region
+            assert s.contains_identity and s.parity_stable
+            assert np.abs(s.project(x) - hs.project(stack, x)).max() <= 1e-13, region
+            assert membership(x, s)[1] == hs.hs_norm(x - s.project(x))
+            assert "basis" not in vars(s)
+
+
+def test_a_span_short_of_its_factor_keeps_its_basis():
+    # the even part of A_I, and A_I's units with one leaking out of A_I by
+    # 1e-6, are projected on their basis as before
+    alg = build_algebra(3)
+    rng = np.random.default_rng(7)
+    x = random_matrix(rng, alg.dim)
+    family = matrix_units(alg, (0, 1))
+    even = family.orthobasis()[family.parity == 1]
+    leaky = family.orthobasis()
+    leaky[1] += 1e-6 * alg.annihilators[2] / hs.hs_norm(alg.annihilators[2])
+    for stack in (even, leaky):
+        s = subalgebra_from_matrices(stack)
+        assert "basis" in vars(s) and s.size == stack.shape[0]
+        assert s.project(x).tobytes() == hs.project(hs.orthonormalize(stack), x).tobytes()
+    assert subalgebra_from_matrices(leaky).region is None
+
+
+def test_is_sufficient_on_a_filling_span_decomposes_the_restrictions_in_its_factor(monkeypatch):
+    # the recovery workload's pairs against A_AB from its explicit units:
+    # rho0 is never projected on a basis, and each restriction is decomposed
+    # once in A_AB's 16 x 16 factor
+    regions_ = RegionPartition((0,), (1, 2, 3), (4,))
+    alg = build_algebra(5)
+    s = subalgebra_from_matrices(region_orthobasis(alg, regions_.AB), parity_stable=True)
+    pairs = []
+    for seed in range(3):
+        for phi in (make_product_markov(regions_, seed), random_state(5, seed)):
+            pairs.append((phi, StateDensity.from_matrix(alg, embedded_restriction(phi, regions_.BC))))
+    projections, shapes = [], []
+    real_project, real_eigh = hs.project, np.linalg.eigh
+    monkeypatch.setattr(hs, "project", lambda *a, **k: projections.append(1) or real_project(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: shapes.append(np.shape(a)) or real_eigh(a, *r, **k))
+    verdicts = []
+    for phi, psi in pairs:
+        shapes.clear()
+        verdicts.append(is_sufficient(phi, psi, s).overall)
+        assert sorted(shapes) == [(16, 16)] * 2 + [(32, 32)] * 2
+    assert projections == [] and "basis" not in vars(s)
+    assert verdicts == [True, False] * 3
 
 
 def recovery_pairs(regions_):

@@ -208,8 +208,9 @@ def test_is_sufficient_decomposes_each_density_once(monkeypatch, regions, kind):
     else:
         phi, psi = random_state(regions.n_sites, 42), random_state(regions.n_sites, 43)
     want = reference_report(phi, psi, s)
-    eigh = spy_on(monkeypatch, np.linalg, "eigh")
-    shapes = []
+    eigh, shapes = [], []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: eigh.append(np.shape(a)) or real_eigh(a, *r, **k))
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: shapes.append(np.shape(a)) or real_eigvalsh(a, *r, **k))
     got = is_sufficient(phi, psi, s)
@@ -217,9 +218,15 @@ def test_is_sufficient_decomposes_each_density_once(monkeypatch, regions, kind):
     # the spectra of the (e, d, d) diagonal blocks of L' and R' in A_AB's frame
     dim, d = phi.dim, 2 ** len(regions.AB)
     assert len(eigh) == 4 and (dim, dim) not in shapes
+    # each restriction is decomposed in A_AB's d x d factor, not at D
+    assert eigh == [(dim, dim)] * 2 + [(d, d)] * 2
     assert shapes == ([] if kind == "sufficient" else [(dim // d, d, d)] * 2)
     # is_sufficient reads the residual from basis sandwiches, the reference
-    # from petz_map's superoperators: equal up to rounding, not bit for bit
-    assert abs(got.petz_residual - want.petz_residual) <= 1e-14 + 1e-12 * want.petz_residual
-    assert dataclasses.replace(got, petz_residual=want.petz_residual) == want
+    # from petz_map's superoperators, and the restricted relative entropy
+    # from the d x d spectra, the reference from the D x D ones: equal up to
+    # rounding, not bit for bit
+    rounded = ("petz_residual", "rel_entropy_restricted", "rel_entropy_drop")
+    for field in rounded:
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14 + 1e-12 * abs(getattr(want, field)), field
+    assert dataclasses.replace(got, **{field: getattr(want, field) for field in rounded}) == want
     assert got.overall == (kind == "sufficient")
