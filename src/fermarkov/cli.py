@@ -75,12 +75,11 @@ def matrix_block(m: np.ndarray) -> dict:
 def parse_matrix_block(block: dict, what: str = "matrix") -> np.ndarray:
     try:
         dim = int(block["dim"])
-        data = block["data"]
+        flat = np.array([complex(re, im) for re, im in block["data"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: malformed matrix block: {exc}") from exc
-    if len(data) != dim * dim:
-        raise ParseError(f"{what}: expected {dim * dim} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data])
+    if flat.size != dim * dim:
+        raise ParseError(f"{what}: expected {dim * dim} entries, got {flat.size}")
     return flat.reshape(dim, dim)
 
 

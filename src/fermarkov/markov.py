@@ -26,9 +26,11 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
     matched there; every block cuts x and y by a minimal central projection
     q of C, and each factor is certified by one rule for all blocks: q x
     against C, q y against p_A C~ + (1 - p_A) C~.
-  - when W+ and W- fill A_B (every even product Markov state), closed forms:
-    B~ = C1 with the one projection 1 and no commutant solve, E_C = E_AB, and
-    C~ = A_C's twisted units, from product_algebra with no product round.
+  - C, E_C and C~ read in B's unit frame: the relative commutant of A_B in
+    A_AB (A_BC) is 1 x M_e there, so C = W+ x M_e^+ (+) p W- x M_e^-, E_C
+    projects block by block, and C~ = B~ x M_e, each a tensor form; when W+
+    and W- fill A_B (every even product Markov state), B~ = C1 with the one
+    projection 1 and no commutant solve, and E_C = E_AB.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .subalgebra import (
     is_projection_family,
     membership,
     parity_split,
-    product_algebra,
     region_subalgebra,
     span_equality_residual,
     subalgebra_from_matrices,
@@ -101,6 +102,8 @@ class FlowStablePair:
     state theta(h) = h and C is the join A_A v B.  Each W is a tau-orthonormal
     stack in A_B's 2^|B| factor, or all of A_B as a _WholeFactor, whose stack
     plus or minus forms on read; when both fill A_B, C = A_AB and E_C = E_AB.
+    Otherwise C is read in B's unit frame of A_AB (``_b_frame``), where
+    A_A^+ = 1 x M_e^+ and A_A^- = p x M_e^-: W^* C W = W+ x M_e^+ (+) p W- x M_e^-.
     """
 
     alg: CarAlgebra
@@ -122,41 +125,33 @@ class FlowStablePair:
         return 4 ** len(self.regions.A) // 2 * (self.w_plus.shape[0] + self.w_minus.shape[0])
 
     @cached_property
-    def _ab_factor(self):
-        """A_A's units, which are even, and B's family, in A_AB's factor."""
-        ab = self.regions.AB
-        lattice = build_algebra(len(ab))
-        a_units = matrix_units(lattice, _positions(self.regions.A, ab))
-        return a_units.orthobasis(), a_units.parity == 1, matrix_units(lattice, _positions(self.regions.B, ab))
-
-    @cached_property
     def b_basis(self) -> SubalgebraBasis:
         """B held as W+ is: all of A_B, with no stack, when W+ fills it."""
         return _from_small(self.alg.dim, self.regions.B, self.w_plus, True)
 
     @cached_property
     def c_basis(self) -> SubalgebraBasis:
-        """The products a_k w, tau-orthonormal, scattered from A_AB's factor,
-        or A_AB itself when both W fill A_B."""
+        """W+ x M_e^+ (+) p W- x M_e^-, tau-orthonormal, unframed in A_AB's
+        factor, or A_AB itself when both W fill A_B."""
         if self.fills:
             return region_subalgebra(self.alg, self.regions.AB)
-        units, even, b = self._ab_factor
-        d = units.shape[-1]
-        parts = [units[even][:, None] @ b.iso_from_small(self.plus)[None],
-                 units[~even][:, None] @ b.iso_from_small(self.minus)[None]]
-        return _from_small(self.alg.dim, self.regions.AB, np.concatenate([p.reshape(-1, d, d) for p in parts]), True)
+        frame, p, odd = _b_frame(self.regions, self.regions.A)
+        units = _scaled_units(len(odd))
+        small = np.concatenate([_kron(self.plus, units[~odd]), _kron(p[:, None] * self.minus, units[odd])])
+        return _from_small(self.alg.dim, self.regions.AB, frame.unframe(small), True)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """E_C(x): the coefficients E_B(a_k^* E_AB(x)) of E_AB(x) over A_A's
-        units, each projected onto W+ or W- by the parity of a_k; E_AB(x)
-        itself when both W fill A_B."""
+        """E_C(x), block by block in B's frame of A_AB: the d x d block of
+        E_AB(x)~ in slot (j, j') projected onto W+ on an even slot, onto p W-
+        on an odd one; E_AB(x) itself when both W fill A_B."""
         ab = _small(self.alg.dim, self.regions.AB, x)
         if not self.fills:
-            units, even, b = self._ab_factor
-            coeffs = b.trace_pairings(np.conj(units.transpose(0, 2, 1)) @ ab) / (ab.shape[-1] // b.small_dim)
-            coeffs[even] = hs.project_stack(self.plus, coeffs[even])
-            coeffs[~even] = hs.project_stack(self.minus, coeffs[~even])
-            ab = (units @ b.iso_from_small(coeffs)).sum(axis=0)
+            frame, p, odd = _b_frame(self.regions, self.regions.A)
+            xt = frame.frame(ab)
+            blocks = frame._blocks(xt).transpose(1, 3, 0, 2)     # [j, j', r, r'], a view of xt
+            blocks[~odd] = hs.project_stack(self.plus, blocks[~odd])
+            blocks[odd] = p[:, None] * hs.project_stack(self.minus, p[:, None] * blocks[odd])
+            ab = frame.unframe(xt)
         return matrix_units(self.alg, self.regions.AB).iso_from_small(ab)
 
     @property
@@ -181,6 +176,27 @@ def _inclusion_residual(target: np.ndarray | _WholeFactor, stack: np.ndarray | _
 def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
     """Positions of a region's sites in the lattice of a region holding it."""
     return tuple(within.index(i) for i in sites)
+
+
+def _b_frame(regions: RegionPartition, other: tuple[int, ...]) -> tuple[_UnitFrame, np.ndarray, np.ndarray]:
+    """B's unit frame W in the lattice of R = B + X (X = A or C), B's parities p
+    and the e x e mask of odd slots.  W^* A_B W = M_d x 1, W^* v_B W = p x 1 and
+    W^* v_X W = 1 x q (q: X's parities), so A_B' n A_R = (A_X)^+ + v_B (A_X)^- is
+    W (1 x M_e) W^*, e = 2^|X|, whose unit 1 x E_jj' is odd where q_j != q_j'."""
+    region = tuple(sorted(regions.B + other))
+    frame = _UnitFrame(matrix_units(build_algebra(len(region)), _positions(regions.B, region)))
+    p, q = (_parity_diagonal(build_algebra(len(sites)), range(len(sites))) for sites in (regions.B, other))
+    return frame, p, q[:, None] != q[None, :]
+
+
+def _scaled_units(e: int) -> np.ndarray:
+    """The tau-orthonormal units sqrt(e) E_jj' of M_e, as [j, j']."""
+    return np.sqrt(e) * np.eye(e * e, dtype=complex).reshape(e, e, e, e)
+
+
+def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every l x r over two stacks, left-major: tau-orthonormal when both are."""
+    return np.kron(left[:, None], right[None]).reshape(-1, *np.multiply(left.shape[1:], right.shape[1:]))
 
 
 def flow_stable_pair(rho_bc: SpectralDecomposition, alg: CarAlgebra, regions: RegionPartition) -> FlowStablePair:
@@ -305,9 +321,10 @@ class StructureLemmaReport:
 @dataclass(frozen=True)
 class _LemmaAlgebras:
     """Structure-lemma algebras of an even Markov state, shared by the block
-    decomposition and the lemma validation.  c_tilde is a certified product
-    of two graded-commuting *-subalgebras: b_tilde and the span of A_C's
-    homogeneous matrix units, each odd one times v_B."""
+    decomposition and the lemma validation.  c_tilde is B~ v ((A_C)^+ +
+    v_B (A_C)^-), and the second factor is the relative commutant of A_B in
+    A_BC, W (1 x M_e) W^* in B's unit frame (``_b_frame``), so c_tilde is
+    W (B~ x M_e) W^*: a tensor product of two algebras, with no product round."""
 
     b_tilde: SubalgebraBasis         # B' within A_B
     c_tilde: SubalgebraBasis         # B~ v ((A_C)_even + v_B (A_C)_odd)
@@ -486,20 +503,11 @@ class Analysis:
 
     @cached_property
     def _lemma_algebras(self) -> _LemmaAlgebras:
-        alg, regions = self.state.alg, self.regions
         b_tilde = self._b_tilde[0]
-        # C~ is built in A_BC's factor, a |BC|-site lattice: B~ scattered from
-        # B's factor, and A_C's units, which are homogeneous: the odd ones,
-        # times v_B, commute with A_B
-        bc = regions.BC
-        lattice = build_algebra(len(bc))
-        b_sites = _positions(regions.B, bc)
-        c_units = matrix_units(lattice, _positions(regions.C, bc))
-        right = c_units.orthobasis()
-        odd = c_units.parity == -1
-        right[odd] = parity_unitary(lattice, b_sites) @ right[odd]
-        c_tilde = product_algebra(matrix_units(lattice, b_sites).iso_from_small(b_tilde.small), right)
-        return _LemmaAlgebras(b_tilde, _from_small(alg.dim, bc, c_tilde.small, True))
+        # C~ = W (B~ x M_e) W^* in B's unit frame of A_BC, from B~'s small picture
+        frame, _, odd = _b_frame(self.regions, self.regions.C)
+        c_tilde = frame.unframe(_kron(b_tilde.small, _scaled_units(len(odd)).reshape(-1, *odd.shape)))
+        return _LemmaAlgebras(b_tilde, _from_small(self.state.alg.dim, self.regions.BC, c_tilde, True))
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
@@ -519,7 +527,7 @@ class Analysis:
         self._require_even_markov("block decomposition")
         if not self.triplet.markov:
             raise NotMarkov(f"A-side generators escape the stable algebra: residual {self.triplet.a_in_c_residual:.3e}")
-        # C~'s product stack is built before the D x D central projections exist
+        # C~'s stack in A_BC's factor is built before the D x D central projections exist
         c_tilde = self._lemma_algebras.c_tilde
         state, alg, tol_member = self.state, self.state.alg, self.tol_member
         x, y, central = self.factorization.x, self.factorization.y, self.central

@@ -82,32 +82,18 @@ def require_hermitian(m: np.ndarray, tol: float = TOL_HERM, what: str = "matrix"
         raise NotHermitian(f"{what} deviates from self-adjointness by {defect:.3e} > {tol:.1e}")
 
 
-def _fix_phases(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first component above tol is real positive;
-    a column with no such component is left as it is."""
-    u = u.copy()
-    if u.size == 0:
-        return u
-    big = np.abs(u) > tol
-    first = big.argmax(axis=0)
-    cols = np.flatnonzero(big[first, np.arange(u.shape[1])])
-    pivot = u[first[cols], cols]
-    # np.hypot rounds |pivot| as Python's scalar abs() does; np.abs on a
-    # complex array can differ in the last bit
-    u[:, cols] *= np.hypot(pivot.real, pivot.imag) / pivot
-    return u
-
-
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a self-adjoint matrix.
 
-    Eigenvalues come out ascending; eigenvector phases are fixed so repeated
-    runs are deterministic.  Raises NotHermitian when the input is not
-    self-adjoint within TOL_HERM.
+    Eigenvalues come out ascending; the eigenvectors are eigh's, each column's
+    phase as LAPACK returns it (deterministic for one input and build, not
+    normalized): nothing reads a phase, as functions form U f(lambda) U^* and
+    relative entropies read |U^* V|^2.  Raises NotHermitian when the input is
+    not self-adjoint within TOL_HERM.
     """
     require_hermitian(m)
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    return SpectralDecomposition(w, _fix_phases(u))
+    return SpectralDecomposition(w, u)
 
 
 def mat_func(

@@ -367,10 +367,7 @@ def product_algebra(
         spans.append(hs.orthonormalize(np.concatenate([eye, small])))
     lhs, rhs = spans
     d = lhs.shape[-1]
-    # a factor that spans only the scalars leaves the other's span: no product round
-    small = (rhs if lhs.shape[0] == 1 else lhs if rhs.shape[0] == 1
-             else hs.orthonormalize((lhs[:, None] @ rhs[None, :]).reshape(-1, d, d)))
-    result = _from_small(dim, region, small, True)
+    result = _from_small(dim, region, hs.orthonormalize((lhs[:, None] @ rhs[None, :]).reshape(-1, d, d)), True)
     _verify_algebra_closure(result, TOL_MEMBER)
     return result
 
@@ -749,6 +746,13 @@ class _UnitFrame:
         """W^* x W: x~[a, b] = sign[a] sign[b] x[perm[a], perm[b]]."""
         perm, sign = self.family.perm, self.family.sign
         return x[np.ix_(perm, perm)] * np.outer(sign, sign)
+
+    def unframe(self, xt: np.ndarray) -> np.ndarray:
+        """W x~ W^*, per matrix of a stack, the inverse of frame: x[a, b] =
+        s[a] s[b] x~[inv[a], inv[b]], inv = perm^-1 and s = sign[inv]."""
+        inv = np.argsort(self.family.perm)
+        sign = self.family.sign[inv]
+        return xt.take(inv, axis=-1).take(inv, axis=-2) * np.outer(sign, sign)
 
     def _blocks(self, xt: np.ndarray) -> np.ndarray:
         """x~ as [r, j, r', j']."""

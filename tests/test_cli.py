@@ -305,6 +305,20 @@ def test_bad_usage_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("entry", [[0.125], ["a", "b"], None], ids=["one-number", "strings", "null"])
+def test_analyze_rejects_a_malformed_matrix_entry(entry, tmp_path, capsys):
+    # a 3-site file whose 64 entries are not [re, im] number pairs is a parse error
+    good = tmp_path / "good.json"
+    write_state_file(str(good), make_product_markov(REGIONS, 3), REGIONS)
+    doc = json.loads(good.read_text())
+    doc["matrix"]["data"] = [entry] * 64
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", "--in", str(bad), "--out", str(tmp_path / "doc.json")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err, err
+
+
 REJECTED_FLAGS = {
     "no-blocks": ["--kind", "block_markov", "--k-fixed", "0", "--n-pairs", "0"],
     "negative-k-fixed": ["--kind", "block_markov", "--k-fixed", "-1"],

@@ -340,11 +340,11 @@ def test_single_block_decomposition_reuses_the_lemma_algebras(monkeypatch):
     regions = RegionPartition((0,), (1, 2), (3,))
     state = make_product_markov(regions, 49)
     calls = []
-    real = markov.product_algebra
-    monkeypatch.setattr(markov, "product_algebra", lambda *a: calls.append(1) or real(*a))
+    real = subalgebra.product_algebra
+    monkeypatch.setattr(subalgebra, "product_algebra", lambda *a: calls.append(1) or real(*a))
     dec = decompose_even(state, regions)
     assert (dec.central.k, len(dec.central.pairs)) == (1, 0)
-    assert len(calls) == 1  # C~ only: the join is not built
+    assert len(calls) == 0  # C~ is a tensor form in B's unit frame, and the join is not built
     assert dec.blocks[0].x_membership_residual <= 1e-9
     assert dec.blocks[0].y_membership_residual <= 1e-9
 
@@ -362,11 +362,11 @@ def test_every_block_is_read_against_c_and_c_tilde(monkeypatch, regions, design,
     # pair) and the one C~ of the lemma algebras: no per-block product algebra
     state, _ = make_block_markov(regions, seed, *design)
     calls = []
-    real = markov.product_algebra
-    monkeypatch.setattr(markov, "product_algebra", lambda *a: calls.append(1) or real(*a))
+    real = subalgebra.product_algebra
+    monkeypatch.setattr(subalgebra, "product_algebra", lambda *a: calls.append(1) or real(*a))
     dec = decompose_even(state, regions)
     assert (dec.central.k, len(dec.central.pairs)) == design
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert max(max(b.x_membership_residual, b.y_membership_residual) for b in dec.blocks) <= 1e-9
 
 

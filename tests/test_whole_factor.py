@@ -2,7 +2,9 @@
 even product Markov state: B~ is the scalars and 1 is B's one central
 projection, C~ is A_C's twisted units with no product round, and E_C is
 E_AB.  Each is checked against the general route it replaces, and
-build_document is checked to take none of those routes on such states."""
+build_document is checked to take none of those routes on such states.
+For every pair, C, E_C and C~ read in B's unit frame are checked against
+the invariant subalgebra of A_AB and the product round they replace."""
 
 import json
 
@@ -13,11 +15,14 @@ from fermarkov import car, entropy, hs, markov, report, subalgebra
 from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_unitary
 from fermarkov.cli import build_document
 from fermarkov.markov import Analysis
-from fermarkov.states import make_block_markov, make_product_markov, random_state
+from fermarkov.entropy import embedded_restriction
+from fermarkov.spectral import EPS_FAITHFUL, mat_log
+from fermarkov.states import make_block_markov, make_product_markov, random_even_state, random_state
 from fermarkov.subalgebra import (
     SubalgebraBasis,
     _commutant_and_projections,
     _WholeFactor,
+    invariant_subalgebra,
     region_subalgebra,
     span_equality_residual,
 )
@@ -86,6 +91,61 @@ def test_closed_forms_match_the_general_routes(cut, seed, monkeypatch):
     assert np.abs(x - car.cond_expect(state.alg, state.rho, regions.AB)).max() <= 1e-12
 
 
+FRAME_CUTS = {
+    **CUTS,
+    "02|13|4": RegionPartition((0, 2), (1, 3), (4,)),
+    "1|02|3": RegionPartition((1,), (0, 2), (3,)),
+}
+FRAME_KINDS = {
+    "random": lambda r, seed: random_state(r.n_sites, seed),
+    "random_even": lambda r, seed: random_even_state(r.n_sites, seed),
+    "product_even": lambda r, seed: make_product_markov(r, seed, "even_even"),
+    "product_noneven": lambda r, seed: make_product_markov(r, seed, "even_noneven"),
+    **{f"block_{k}_{p}": (lambda k, p: lambda r, seed: make_block_markov(r, seed, k, p)[0])(k, p)
+       for k, p in ((1, 0), (1, 1), (2, 1), (0, 2))},
+}
+FRAME_CASES = [(cut, kind) for cut in FRAME_CUTS for kind in FRAME_KINDS]
+
+
+@pytest.mark.parametrize("cut, kind", FRAME_CASES, ids=[f"{c}-{k}" for c, k in FRAME_CASES])
+def test_the_frame_forms_match_the_general_routes(cut, kind):
+    # C and E_C against the invariant subalgebra of A_AB, and C~ against the
+    # product round, at seeds 0-2
+    regions = FRAME_CUTS[cut]
+    for seed in range(3):
+        state = FRAME_KINDS[kind](regions, seed)
+        an = Analysis(state, regions)
+        log_bc = mat_log(embedded_restriction(state, regions.BC), eps_faithful=EPS_FAITHFUL / state.alg.dim)
+        c_ref = invariant_subalgebra(log_bc, region_subalgebra(state.alg, regions.AB))
+        assert an.c_basis.size == c_ref.size, seed
+        assert span_equality_residual(an.c_basis, c_ref) <= 1e-12, seed
+        assert np.abs(an.pair.project(state.rho) - c_ref.project(state.rho)).max() <= 1e-12, seed
+
+        c_tilde = an._lemma_algebras.c_tilde
+        reference = product_reference(an._b_tilde[0], regions)
+        assert c_tilde.size == reference.shape[0] and c_tilde.region == regions.BC, seed
+        got, want = (SubalgebraBasis(reference.shape[-1], small, True) for small in (c_tilde.small, reference))
+        assert span_equality_residual(got, want) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("regions, design", [(FRAME_CUTS["1|3|1"], (1, 1)), (FRAME_CUTS["02|13|4"], (2, 1))],
+                         ids=["1|3|1", "02|13|4"])
+def test_a_block_state_reads_c_e_c_and_c_tilde_in_the_frame(regions, design, monkeypatch):
+    # no stack of A_A's or A_C's units and no product round: C, E_C and C~
+    # are tensor forms in B's unit frame
+    state, _ = make_block_markov(regions, 0, *design)
+    calls = []
+    spy(monkeypatch, subalgebra, "product_algebra", calls)
+    spy(monkeypatch, car.MatrixUnitFamily, "orthobasis", calls)
+    doc = build_document(state, regions)
+    assert doc.decomposition is not None and all(c["passed"] for c in doc.checks)
+    an = Analysis(state, regions)
+    assert an.c_basis.size == an.pair.dim_c
+    an.pair.project(state.rho)
+    an.lemmas
+    assert calls == []
+
+
 def spy(monkeypatch, module, name, calls):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
@@ -127,17 +187,11 @@ def test_a_block_state_keeps_the_commutant_solve(regions, design, seed, monkeypa
 def test_a_scalar_factor_leaves_the_other_span_with_no_product_round(monkeypatch):
     alg = build_algebra(3)
     right = car.region_orthobasis(alg, (1, 2))
-    orthonormalized = []
-    real = hs.orthonormalize
-    monkeypatch.setattr(hs, "orthonormalize", lambda stack, *a: orthonormalized.append(len(stack)) or real(stack, *a))
     closure = []
     real_closure = subalgebra._verify_algebra_closure
     monkeypatch.setattr(subalgebra, "_verify_algebra_closure", lambda s, tol: closure.append(s) or real_closure(s, tol))
     for left, other in ((np.eye(alg.dim, dtype=complex)[None], right), (right, 2j * np.eye(alg.dim)[None])):
-        orthonormalized.clear()
         s = subalgebra.product_algebra(left, other)
-        # only each factor with 1 is orthonormalized, never a product stack
-        assert sorted(orthonormalized) == [2, 17]
         assert s.size == 16 and closure[-1] is s
         assert span_equality_residual(s, subalgebra.region_subalgebra(alg, (1, 2))) <= 1e-12
 
