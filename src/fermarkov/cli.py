@@ -422,7 +422,16 @@ def _decomposition_section(dec: BlockDecomposition) -> dict:
 
 def _default_seed() -> int:
     env = os.environ.get("FERMARKOV_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ParseError(f"FERMARKOV_SEED must be an integer, got {env!r}") from None
+
+
+def _require_tolerance(flag: str, value: float) -> None:
+    """A verdict tolerance must be a finite positive number."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ParseError(f"{flag} must be finite and positive, got {value!r}")
 
 
 def _gen_state(args) -> tuple[StateDensity, RegionPartition, dict]:
@@ -460,6 +469,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _require_tolerance("--tol-equality", args.tol_equality)
+    _require_tolerance("--tol-member", args.tol_member)
     state, regions, _ = read_state_file(args.infile)
     doc = build_document(
         state, regions, tol_equality=args.tol_equality, tol_member=args.tol_member
@@ -502,6 +513,7 @@ def cmd_decompose(args) -> int:
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
+    _require_tolerance("--tol-equality", args.tol_equality)
     regions = parse_regions(args.regions)
     seed0 = args.seed0 if args.seed0 is not None else _default_seed()
     rows = []

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import hs
 from .car import CarAlgebra, RegionPartition, cond_expect, matrix_units, parity_automorphism
@@ -134,7 +133,12 @@ def vn_entropy(density: np.ndarray) -> float:
 
 def _entropy_of(eigenvalues: np.ndarray) -> float:
     w = np.clip(eigenvalues, 0.0, None)
-    return float(-np.sum(xlogy(w, w)))
+    return float(-np.sum(_xlogx(w)))
+
+
+def _xlogx(w: np.ndarray) -> np.ndarray:
+    """w log w entrywise for w >= 0, with 0 log 0 = 0; a NaN stays NaN."""
+    return w * np.log(np.where(w > 0.0, w, 1.0))
 
 
 def rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -152,7 +156,7 @@ def _rel_entropy_of(dr: SpectralDecomposition, ds: SpectralDecomposition) -> flo
         )
     lam = np.clip(dr.eigenvalues, 0.0, None)
     overlaps = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
-    term1 = float(np.sum(xlogy(lam, lam)))
+    term1 = float(np.sum(_xlogx(lam)))
     term2 = float(lam @ overlaps @ np.log(ds.eigenvalues))
     return term1 - term2
 

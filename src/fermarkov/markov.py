@@ -62,7 +62,7 @@ from .errors import (
     NotSaturated,
     UnmatchedParityAction,
 )
-from .spectral import EPS_FAITHFUL, SpectralDecomposition
+from .spectral import EPS_FAITHFUL, TOL_FACTOR_HERM, TOL_FACTOR_POS, SpectralDecomposition
 from .subalgebra import (
     TOL_MEMBER,
     SubalgebraBasis,
@@ -421,10 +421,10 @@ class Analysis:
 
         if (
             recon > TOL_BLOCK
-            or herm_defect > 1e-7 * scale
+            or herm_defect > TOL_FACTOR_HERM * scale
             or commute > TOL_PAIR * scale
             or not (x_ok and y_ok)
-            or y_min < -1e-9 * scale
+            or y_min < -TOL_FACTOR_POS * scale
         ):
             raise FactorizationFailed(
                 "factor residuals out of bounds: "

@@ -18,6 +18,8 @@ from .errors import NotHermitian, SingularMatrix
 
 TOL_HERM = 1e-10        # max entrywise |M - M^*| accepted as self-adjoint
 EPS_FAITHFUL = 1e-12    # spectrum floor below which log / negative powers fail
+TOL_FACTOR_HERM = 1e-7  # self-adjointness defect of a common factor, relative to 1 + its norm
+TOL_FACTOR_POS = 1e-9   # negative eigenvalue of a common factor that is read as rounding
 
 
 @dataclass(frozen=True)

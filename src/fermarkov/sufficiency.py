@@ -85,7 +85,7 @@ import numpy as np
 from . import hs
 from .entropy import TOL_EQUALITY, StateDensity, _rel_entropy_of
 from .errors import FlowUnstable, InvariantViolation, NotSufficient, SingularRestriction
-from .spectral import EPS_FAITHFUL, SpectralDecomposition, eig_hermitian
+from .spectral import EPS_FAITHFUL, TOL_FACTOR_HERM, TOL_FACTOR_POS, SpectralDecomposition, eig_hermitian
 from .subalgebra import (
     RANK_RTOL,
     TOL_MEMBER,
@@ -100,8 +100,6 @@ TOL_CHANNEL = 1e-9       # unitality / state-preservation residual
 TOL_PETZ_EQ = 1e-8       # superoperator distance accepted as "equal maps"
 TOL_RECON = 1e-8         # tau-norm residual of a density rebuilt from the common factor
 TOL_MONOTONE = 1e-7      # relative entropy gained under restriction that is read as rounding
-TOL_FACTOR_HERM = 1e-7   # self-adjointness defect of the common factor, relative to 1 + its norm
-TOL_FACTOR_POS = 1e-9    # negative eigenvalue of the common factor that is read as rounding
 _WITNESS_MARGIN = 0.1    # factor defect, as a share of the certificates' gates, that needs no certificate
 
 

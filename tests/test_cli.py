@@ -359,6 +359,43 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert np.max(np.abs(loaded.rho - expected.rho)) <= 1e-15
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+def test_a_non_integer_seed_variable_is_a_usage_error(command, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FERMARKOV_SEED", value)
+    out = tmp_path / "out"
+    argv = [command, "--kind", "random", "--regions", "A=0:B=1:C=2"]
+    argv += ["--out", str(out)] if command == "gen" else ["--count", "1", "--csv", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "FERMARKOV_SEED" in err, err
+    assert not out.exists()
+
+
+BAD_TOLERANCES = [
+    (command, flag, value)
+    for command, flags in (("analyze", ("--tol-equality", "--tol-member")), ("sweep", ("--tol-equality",)))
+    for flag in flags
+    for value in ("nan", "inf", "-inf", "0", "-1")
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_TOLERANCES, ids=["".join(case) for case in BAD_TOLERANCES])
+def test_a_non_finite_or_non_positive_tolerance_is_a_usage_error(command, flag, value, tmp_path, capsys):
+    # an even product Markov state, which every positive tolerance reads as saturated
+    out = tmp_path / "out"
+    if command == "analyze":
+        state = tmp_path / "state.json"
+        write_state_file(str(state), make_product_markov(REGIONS, 3), REGIONS)
+        argv = ["analyze", "--in", str(state), "--out", str(out)]
+    else:
+        argv = ["sweep", "--kind", "product_markov", "--regions", "A=0:B=1:C=2", "--count", "1", "--csv", str(out)]
+    assert main(argv + [f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and flag in err, err
+    assert not out.exists()
+
+
 def test_perturbed_kind_requires_base(tmp_path):
     assert main(["gen", "--kind", "perturbed", "--regions", "A=0:B=1:C=2",
                  "--out", str(tmp_path / "x.json")]) == 2

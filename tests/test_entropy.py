@@ -1,12 +1,21 @@
 """Tests for state densities, restrictions, entropies, the gap report and
 modular cocycles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+import fermarkov
 from fermarkov.car import RegionPartition, build_algebra, parity_unitary
 from fermarkov.entropy import (
     StateDensity,
+    _entropy_of,
+    _xlogx,
     cocycle,
     embedded_restriction,
     rel_entropy,
@@ -214,3 +223,38 @@ def test_cocycle_requires_faithful():
     singular = np.diag([1.0] + [0.0] * 7).astype(complex)
     with pytest.raises(NotFaithful):
         cocycle(rho, singular, 0.5)
+
+
+def test_xlogx_reads_zero_log_zero_as_zero_and_keeps_a_nan():
+    got = _xlogx(np.array([0.0, 1.0, 0.5, np.nan]))
+    assert got[0] == 0.0 and got[1] == 0.0 and got[2] == 0.5 * np.log(0.5)
+    assert np.isnan(got[3])
+    assert np.isnan(_entropy_of(np.array([0.5, np.nan])))
+
+
+def test_entropy_of_a_spectrum_with_zeros_and_clipped_negatives():
+    # exact zeros and rounding-level negatives add nothing; two equal weights give log 2
+    assert _entropy_of(np.array([-1e-17, 0.0, -3e-18, 0.5, 0.0, 0.5])) == LOG2
+    assert _entropy_of(np.array([-1e-17, 0.0, 1.0])) == 0.0
+
+
+def test_xlogx_agrees_with_scipy_xlogy_within_one_ulp():
+    rng = np.random.default_rng(0)
+    for size in (2, 8, 32, 256):
+        w = rng.dirichlet(np.ones(size) * 0.3, size=50).ravel()
+        w[::7] = 0.0
+        got, want = _xlogx(w), xlogy(w, w)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), size
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the only runtime dependency: the library and its CLI load
+    # neither scipy nor the test machinery scipy would pull in
+    code = (
+        "import sys, fermarkov, fermarkov.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'unittest') or m == 'numpy.testing'))"
+    )
+    src = str(Path(fermarkov.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout
