@@ -108,7 +108,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("write", help="write the records of the importable fermarkov")
     p.add_argument("out")
-    p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     p = sub.add_parser("diff", help="compare two record files")
     p.add_argument("old")
     p.add_argument("new")
@@ -116,7 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "write":
         with open(args.out, "w") as fh:
-            json.dump(records(tuple(args.seeds)), fh, indent=1, sort_keys=True)
+            json.dump(records(), fh, indent=1, sort_keys=True)
         return 0
     with open(args.old) as fh_old, open(args.new) as fh_new:
         bad, worst = diff(json.load(fh_old), json.load(fh_new), args.bar)
