@@ -57,6 +57,8 @@ class StateDensity:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (alg.dim, alg.dim):
             raise ValueError(f"density shape {rho.shape} does not match dimension {alg.dim}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density has non-finite entries")
         require_hermitian(rho, TOL_HERM, "density")
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > TOL_TRACE:

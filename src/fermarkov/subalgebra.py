@@ -24,7 +24,9 @@ algebra (region_subalgebra, a span subalgebra_from_matrices finds filling
 its region's factor, or a W that fills A_B) holds its factor by size alone,
 a _WholeFactor: it projects as E_I, a gather and a scatter, relations
 into it read 0 by dimension, and its units form only when small or basis is
-read.
+read.  A tau-orthonormal stack is found to fill A_I before any QR: the leak
+check puts its span inside A_I, and its small picture's rank (d^2, by its
+Gram) shows that the span is all of A_I.
 
 A whole region algebra A_I has a unit frame, W^* A_I W = M_d x 1, where a
 product with a scaled unit sqrt(d) E_rs x 1 is a scatter of columns or rows
@@ -73,6 +75,7 @@ _NULL_RTOL = 1e-11      # relative cut on squared commutator norms of a nullspac
 _GAP = 1e-8             # relative eigenvalue gap that separates two clusters
 _CLOSURE_SAMPLES = 400  # products (and adjoints) a closure check draws at most
 _PROJECTION_TOL = 1e-9  # entrywise defect accepted in a projection family
+_CHUNK = 1 << 17        # entries of a stack a gather reads per step, 2 MB of complex
 
 
 class SubalgebraBasis:
@@ -168,13 +171,24 @@ def _small(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> np.nd
     return family.trace_pairings(stack) / (dim // family.small_dim)
 
 
+def _chunks(m: int, dim: int) -> list[slice]:
+    """Slices of a stack of m D x D matrices, each of at most _CHUNK entries or one matrix."""
+    step = max(1, _CHUNK // dim ** 2)
+    return [slice(i, i + step) for i in range(0, m, step)]
+
+
 def _gather(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(small picture, leak) of a stack, the leak the tau-norm of x - E_I(x)."""
-    small = _small(dim, region, stack)
+    """(small picture, leak) of a stack, the leak the tau-norm of x - E_I(x), a chunk at a time."""
     if region is None:
-        return small, np.zeros(stack.shape[0])
-    out = stack - _family(dim, region).iso_from_small(small)
-    return small, np.linalg.norm(hs.flatten(out), axis=1) / np.sqrt(dim)
+        return stack, np.zeros(stack.shape[0])
+    family = _family(dim, region)
+    small = np.empty((stack.shape[0],) + (family.small_dim,) * 2, dtype=np.result_type(stack, float))
+    leak = np.empty(stack.shape[0])
+    for part in _chunks(stack.shape[0], dim):
+        small[part] = _small(dim, region, stack[part])
+        out = stack[part] - family.iso_from_small(small[part])
+        leak[part] = np.linalg.norm(hs.flatten(out), axis=1) / np.sqrt(dim)
+    return small, leak
 
 
 def _picture_in(s: SubalgebraBasis, region: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
@@ -235,15 +249,54 @@ def subalgebra_from_matrices(
     """Orthonormalize a spanning set into a SubalgebraBasis (span only; no
     closure), held by the smallest region whose algebra contains the span.
     A span that fills that region's factor and leaks out of it by at most
-    TOL_MEMBER (the test of _unit_frame) is the region algebra A_I, and is
-    held as region_subalgebra holds it: by its size, projecting as E_I."""
+    TOL_MEMBER (the test of _unit_frame) is the region algebra A_I, held by
+    its size as region_subalgebra holds it.  A tau-orthonormal stack is found
+    to be A_I with no QR: the leak check puts its span inside A_I, and its
+    small picture's rank, d^2 by a Gram within TOL_MEMBER of I, shows that
+    the span is all of A_I.  Non-finite entries raise ValueError."""
     stack = np.stack([np.asarray(m, dtype=complex) for m in mats]) if isinstance(mats, list) else np.asarray(mats, dtype=complex)
     dim = stack.shape[-1]
+    if not np.isfinite(stack).all():
+        raise ValueError("spanning set has non-finite entries")
+    whole = _region_algebra_of(stack, parity_stable)
+    if whole is not None:
+        return whole
     basis = hs.orthonormalize(stack)
     s = SubalgebraBasis(dim, basis, _contains_identity(basis, dim), parity_stable, _smallest_region(basis))
     if _unit_frame(s) is None:
         return s
     return _from_small(dim, s.region, _WholeFactor(s._picture[0].shape[-1]), True, parity_stable)
+
+
+def _region_algebra_of(stack: np.ndarray, parity_stable: bool | None) -> SubalgebraBasis | None:
+    """A_I when a stack whose squared tau-norms lie within TOL_MEMBER of 1
+    spans it, else None.  Site j is in I when a picture in the other sites'
+    factor loses over RANK_RTOL of a squared norm, a leak the orthonormalizing
+    route reads in too; a site left out leaks out of A_I at least as much.
+    With every leak at most TOL_MEMBER and the Gram within TOL_MEMBER of I,
+    each singular value is within 2 TOL_MEMBER of 1: no RANK_RTOL cut."""
+    dim, m = stack.shape[-1], stack.shape[0]
+    n = dim.bit_length() - 1
+    if dim != 2 ** n or not 1 <= n <= MAX_SITES:
+        return None
+    parts = _chunks(m, dim)
+    sq = lambda x: np.linalg.norm(hs.flatten(x), axis=1) ** 2 / x.shape[-1]
+    norms = [sq(stack[part]) for part in parts]
+    if any(np.abs(norm - 1.0).max(initial=0.0) > TOL_MEMBER for norm in norms):
+        return None
+    others = lambda j: tuple(i for i in range(n) if i != j)
+    loses = lambda j, part, norm: (norm - sq(_small(dim, others(j), stack[part]))).max(initial=0.0) > RANK_RTOL
+    # the first chunk that loses norm reads a site in; only one left out reads them all
+    sites = [j for j in range(n) if any(loses(j, part, norm) for part, norm in zip(parts, norms))]
+    if m != 4 ** len(sites):
+        return None
+    small, leak = _gather(dim, _normal_region(dim, sites), stack)
+    d, flat = small.shape[-1], hs.flatten(small)
+    gram = flat @ flat.conj().T / d
+    gram[np.diag_indices(m)] -= 1.0
+    if leak.max(initial=0.0) > TOL_MEMBER or np.linalg.norm(gram) > TOL_MEMBER:
+        return None
+    return _from_small(dim, sites, _WholeFactor(d), True, parity_stable)
 
 
 def _smallest_region(basis: np.ndarray) -> tuple[int, ...] | None:

@@ -50,6 +50,17 @@ def test_state_density_validation():
         StateDensity.from_matrix(ALG, neg)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_density_is_refused(n, bad):
+    # a NaN diagonal entry passes the trace check (NaN compares False) and
+    # then reads as min_eig 0.0 at n=2 or fails numpy's eigensolver at n=5
+    rho = np.eye(2 ** n, dtype=complex) / 2 ** n
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        StateDensity.from_matrix(build_algebra(n), rho)
+
+
 def test_faithfulness_flag():
     pure = np.zeros((8, 8), dtype=complex)
     pure[0, 0] = 1.0

@@ -76,40 +76,76 @@ def random_matrix(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_a_span_that_fills_its_factor_is_held_as_the_region_algebra(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_span_that_fills_its_factor_is_held_as_the_region_algebra(n, monkeypatch):
     # the scaled units of A_I, and the same span under a random unitary mix
-    # of its tau-orthonormal elements, are both held by their size
+    # of its tau-orthonormal elements, are both held by their size, for every
+    # region (the non-contiguous (0, 2, 3), the empty one and all sites, which
+    # reads None, among them), and are read from their small picture with no
+    # orthonormalizing QR or SVD
     alg = build_algebra(n)
     rng = np.random.default_rng(100 + n)
     x = random_matrix(rng, alg.dim)
+    stacks = []
     for region in regions(n):
         units = region_orthobasis(alg, region)
         mix, _ = np.linalg.qr(random_matrix(rng, units.shape[0]))
-        for stack in (units, hs.unflatten(mix @ hs.flatten(units), alg.dim)):
-            s = subalgebra_from_matrices(stack, parity_stable=True)
-            assert isinstance(s._picture[0], _WholeFactor) and s.size == 4 ** len(region), region
-            assert s.contains_identity and s.parity_stable
-            assert np.abs(s.project(x) - hs.project(stack, x)).max() <= 1e-13, region
-            assert membership(x, s)[1] == hs.hs_norm(x - s.project(x))
-            assert "basis" not in vars(s)
+        stacks += [(region, units), (region, hs.unflatten(mix @ hs.flatten(units), alg.dim))]
+    calls = []
+    for name in ("qr", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    for region, stack in stacks:
+        s = subalgebra_from_matrices(stack, parity_stable=True)
+        assert isinstance(s._picture[0], _WholeFactor) and s.size == 4 ** len(region), region
+        assert s.region == (None if len(region) == n else region)
+        assert s.contains_identity and s.parity_stable
+        assert np.abs(s.project(x) - hs.project(stack, x)).max() <= 1e-13, region
+        assert membership(x, s)[1] == hs.hs_norm(x - s.project(x))
+        assert "basis" not in vars(s)
+    assert calls == []
 
 
-def test_a_span_short_of_its_factor_keeps_its_basis():
-    # the even part of A_I, and A_I's units with one leaking out of A_I by
-    # 1e-6, are projected on their basis as before
+def off_route_stacks():
+    """Stacks the certificate turns down, with the region, size and held type
+    the orthonormalizing route gives them: a non-orthonormal spanning set of
+    A_{0,1} at n=3 (its units scaled, or one of them twice), its even part,
+    its units with one leaking out of it by 1e-6, and a 6 x 6 stack."""
     alg = build_algebra(3)
-    rng = np.random.default_rng(7)
-    x = random_matrix(rng, alg.dim)
     family = matrix_units(alg, (0, 1))
-    even = family.orthobasis()[family.parity == 1]
+    units = family.orthobasis()
     leaky = family.orthobasis()
     leaky[1] += 1e-6 * alg.annihilators[2] / hs.hs_norm(alg.annihilators[2])
-    for stack in (even, leaky):
-        s = subalgebra_from_matrices(stack)
-        assert "basis" in vars(s) and s.size == stack.shape[0]
+    six = np.stack([random_matrix(np.random.default_rng(6 + i), 6) for i in range(5)])
+    return {
+        "scaled": (units * np.arange(1.0, 17.0)[:, None, None], (0, 1), 16, _WholeFactor),
+        "duplicated": (np.concatenate([units, units[:1]]), (0, 1), 16, _WholeFactor),
+        "even": (units[family.parity == 1], (0, 1), 8, np.ndarray),
+        "leaky": (leaky, None, 16, np.ndarray),
+        "six": (six, None, 5, np.ndarray),
+    }
+
+
+@pytest.mark.parametrize("case", ["scaled", "duplicated", "even", "leaky", "six"])
+def test_a_stack_off_the_certified_route_is_orthonormalized_as_before(case):
+    # a basis it holds is exactly hs.orthonormalize's, and is projected on
+    stack, region, size, held = off_route_stacks()[case]
+    s = subalgebra_from_matrices(stack)
+    assert (s.region, s.size, type(s._picture[0])) == (region, size, held)
+    if held is np.ndarray:
+        x = random_matrix(np.random.default_rng(7), stack.shape[-1])
+        assert "basis" in vars(s) and s.basis.tobytes() == hs.orthonormalize(stack).tobytes()
         assert s.project(x).tobytes() == hs.project(hs.orthonormalize(stack), x).tobytes()
-    assert subalgebra_from_matrices(leaky).region is None
+
+
+def test_a_non_finite_spanning_set_is_refused():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            subalgebra_from_matrices(np.full((1, 4, 4), bad))
+        stack = region_orthobasis(build_algebra(3), (0, 2))
+        stack[3, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            subalgebra_from_matrices(stack)
 
 
 def test_is_sufficient_on_a_filling_span_decomposes_the_restrictions_in_its_factor(monkeypatch):
