@@ -135,10 +135,10 @@ def parse_regions(spec: str) -> RegionPartition:
 
 # --- exact-algebra selftest -------------------------------------------------------
 
-def exact_algebra_residuals(n: int, algebra_factory=build_algebra, seed: int = 0) -> dict[str, float]:
+def exact_algebra_residuals(n: int, algebra_factory=build_algebra) -> dict[str, float]:
     """Worst residual per defining identity of the n-site algebra."""
     alg: CarAlgebra = algebra_factory(n)
-    rng = np.random.default_rng((seed, n))
+    rng = np.random.default_rng((0, n))
     eye = alg.identity()
     out: dict[str, float] = {}
 

@@ -30,7 +30,6 @@ from .car import CarAlgebra, RegionPartition, cond_expect, matrix_units, parity_
 from .errors import InvariantViolation, NotFaithful, SingularReference
 from .spectral import (
     EPS_FAITHFUL,
-    TOL_HERM,
     SpectralDecomposition,
     eig_hermitian,
     require_hermitian,
@@ -59,7 +58,7 @@ class StateDensity:
             raise ValueError(f"density shape {rho.shape} does not match dimension {alg.dim}")
         if not np.isfinite(rho).all():
             raise ValueError("density has non-finite entries")
-        require_hermitian(rho, TOL_HERM, "density")
+        require_hermitian(rho, "density")
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"density trace {tr!r} deviates from 1 by more than {TOL_TRACE}")

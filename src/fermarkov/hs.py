@@ -29,9 +29,9 @@ def unflatten(rows: np.ndarray, dim: int) -> np.ndarray:
     return rows.reshape(-1, dim, dim)
 
 
-def orthonormal_rows(rows: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (standard inner product) of the row span: the right
-    singular vectors whose singular value exceeds rtol * s_max.
+    singular vectors whose singular value exceeds RANK_RTOL * s_max.
 
     The stack is factored as rows^H = Q R first.  Then rows = R^H Q^H, so the
     small SVD R^H = U S W^H gives the singular values of rows and their right
@@ -45,13 +45,13 @@ def orthonormal_rows(rows: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     _, s, wh = np.linalg.svd(r.conj().T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return wh[:0] @ q.conj().T
-    return wh[s > rtol * s[0]] @ q.conj().T
+    return wh[s > RANK_RTOL * s[0]] @ q.conj().T
 
 
-def orthonormalize(stack: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormalize(stack: np.ndarray) -> np.ndarray:
     """tau-orthonormal basis of the span of a (m, D, D) stack."""
     dim = stack.shape[-1]
-    rows = orthonormal_rows(flatten(stack), rtol)
+    rows = orthonormal_rows(flatten(stack))
     # standard-orthonormal rows have tau-norm 1/sqrt(D)
     return unflatten(rows * np.sqrt(dim), dim)
 

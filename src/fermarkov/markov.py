@@ -35,7 +35,6 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -247,7 +246,6 @@ class TripletAnalysis:
     a_in_c_residual: float
     cond_exp_residual: float     # worst membership of E_BC(C) in B
     markov: bool
-    elapsed: float               # seconds for the checks, after the shared build
 
     c_basis = property(lambda self: self.pair.c_basis)   # built on first read
     b_basis = property(lambda self: self.pair.b_basis)
@@ -266,8 +264,6 @@ class Factorization:
     y_parity: str                # "even" | "noneven"
     y_odd_norm: float
     y_min_eig: float
-    x_parity_defect: float | None    # set for even input states
-    y_parity_defect: float | None
 
 
 @dataclass(frozen=True)
@@ -305,7 +301,6 @@ class BlockDecomposition:
     reassembly_residual: float
     lemma_join_residual: float       # C against the algebra generated by A_A and B
     y_commutant_residual: float      # y against the even-twisted commutant algebra
-    elapsed: float                   # seconds, after the shared build and factorization
 
 
 @dataclass(frozen=True)
@@ -317,18 +312,6 @@ class StructureLemmaReport:
 
 
 # --- shared analysis -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _LemmaAlgebras:
-    """Structure-lemma algebras of an even Markov state, shared by the block
-    decomposition and the lemma validation.  c_tilde is B~ v ((A_C)^+ +
-    v_B (A_C)^-), and the second factor is the relative commutant of A_B in
-    A_BC, W (1 x M_e) W^* in B's unit frame (``_b_frame``), so c_tilde is
-    W (B~ x M_e) W^*: a tensor product of two algebras, with no product round."""
-
-    b_tilde: SubalgebraBasis         # B' within A_B
-    c_tilde: SubalgebraBasis         # B~ v ((A_C)_even + v_B (A_C)_odd)
-
 
 class Analysis:
     """One faithful state on one region partition.  Construction builds what
@@ -363,7 +346,6 @@ class Analysis:
     @cached_property
     def triplet(self) -> TripletAnalysis:
         """Saturation and Markov verdicts with the flow-stable subalgebras."""
-        start = time.perf_counter()
         # an odd a in A_A projects onto a P(1) in C, P the projection onto W-,
         # so its residual is its norm times 1's residual against W-
         norms = [hs.hs_norm(self.state.alg.annihilators[i]) for i in self.regions.A]
@@ -376,7 +358,6 @@ class Analysis:
             a_in_c_residual=float(a_res),
             cond_exp_residual=self.pair.cond_exp_residual,
             markov=self.ssa.saturated and a_ok,
-            elapsed=time.perf_counter() - start,
         )
 
     @cached_property
@@ -414,11 +395,6 @@ class Analysis:
         y_odd_norm = hs.hs_norm(y_odd)
         y_parity = "even" if y_odd_norm <= TOL_PAIR * scale else "noneven"
 
-        x_defect = y_defect = None
-        if state.is_even():
-            x_defect = hs.hs_norm(x - parity_automorphism(state.alg, x))
-            y_defect = hs.hs_norm(y - parity_automorphism(state.alg, y))
-
         if (
             recon > TOL_BLOCK
             or herm_defect > TOL_FACTOR_HERM * scale
@@ -441,8 +417,6 @@ class Analysis:
             y_parity=y_parity,
             y_odd_norm=float(y_odd_norm),
             y_min_eig=y_min,
-            x_parity_defect=x_defect,
-            y_parity_defect=y_defect,
         )
 
     @cached_property
@@ -502,12 +476,15 @@ class Analysis:
         return _commutant_and_projections(self.b_basis, region_subalgebra(self.state.alg, self.regions.B))
 
     @cached_property
-    def _lemma_algebras(self) -> _LemmaAlgebras:
-        b_tilde = self._b_tilde[0]
-        # C~ = W (B~ x M_e) W^* in B's unit frame of A_BC, from B~'s small picture
+    def _c_tilde(self) -> SubalgebraBasis:
+        """C~ = B~ v ((A_C)^+ + v_B (A_C)^-), shared by the block decomposition
+        and the lemma validation.  The second factor is the relative commutant
+        of A_B in A_BC, W (1 x M_e) W^* in B's unit frame (``_b_frame``), so C~
+        is W (B~ x M_e) W^*, read from B~'s small picture: a tensor product of
+        two algebras, with no product round."""
         frame, _, odd = _b_frame(self.regions, self.regions.C)
-        c_tilde = frame.unframe(_kron(b_tilde.small, _scaled_units(len(odd)).reshape(-1, *odd.shape)))
-        return _LemmaAlgebras(b_tilde, _from_small(self.state.alg.dim, self.regions.BC, c_tilde, True))
+        c_tilde = frame.unframe(_kron(self._b_tilde[0].small, _scaled_units(len(odd)).reshape(-1, *odd.shape)))
+        return _from_small(self.state.alg.dim, self.regions.BC, c_tilde, True)
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
@@ -523,12 +500,11 @@ class Analysis:
         with A_BC and tau(v_A c) = 0 for c in A_BC: C^ = C~ (+) v_A C~, an
         orthogonal sum, and E_C^(w) = E_C~(w) + v_A E_C~(v_A w).
         """
-        start = time.perf_counter()
         self._require_even_markov("block decomposition")
         if not self.triplet.markov:
             raise NotMarkov(f"A-side generators escape the stable algebra: residual {self.triplet.a_in_c_residual:.3e}")
         # C~'s stack in A_BC's factor is built before the D x D central projections exist
-        c_tilde = self._lemma_algebras.c_tilde
+        c_tilde = self._c_tilde
         state, alg, tol_member = self.state, self.state.alg, self.tol_member
         x, y, central = self.factorization.x, self.factorization.y, self.central
         v_a = _parity_diagonal(alg, self.regions.A)[:, None]     # v_A is diagonal: a product is a row scaling
@@ -578,7 +554,6 @@ class Analysis:
             reassembly_residual=float(reassembly),
             lemma_join_residual=float(lemma_join),
             y_commutant_residual=float(y_comm_res),
-            elapsed=time.perf_counter() - start,
         )
 
     @cached_property
@@ -594,7 +569,6 @@ class Analysis:
         self._require_even_markov("structure lemmas")
         state, regions = self.state, self.regions
         alg = state.alg
-        lem = self._lemma_algebras
         v_all = parity_unitary(alg, alg.sites)
         v_a = parity_unitary(alg, regions.A)
 
@@ -607,7 +581,7 @@ class Analysis:
         rhs1 = subalgebra_from_matrices(np.stack(rhs_parts)) if rhs_parts else c_comm
         comm_res = span_equality_residual(c_comm, rhs1)
 
-        middle_res = span_equality_residual(kom, lem.c_tilde)
+        middle_res = span_equality_residual(kom, self._c_tilde)
 
         return StructureLemmaReport(
             join_residual=float(join_res),

@@ -78,10 +78,10 @@ class SpectralDecomposition:
         raise ValueError(f"unknown matrix function tag {kind!r}")
 
 
-def require_hermitian(m: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> None:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> None:
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > tol:
-        raise NotHermitian(f"{what} deviates from self-adjointness by {defect:.3e} > {tol:.1e}")
+    if defect > TOL_HERM:
+        raise NotHermitian(f"{what} deviates from self-adjointness by {defect:.3e} > {TOL_HERM:.1e}")
 
 
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:

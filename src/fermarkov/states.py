@@ -80,25 +80,16 @@ def perturb(state: StateDensity, epsilon: float, seed: int, *, keep_even: bool =
 
 # --- building blocks ----------------------------------------------------------
 
-def _random_positive_region(
-    alg: CarAlgebra,
-    region: tuple[int, ...],
-    rng: np.random.Generator,
-    *,
-    even: bool = True,
-    floor: float = 0.15,
-) -> np.ndarray:
-    """Positive invertible element supported in the region algebra, spectrum in
-    roughly [floor, 1 + floor]; parity averaged when even is set."""
+def _random_positive_region(alg: CarAlgebra, region: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Even positive invertible element supported in the region algebra,
+    spectrum in roughly [0.15, 1.15] before the parity average."""
     family = matrix_units(alg, region)
     d = family.small_dim
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     small = g @ g.conj().T
-    small = small / np.linalg.eigvalsh(small)[-1] + floor * np.eye(d)
+    small = small / np.linalg.eigvalsh(small)[-1] + 0.15 * np.eye(d)
     x = family.iso_from_small(small)
-    if even:
-        x = (x + parity_automorphism(alg, x)) / 2
-    return hs.hermitian_part(x)
+    return hs.hermitian_part((x + parity_automorphism(alg, x)) / 2)
 
 
 def _random_odd_selfadjoint_region(
@@ -135,8 +126,8 @@ def make_product_markov(
     alg = build_algebra(regions.n_sites)
     # an even x in A_AB commutes exactly with every y in A_C, odd part or not
     rng = np.random.default_rng((seed, 0))
-    x = _random_positive_region(alg, regions.AB, rng, even=True)
-    y = _random_positive_region(alg, regions.C, rng, even=True)
+    x = _random_positive_region(alg, regions.AB, rng)
+    y = _random_positive_region(alg, regions.C, rng)
     if parity_mode == "even_noneven":
         odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
         y = y + 0.5 * float(np.linalg.eigvalsh(y)[0]) * odd
@@ -232,18 +223,18 @@ def make_block_markov(
 
     fixed_projs = [_diag_projection(alg, b_sites, group) for group in fixed_groups]
     for r in fixed_projs:
-        g = _random_positive_region(alg, regions.A, rng, even=True)
-        h = _random_positive_region(alg, regions.C, rng, even=True)
+        g = _random_positive_region(alg, regions.A, rng)
+        h = _random_positive_region(alg, regions.C, rng)
         x = x + r @ g
         y = y + r @ h
 
     for group in pair_groups:
         r = _diag_projection(alg, rest, group)
-        g_even = _random_positive_region(alg, regions.A, rng, even=True)
+        g_even = _random_positive_region(alg, regions.A, rng)
         g_odd = _random_odd_selfadjoint_region(alg, regions.A, rng)
         gamma = 0.5 * float(np.linalg.eigvalsh(g_even)[0])
         x_part = g_even + gamma * 1j * (g_odd @ w_cen)
-        h_even = _random_positive_region(alg, regions.C, rng, even=True)
+        h_even = _random_positive_region(alg, regions.C, rng)
         c_odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
         beta = 0.5 * float(np.linalg.eigvalsh(h_even)[0])
         y_part = h_even + beta * 1j * (w_mix @ c_odd)

@@ -478,11 +478,11 @@ def _worst_commutator(x: np.ndarray, basis: np.ndarray) -> float:
 
 
 def _require_complete(basis: np.ndarray, stack: np.ndarray, ambient: np.ndarray | None,
-                      rng: np.random.Generator, gap: float = _GAP) -> list[np.ndarray]:
+                      rng: np.random.Generator) -> list[np.ndarray]:
     """The minimal central projections p_i of s~ = s + C e_A, e_A the unit of
     the ambient A (None: all matrices), after an InvariantViolation check that
     the commutant stack of s = span(basis) in A has every direction.  The p_i
-    are the eigenspaces under e_A (relative gap ``gap``) of one random element
+    are the eigenspaces under e_A (relative gap _GAP) of one random element
     of the commutant's part inside s~, its center (DegenerateCenter when they
     are fewer).  s~ p_i = M_{d_i} sits in p_i A p_i = M_{d_i} x (s' n A) p_i,
     so the count sum_i sqrt(dim(s~ p_i) dim(s' p_i)) equals the rank
@@ -497,7 +497,7 @@ def _require_complete(basis: np.ndarray, stack: np.ndarray, ambient: np.ndarray 
     outside = hs.flatten(stack - hs.project_stack(basis, stack)) / np.sqrt(d)
     z = _null_combinations(outside, stack, 1.0)
     [el] = _hermitian_combos(z, 1, rng)
-    projections = [p for p in (u @ u.conj().T for u in _eigenspaces(el, gap)) if np.vdot(p, unit).real > 0.5]
+    projections = [p for p in (u @ u.conj().T for u in _eigenspaces(el, _GAP)) if np.vdot(p, unit).real > 0.5]
     if len(projections) != z.shape[0]:
         raise DegenerateCenter(f"one draw separated {len(projections)} of {z.shape[0]} central blocks")
     count = rank = 0.0
@@ -531,8 +531,8 @@ def commutant(
     return _commutant_and_projections(s, ambient, rng)[0]
 
 
-def _commutant_and_projections(s: SubalgebraBasis, ambient: SubalgebraBasis | None = None, rng=None,
-                               gap: float = _GAP) -> tuple[SubalgebraBasis, list[np.ndarray]]:
+def _commutant_and_projections(s: SubalgebraBasis, ambient: SubalgebraBasis | None = None,
+                               rng=None) -> tuple[SubalgebraBasis, list[np.ndarray]]:
     """commutant(s, ambient) and the projections _require_complete drew, in the result's factor."""
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     dim = s.dim_ambient
@@ -551,7 +551,7 @@ def _commutant_and_projections(s: SubalgebraBasis, ambient: SubalgebraBasis | No
     worst = max((_worst_commutator(x, basis) for x in stack), default=0.0)
     if worst > TOL_MEMBER:
         raise InvariantViolation(f"commutant element fails to commute with s: residual {worst:.3e}")
-    projections = _require_complete(basis, stack, amb, rng, gap)
+    projections = _require_complete(basis, stack, amb, rng)
     return _from_small(dim, region, stack, _contains_identity(stack, basis.shape[-1])), projections
 
 
@@ -562,15 +562,14 @@ def center(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> Sub
     return commutant(s, ambient=s, rng=rng)
 
 
-def minimal_central_projections(s: SubalgebraBasis, *, rng: np.random.Generator | None = None,
-                                gap: float = _GAP) -> list[np.ndarray]:
+def minimal_central_projections(s: SubalgebraBasis, *, rng: np.random.Generator | None = None) -> list[np.ndarray]:
     """Minimal central projections, orthogonal and summing to the identity,
     largest trace first: those the commutant solve of s in its region's
     factor draws there (see _require_complete), scattered to D x D."""
     if not s.contains_identity:
         raise ValueError("center requires a subalgebra containing the identity")
     ambient = None if s.region is None else region_subalgebra(_family(s.dim_ambient, s.region).alg, s.region)
-    _, projections = _commutant_and_projections(s, ambient, rng, gap)
+    _, projections = _commutant_and_projections(s, ambient, rng)
     if s.region is not None:
         projections = _family(s.dim_ambient, s.region).iso_from_small(np.stack(projections))
     return sorted(projections, key=lambda p: -float(np.trace(p).real))
@@ -636,7 +635,7 @@ def invariant_subspace(
     """
     l_out = left - hs.project(ambient_basis, left)
     r_out = right - hs.project(ambient_basis, right)
-    stable = _descend_round(ambient_basis, l_out @ ambient_basis - ambient_basis @ r_out, RANK_RTOL, scale)
+    stable = _descend_round(ambient_basis, l_out @ ambient_basis - ambient_basis @ r_out, scale)
     if stable is not ambient_basis and stable.shape[0]:
         stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right, stable, scale=scale)
     return stable, _identity_residual(stable, ambient_basis.shape[-1])
@@ -658,25 +657,25 @@ def invariant_subspace_under(
         if basis.shape[0] == 0:
             return basis
         image = apply_map(basis)
-        kept = _descend_round(basis, image - hs.project_stack(basis, image), RANK_RTOL, scale)
+        kept = _descend_round(basis, image - hs.project_stack(basis, image), scale)
         if kept is basis:
             return basis
         basis = kept
     raise InvariantViolation("descending invariant-subspace iteration did not stabilize")
 
 
-def _descend_round(basis: np.ndarray, out: np.ndarray, rtol: float, scale: float) -> np.ndarray:
+def _descend_round(basis: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
     """One round of the descending iteration on the explicit out-of-span
     parts, out, of the images of a tau-orthonormal stack: _decide on their
     rows g, with |g|_F^2 as the rounding weight of g g^H."""
     g = hs.flatten(out) / np.sqrt(basis.shape[-1])
     fro = float(np.linalg.norm(g))
     return _decide(basis, fro, fro * fro, g.shape[1], lambda unit: float(np.linalg.norm(unit @ g)),
-                   lambda: g @ g.conj().T, lambda: g, rtol, scale)
+                   lambda: g @ g.conj().T, lambda: g, scale)
 
 
 def _decide(basis: np.ndarray | _WholeFactor, fro: float, weight: float, k: int, unit_image, gram, rows,
-            rtol: float, scale: float, floor=None) -> np.ndarray | _WholeFactor:
+            scale: float, floor=None) -> np.ndarray | _WholeFactor:
     """The decision of every round of the descending iteration: the
     directions of the span of a tau-orthonormal stack whose images'
     out-of-span rows g (m x k) stay within the cut, or the stack itself when
@@ -689,13 +688,13 @@ def _decide(basis: np.ndarray | _WholeFactor, fro: float, weight: float, k: int,
     its d diagonal units, and its units are formed only when the cut runs.
 
     A direction is dropped when its image leaves the span by more than
-    rtol * max(s_max, scale, 1), where the s are the singular values of g.
+    RANK_RTOL * max(s_max, scale, 1), where the s are the singular values of g.
     Two decisions need no singular values:
 
-    - |g|_F <= rtol * max(scale, 1) keeps every row: every singular value is
+    - |g|_F <= RANK_RTOL * max(scale, 1) keeps every row: every singular value is
       at most |g|_F, so none can exceed the cut.
     - _nothing_kept proves that nothing is kept, s_min > c with
-      c = rtol * max(|g|_F, scale, 1), which bounds the cut from above
+      c = RANK_RTOL * max(|g|_F, scale, 1), which bounds the cut from above
       (|g|_F >= s_max): by floor() > c, in a unit frame s_min^2 >= (1/e)
       sum_j max(0, gap_j - eps_j)^2 from the spectral gaps of the diagonal
       complement blocks, eps_j their eigenvalue rounding and
@@ -706,7 +705,7 @@ def _decide(basis: np.ndarray | _WholeFactor, fro: float, weight: float, k: int,
     ever prove that nothing is kept; a kept direction is always decided by
     the cut.
     """
-    if fro <= rtol * max(scale, 1.0):
+    if fro <= RANK_RTOL * max(scale, 1.0):
         return basis
     d = basis.shape[-1]
     if isinstance(basis, _WholeFactor):
@@ -714,22 +713,22 @@ def _decide(basis: np.ndarray | _WholeFactor, fro: float, weight: float, k: int,
         unit[:: d + 1] = np.sqrt(d) / d     # tau(sqrt(d) E_rs) = delta_rs / sqrt(d)
     else:
         unit = np.trace(basis, axis1=1, axis2=2).conj() / d
-    if _nothing_kept(k, rtol * max(fro, scale, 1.0), weight, unit, unit_image(unit), gram, floor):
+    if _nothing_kept(k, RANK_RTOL * max(fro, scale, 1.0), weight, unit, unit_image(unit), gram, floor):
         return np.zeros((0, d, d), dtype=complex)
     stack = _stack(basis)
-    kept = _cut(stack, rows(), rtol, scale)
+    kept = _cut(stack, rows(), scale)
     return basis if kept is stack else kept
 
 
-def _cut(basis: np.ndarray, g: np.ndarray, rtol: float, scale: float) -> np.ndarray:
+def _cut(basis: np.ndarray, g: np.ndarray, scale: float) -> np.ndarray:
     """The directions of the span of a tau-orthonormal stack whose
-    out-of-span rows g have singular values within rtol * max(s_max, scale,
-    1), or the stack itself when all do.  The cut reads only the left
+    out-of-span rows g have singular values within RANK_RTOL * max(s_max,
+    scale, 1), or the stack itself when all do.  The cut reads only the left
     factor: with g^H = Q R, g = R^H Q^H has the left singular vectors and
     singular values of the m x m R^H, and Q is never formed."""
     r = np.linalg.qr(g.conj().T, mode="r")
     u, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
-    keep = sing <= rtol * max(float(sing[0]), scale, 1.0)
+    keep = sing <= RANK_RTOL * max(float(sing[0]), scale, 1.0)
     if keep.all():
         return basis
     return hs.unflatten(u[:, keep].conj().T @ hs.flatten(basis), basis.shape[-1])
@@ -942,7 +941,7 @@ class _UnitFrame:
         floor = None if right is left or not floor else (lambda: self.floor(lt, rt))
         kept = _decide(whole, float(np.sqrt(norms.sum())), weight, dim * dim, lambda _: hs.hs_norm(lt - rt),
                        lambda: self.gram(lt, rt), lambda: hs.flatten(self.images(lt / root, rt / root)),
-                       RANK_RTOL, scale, floor)
+                       scale, floor)
         if kept is not whole and kept.shape[0]:
             stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
                                               self.family.iso_from_small(kept), scale=scale)
@@ -967,14 +966,14 @@ def _unit_frame(s: SubalgebraBasis) -> _UnitFrame | None:
     return _UnitFrame(_family(dim, tuple(range(n)) if s.region is None else s.region))
 
 
-def _closure_pairs(m: int, max_pairs: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _closure_pairs(m: int, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < m and j < n (default m), of the products a
-    closure check samples: all m n in row-major order, or max_pairs of them
-    drawn without replacement."""
+    closure check samples: all m n in row-major order, or _CLOSURE_SAMPLES
+    of them drawn without replacement."""
     n = m if n is None else n
     flat = np.arange(m * n)
-    if m * n > max_pairs:
-        flat = np.random.default_rng(_DEFAULT_SEED).choice(m * n, size=max_pairs, replace=False)
+    if m * n > _CLOSURE_SAMPLES:
+        flat = np.random.default_rng(_DEFAULT_SEED).choice(m * n, size=_CLOSURE_SAMPLES, replace=False)
     return np.divmod(flat, n)
 
 
@@ -986,7 +985,7 @@ def _product_residual(left: np.ndarray, right: np.ndarray, target: np.ndarray) -
     formed."""
     if _fills_factor(target):
         return 0.0
-    i, j = _closure_pairs(left.shape[0], _CLOSURE_SAMPLES, right.shape[0])
+    i, j = _closure_pairs(left.shape[0], right.shape[0])
     products = _stack(left)[i] @ _stack(right)[j]
     scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(products.shape[-1])
     return float((hs.residual_norms(target, products) / scale).max(initial=0.0))
@@ -998,7 +997,7 @@ def _adjoint_residual(stack: np.ndarray, target: np.ndarray) -> float:
     adjoint formed, for a target that fills its whole factor."""
     if _fills_factor(target):
         return 0.0
-    i, _ = _closure_pairs(stack.shape[0], _CLOSURE_SAMPLES, 1)
+    i, _ = _closure_pairs(stack.shape[0], 1)
     adj = np.conj(np.transpose(_stack(stack)[i], (0, 2, 1)))
     return float(hs.residual_norms(target, adj).max(initial=0.0))
 

@@ -273,28 +273,6 @@ class SufficiencyReport:
         return self.ok_rel_entropy and self.ok_cocycle and self.ok_petz
 
 
-def _cocycle_orbit_residual(
-    log_phi: np.ndarray,
-    log_psi: np.ndarray,
-    s: SubalgebraBasis,
-    scale: float | None = None,
-) -> float:
-    """Residual of the identity against the largest subspace of the span kept
-    invariant by the mixed derivation z -> Lphi z - z Lpsi.
-
-    The derivatives of t -> rho_phi^{it} rho_psi^{-it} at 0 are the iterates
-    of that derivation applied to the identity, so by analyticity the cocycle
-    stays inside the span for every t exactly when the identity lies in this
-    invariant subspace.  The descending subspace iteration is numerically
-    stable where a direct power orbit would amplify roundoff.  Its scale is
-    |Lphi|_2 + |Lpsi|_2, which a caller holding the two spectra passes as
-    the largest |log lambda| of each (SpectralDecomposition.log_radius).
-    """
-    if scale is None:
-        scale = float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2))
-    return float(_invariant_in(s, log_phi, log_psi, max(1.0, scale))[1])
-
-
 def _invariant_in(s: SubalgebraBasis, left: np.ndarray, right: np.ndarray, scale: float) -> tuple[int, float]:
     """Dimension of the largest subspace of s invariant under z -> L z - z R,
     and the identity's residual against it: in the unit frame when s spans a
@@ -341,8 +319,10 @@ def is_sufficient(
     if drop < -TOL_MONOTONE:
         raise InvariantViolation(f"relative entropy increased under restriction: {drop:.3e}")
 
-    log_phi, log_psi = dec_phi.func("log"), dec_psi.func("log")
-    orbit_res = _cocycle_orbit_residual(log_phi, log_psi, s, dec_phi.log_radius() + dec_psi.log_radius())
+    # certificate (iii): 1's residual against the subspace invariant under z -> Lphi z - z Lpsi,
+    # at the scale |Lphi|_2 + |Lpsi|_2, read from the two spectra
+    scale = max(1.0, dec_phi.log_radius() + dec_psi.log_radius())
+    orbit_res = float(_invariant_in(s, dec_phi.func("log"), dec_psi.func("log"), scale)[1])
     roots = _petz_root(dec_phi, dec_phi0, s, frame), _petz_root(dec_psi, dec_psi0, s, frame)
     petz_res = _petz_residual(*roots, s) if frame is None else _frame_petz_residual(*roots, frame)
 

@@ -156,6 +156,7 @@ CUTS = [(RANK_RTOL, 1e6, 1.0), (0.1, 1.0, 100.0)]
 @pytest.mark.parametrize("rtol,scale,s_max", CUTS)
 @pytest.mark.parametrize("ratio", [10.0, 1.0, 0.1])
 def test_certificate_fires_only_where_the_cut_keeps_nothing(monkeypatch, rtol, scale, s_max, ratio):
+    monkeypatch.setattr(subalgebra, "RANK_RTOL", rtol)
     m, dim = 6, 4
     cut = rtol * max(s_max, scale, 1.0)
     sing = np.array([s_max] + [ratio * cut] * (m - 1))
@@ -163,7 +164,7 @@ def test_certificate_fires_only_where_the_cut_keeps_nothing(monkeypatch, rtol, s
     factored = _spy(monkeypatch, np.linalg, "qr")
     for basis, out, g in rounds:
         factored.clear()
-        kept = _descend_round(basis, out, rtol, scale)
+        kept = _descend_round(basis, out, scale)
         reference = int(np.sum(np.linalg.svd(g, compute_uv=False) <= cut))
         if ratio == 10.0:
             assert reference == 0 and kept.shape[0] == 0 and not factored
@@ -179,7 +180,7 @@ def test_non_finite_images_are_not_certified():
     basis, out, _ = _planted_round(np.random.default_rng(0), 6, 4, np.full(6, 10.0))
     out[0, 0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        _descend_round(basis, out, RANK_RTOL, 1.0)
+        _descend_round(basis, out, 1.0)
 
 
 # --- what a round no longer computes ------------------------------------------------------

@@ -79,8 +79,8 @@ def test_factorization_roundtrip():
     assert fact.x_region_residual <= 1e-9 and fact.y_region_residual <= 1e-9
     assert fact.y_min_eig >= -1e-9
     # even input gives even factors without extra work
-    assert fact.x_parity_defect is not None and fact.x_parity_defect <= 1e-9
-    assert fact.y_parity_defect is not None and fact.y_parity_defect <= 1e-9
+    for factor in (fact.x, fact.y):
+        assert hs.hs_norm(factor - parity_automorphism(state.alg, factor)) <= 1e-9
 
 
 def test_factorize_tracial():
@@ -405,7 +405,7 @@ def test_block_decomposition_solves_b_once_in_its_factor(monkeypatch):
     dec = an.decomposition
     assert (dec.central.k, len(dec.central.pairs)) == (2, 1)
     assert solves == [2 ** len(regions.B)]
-    assert "basis" not in vars(an._lemma_algebras.c_tilde)
+    assert "basis" not in vars(an._c_tilde)
 
 
 def test_pair_order_ignores_the_sign_of_zero():

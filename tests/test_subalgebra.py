@@ -19,7 +19,6 @@ from fermarkov.markov import Analysis
 from fermarkov.spectral import mat_log
 from fermarkov.states import make_block_markov, make_product_markov
 from fermarkov.subalgebra import (
-    RANK_RTOL,
     TOL_MEMBER,
     SubalgebraBasis,
     center,
@@ -185,10 +184,11 @@ def test_minimal_central_projections_deterministic():
         assert np.array_equal(x, y)
 
 
-def test_degenerate_center_reported():
+def test_degenerate_center_reported(monkeypatch):
     # an absurd clustering gap makes every draw collapse the blocks
+    monkeypatch.setattr(subalgebra, "_GAP", 10.0)
     with pytest.raises(DegenerateCenter):
-        minimal_central_projections(block_direct_sum(), gap=10.0)
+        minimal_central_projections(block_direct_sum())
 
 
 def test_membership_cases():
@@ -501,14 +501,14 @@ def whole_lattice(s):
 
 def span_in(region, mats):
     """The span of a stack, held by the algebra of a site set."""
-    basis = hs.orthonormalize(np.asarray(mats, dtype=complex), RANK_RTOL)
+    basis = hs.orthonormalize(np.asarray(mats, dtype=complex))
     dim = basis.shape[-1]
     return SubalgebraBasis(dim, basis, subalgebra._contains_identity(basis, dim), None, region)
 
 
-def full_closure_residuals(s, max_pairs=400):
+def full_closure_residuals(s):
     """Product and adjoint residuals of the same sampled pairs, on D x D matrices."""
-    i, j = subalgebra._closure_pairs(s.size, max_pairs)
+    i, j = subalgebra._closure_pairs(s.size)
     products = s.basis[i] @ s.basis[j]
     res = hs.residual_norms(s.basis, products)
     scale = 1.0 + np.linalg.norm(hs.flatten(products), axis=1) / np.sqrt(s.dim_ambient)
@@ -534,7 +534,6 @@ def certified(request):
     else:
         state = make_block_markov(regions, seed, *design)[0]
     an = Analysis(state, regions)
-    lem = an._lemma_algebras
     # the join A_A v B built as products, against C built from the graded pair
     join = product_algebra(region_orthobasis(state.alg, regions.A), an.b_basis.basis, regions.AB)
     rng = np.random.default_rng(seed)
@@ -545,8 +544,8 @@ def certified(request):
         "C": an.c_basis,
         "B": an.b_basis,
         "join": join,
-        "C~": lem.c_tilde,
-        "B~": lem.b_tilde,
+        "C~": an._c_tilde,
+        "B~": an._b_tilde[0],
     }
     for name in ("A_AB", "A_BC"):
         amb = spans[name]
@@ -652,7 +651,7 @@ def test_closure_pairs_match_the_list_enumeration(m):
     if len(pairs) > 400:
         idx = np.random.default_rng(subalgebra._DEFAULT_SEED).choice(len(pairs), size=400, replace=False)
         pairs = [pairs[k] for k in idx]
-    i, j = subalgebra._closure_pairs(m, 400)
+    i, j = subalgebra._closure_pairs(m)
     assert list(zip(i.tolist(), j.tolist())) == pairs
 
 
@@ -811,7 +810,7 @@ def test_small_held_subalgebras_project_in_their_factor():
     state = make_block_markov(regions, 0, 1, 1)[0]
     an = Analysis(state, regions)
     b_region = region_subalgebra(state.alg, regions.B)
-    held = [an.b_basis, b_region, commutant(an.b_basis, b_region), an._lemma_algebras.c_tilde,
+    held = [an.b_basis, b_region, commutant(an.b_basis, b_region), an._c_tilde,
             commutant(region_subalgebra(state.alg, (0,)))]
     rng = np.random.default_rng(4)
     x = rng.normal(size=(state.dim, state.dim)) + 1j * rng.normal(size=(state.dim, state.dim))

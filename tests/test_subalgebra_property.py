@@ -9,11 +9,11 @@ st = hypothesis.strategies
 
 from fermarkov import hs, subalgebra  # noqa: E402
 from fermarkov.car import build_algebra, matrix_units  # noqa: E402
-from fermarkov.subalgebra import RANK_RTOL, SubalgebraBasis  # noqa: E402
+from fermarkov.subalgebra import SubalgebraBasis  # noqa: E402
 
 
 def span_in(region, mats):
-    basis = hs.orthonormalize(mats, RANK_RTOL)
+    basis = hs.orthonormalize(mats)
     dim = basis.shape[-1]
     return SubalgebraBasis(dim, basis, subalgebra._contains_identity(basis, dim), None, region)
 

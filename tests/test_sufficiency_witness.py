@@ -112,11 +112,10 @@ def test_sufficient_pair_runs_no_certificate(monkeypatch):
     suff = spy_on(monkeypatch, sufficiency, "is_sufficient")
     petz = spy_on(monkeypatch, sufficiency, "_petz_superop")
     petz_res = spy_on(monkeypatch, sufficiency, "_petz_residual")
-    orbit = spy_on(monkeypatch, sufficiency, "_cocycle_orbit_residual")
     phi, psi = sufficient_pair(31, N4)
     d = factor_through(phi, psi, ab_subalgebra(N4))
     assert np.linalg.eigvalsh(d)[0] >= -1e-9
-    assert suff == petz == petz_res == orbit == []
+    assert suff == petz == petz_res == []
 
 
 def test_insufficient_pair_runs_is_sufficient_once(monkeypatch):
@@ -182,7 +181,9 @@ def reference_report(phi, psi, s, tol_equality=1e-8, tol_member=TOL_MEMBER):
     s_full = rel_entropy(phi.rho, psi.rho)
     s_rest = rel_entropy(rho_phi0, rho_psi0)
     drop = s_full - s_rest
-    orbit_res = sufficiency._cocycle_orbit_residual(mat_log(phi.rho), mat_log(psi.rho), s)
+    log_phi, log_psi = mat_log(phi.rho), mat_log(psi.rho)
+    scale = max(1.0, float(np.linalg.norm(log_phi, 2) + np.linalg.norm(log_psi, 2)))
+    orbit_res = float(sufficiency._invariant_in(s, log_phi, log_psi, scale)[1])
     sup_phi, sup_psi = petz_map(phi, s).superop, petz_map(psi, s).superop
     petz_res = float(np.linalg.norm(sup_phi - sup_psi) / max(1.0, np.linalg.norm(sup_psi)))
     return SufficiencyReport(

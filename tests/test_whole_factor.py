@@ -76,7 +76,7 @@ def test_closed_forms_match_the_general_routes(cut, seed, monkeypatch):
     assert np.abs(projections[0] - want_projections[0]).max() <= 1e-12
 
     # C~, against the product round on the scattered factors
-    c_tilde = an._lemma_algebras.c_tilde
+    c_tilde = an._c_tilde
     reference = product_reference(want, regions)
     assert c_tilde.size == reference.shape[0] and c_tilde.region == regions.BC
     got, want = (SubalgebraBasis(reference.shape[-1], small, True) for small in (c_tilde.small, reference))
@@ -121,7 +121,7 @@ def test_the_frame_forms_match_the_general_routes(cut, kind):
         assert span_equality_residual(an.c_basis, c_ref) <= 1e-12, seed
         assert np.abs(an.pair.project(state.rho) - c_ref.project(state.rho)).max() <= 1e-12, seed
 
-        c_tilde = an._lemma_algebras.c_tilde
+        c_tilde = an._c_tilde
         reference = product_reference(an._b_tilde[0], regions)
         assert c_tilde.size == reference.shape[0] and c_tilde.region == regions.BC, seed
         got, want = (SubalgebraBasis(reference.shape[-1], small, True) for small in (c_tilde.small, reference))
