@@ -928,9 +928,15 @@ class _UnitFrame:
         d x d diagonal blocks of L'~ and R'~ (2 e eigenvalue problems of
         size d, skipped when right is left, as the identity is then kept,
         and when floor is False), and only then by the Gram, from blocks;
-        only the singular-value cut forms the images.  Kept directions are mapped back through W, later
-        rounds run there as invariant_subspace_under does, and what they
-        keep, inside A_I, is gathered back to the small picture."""
+        only the singular-value cut forms the images.
+
+        When round 0 keeps a proper part V of A_I, the later rounds run on
+        V's (dim V, d, d) stack as invariant_subspace_under does, under
+        z -> l z - z r with l and r the small pictures of E_I(L) and E_I(R).
+        For z in V round 0 has put L'(z x 1) - (z x 1)R' within the cut, and
+        E_I is an A_I-bimodule map, so on V the map is (l z - z r) x 1 up to
+        that residue, which lies outside A_I and within the cut.  The later
+        rounds decide on the part inside A_I and form no D x D stack."""
         d, dim = self.d, left.shape[-1]
         lt = self.outside(left)
         rt = lt if right is left else self.outside(right)
@@ -943,9 +949,8 @@ class _UnitFrame:
                        lambda: self.gram(lt, rt), lambda: hs.flatten(self.images(lt / root, rt / root)),
                        scale, floor)
         if kept is not whole and kept.shape[0]:
-            stable = invariant_subspace_under(lambda stack: left @ stack - stack @ right,
-                                              self.family.iso_from_small(kept), scale=scale)
-            kept = self.family.trace_pairings(stable) / (dim // d)
+            lbar, rbar = (self.family.trace_pairings(x) / (dim // d) for x in (left, right))
+            kept = invariant_subspace_under(lambda z: lbar @ z - z @ rbar, kept, scale=scale)
         return kept, 0.0 if kept is whole else _identity_residual(kept, d)
 
     def worst_commutator(self, x: np.ndarray) -> float:

@@ -123,10 +123,11 @@ def number(alg, site):
     return a.conj().T @ a
 
 
-def test_a_partly_kept_round_is_mapped_back_through_w(monkeypatch):
+def test_a_partly_kept_round_runs_its_later_rounds_in_the_small_picture(monkeypatch):
     """Under h = n_0 + n_1 n_2 the directions of A_{0,2} that commute with
-    n_2 stay (8 of 16): round 0 keeps some but not all units, and the kept
-    directions go back through W != 1 into invariant_subspace_under."""
+    n_2 stay (8 of 16): round 0 keeps some but not all units, and the later
+    rounds run on the kept (8, 4, 4) stack in the region's factor, with no
+    D x D stack, and keep the span the stack route keeps."""
     alg = build_algebra(3)
     s = region_subalgebra(alg, (0, 2))
     family = matrix_units(alg, (0, 2))
@@ -137,14 +138,15 @@ def test_a_partly_kept_round_is_mapped_back_through_w(monkeypatch):
     monkeypatch.setattr(subalgebra, "invariant_subspace_under", lambda f, b, **k: seen.append(b) or real(f, b, **k))
     small, residual = _UnitFrame(family).invariant_subspace(h, h, scale=1.0)
     [kept] = seen
-    assert small.shape[0] == kept.shape[0] == 8
+    assert kept.shape == (8, 4, 4) and small.shape == (8, 4, 4)
     want, want_residual = invariant_subspace(h, h, s.basis, scale=1.0)
     assert want.shape[0] == 8 and abs(residual - want_residual) <= 1e-13
-    spans = SubalgebraBasis(alg.dim, kept, False), SubalgebraBasis(alg.dim, want, False)
+    got = family.iso_from_small(small)
+    spans = SubalgebraBasis(alg.dim, got, False), SubalgebraBasis(alg.dim, want, False)
     assert span_equality_residual(*spans) <= 1e-12
-    # the mapped directions lie in A_{0,2} and commute with n_2
-    assert max(np.abs(k @ number(alg, 2) - number(alg, 2) @ k).max() for k in kept) <= 1e-12
-    assert np.abs(kept - hs.project_stack(s.basis, kept)).max() <= 1e-12
+    # the kept directions lie in A_{0,2} and commute with n_2
+    assert max(np.abs(k @ number(alg, 2) - number(alg, 2) @ k).max() for k in got) <= 1e-12
+    assert np.abs(got - hs.project_stack(s.basis, got)).max() <= 1e-12
 
 
 def test_a_region_algebra_reads_no_stack(monkeypatch):
