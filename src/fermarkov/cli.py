@@ -98,6 +98,9 @@ def read_state_file(path: str) -> tuple[StateDensity, RegionPartition, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed header: {exc}") from exc
+    # refused before the 4^n entries are parsed
+    if not 1 <= n <= MAX_SITES:
+        raise ParseError(f"{path}: n_sites {n} lies outside the supported 1..{MAX_SITES}")
     if regions.n_sites != n:
         raise ParseError(f"{path}: regions cover {regions.n_sites} sites, header says {n}")
     rho = parse_matrix_block(doc.get("matrix", {}), path)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fermarkov
-from fermarkov import entropy, markov
+from fermarkov import cli, entropy, markov
 from fermarkov.car import MAX_SITES, RegionPartition, build_algebra
 from fermarkov.cli import (
     build_document,
@@ -84,6 +84,24 @@ def test_state_file_rejects_corruption(tmp_path):
     (tmp_path / "t.json").write_text(json.dumps(doc_bad))
     with pytest.raises(ParseError):
         read_state_file(str(tmp_path / "t.json"))
+
+
+def test_an_oversized_state_file_is_refused_before_its_matrix_is_read(tmp_path, monkeypatch, capsys):
+    # the header alone decides: past MAX_SITES the 4^n entries are never
+    # parsed, and the CLI exits 2, a usage error, naming the limit
+    n = MAX_SITES + 1
+    doc = {"version": 1, "n_sites": n, "regions": {"A": [0], "B": list(range(1, n - 1)), "C": [n - 1]},
+           "matrix": {"dim": 1, "data": [[1.0, 0.0]]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    parsed = []
+    real = cli.parse_matrix_block
+    monkeypatch.setattr(cli, "parse_matrix_block", lambda *a: parsed.append(1) or real(*a))
+    with pytest.raises(ParseError, match=f"1..{MAX_SITES}"):
+        read_state_file(str(path))
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert f"1..{MAX_SITES}" in capsys.readouterr().err
+    assert parsed == []
 
 
 def test_parse_matrix_block_errors():
