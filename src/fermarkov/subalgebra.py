@@ -440,18 +440,18 @@ def _hermitian_combos(basis: np.ndarray, count: int, rng: np.random.Generator) -
     return combos
 
 
-def _eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
+def _eigenspaces(h: np.ndarray) -> list[np.ndarray]:
     """Orthonormal columns of each eigenvalue cluster of a Hermitian matrix; a
-    cluster ends where the spectrum jumps by more than gap * max(1, spread)."""
+    cluster ends where the spectrum jumps by more than _GAP * max(1, spread)."""
     w, u = np.linalg.eigh(h)
-    return np.split(u, np.flatnonzero(np.diff(w) > gap * max(1.0, float(w[-1] - w[0]))) + 1, axis=1)
+    return np.split(u, np.flatnonzero(np.diff(w) > _GAP * max(1.0, float(w[-1] - w[0]))) + 1, axis=1)
 
 
 def _commutant_of_hermitian(h: np.ndarray) -> np.ndarray:
     """tau-orthonormal basis of {h}', the block-diagonal algebra over h's
     eigenspaces: sqrt(d) u_a u_b^* for eigenvectors a, b of one cluster."""
     d = h.shape[-1]
-    blocks = [np.einsum("ia,jb->abij", u, u.conj()).reshape(-1, d, d) for u in _eigenspaces(h, _GAP)]
+    blocks = [np.einsum("ia,jb->abij", u, u.conj()).reshape(-1, d, d) for u in _eigenspaces(h)]
     return np.sqrt(d) * np.concatenate(blocks)
 
 
@@ -497,7 +497,7 @@ def _require_complete(basis: np.ndarray, stack: np.ndarray, ambient: np.ndarray 
     outside = hs.flatten(stack - hs.project_stack(basis, stack)) / np.sqrt(d)
     z = _null_combinations(outside, stack, 1.0)
     [el] = _hermitian_combos(z, 1, rng)
-    projections = [p for p in (u @ u.conj().T for u in _eigenspaces(el, _GAP)) if np.vdot(p, unit).real > 0.5]
+    projections = [p for p in (u @ u.conj().T for u in _eigenspaces(el)) if np.vdot(p, unit).real > 0.5]
     if len(projections) != z.shape[0]:
         raise DegenerateCenter(f"one draw separated {len(projections)} of {z.shape[0]} central blocks")
     count = rank = 0.0
@@ -928,15 +928,12 @@ class _UnitFrame:
         d x d diagonal blocks of L'~ and R'~ (2 e eigenvalue problems of
         size d, skipped when right is left, as the identity is then kept,
         and when floor is False), and only then by the Gram, from blocks;
-        only the singular-value cut forms the images.
-
-        When round 0 keeps a proper part V of A_I, the later rounds run on
-        V's (dim V, d, d) stack as invariant_subspace_under does, under
-        z -> l z - z r with l and r the small pictures of E_I(L) and E_I(R).
-        For z in V round 0 has put L'(z x 1) - (z x 1)R' within the cut, and
-        E_I is an A_I-bimodule map, so on V the map is (l z - z r) x 1 up to
-        that residue, which lies outside A_I and within the cut.  The later
-        rounds decide on the part inside A_I and form no D x D stack."""
+        only the singular-value cut forms the images.  When it keeps a
+        proper part V of A_I, the later rounds run on V's (dim V, d, d)
+        stack under z -> l z - z r, l and r the small pictures of E_I(L) and
+        E_I(R): for z in V the bimodule map E_I splits the image into
+        (l z - z r) x 1 and L'(z x 1) - (z x 1)R', which lies outside A_I
+        and which round 0 put within the cut.  No D x D stack is formed."""
         d, dim = self.d, left.shape[-1]
         lt = self.outside(left)
         rt = lt if right is left else self.outside(right)

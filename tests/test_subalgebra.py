@@ -779,7 +779,7 @@ def center_route_projections(s, rng):
     z = center(s, rng=rng).basis
     w = rng.normal(size=z.shape[0]) + 1j * rng.normal(size=z.shape[0])
     el = hs.hermitian_part(np.einsum("k,kij->ij", w, z))
-    projections = [u @ u.conj().T for u in subalgebra._eigenspaces(el, subalgebra._GAP)]
+    projections = [u @ u.conj().T for u in subalgebra._eigenspaces(el)]
     return sorted(projections, key=lambda p: -float(np.trace(p).real))
 
 
