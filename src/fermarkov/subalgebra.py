@@ -33,8 +33,9 @@ product with a scaled unit sqrt(d) E_rs x 1 is a scatter of columns or rows
 (_UnitFrame): the first round of an invariant subspace, its certificates
 (a spectral floor from the d x d diagonal blocks, then a Gram) and the
 commutators with the units are read there from blocks, with no (4^k, D, D)
-stack of products.  It decides the flow-stable pair's W+ and W- in A_B and
-sufficiency of a subalgebra that spans A_I.
+stack of products, and later rounds run on the kept (m, d, d) stack.  It
+decides the flow-stable pair's W+ and W- in A_B and sufficiency of a
+subalgebra that spans A_I.
 
 Commutants and centers (the commutant of s inside s) take one random draw:
 s' lies in {h}', the block-diagonal algebra over the eigenspaces of any h in
