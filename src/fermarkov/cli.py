@@ -394,7 +394,7 @@ def _decomposition_section(dec: BlockDecomposition) -> dict:
     """The block-decomposition section of a verdict document, which is also
     the body of the file `fermarkov decompose` writes."""
     return {
-        "m": len(dec.central.p_list),
+        "m": len(dec.central.p),
         "k_fixed": dec.central.k,
         "n_pairs": len(dec.central.pairs),
         "reassembly_residual": dec.reassembly_residual,

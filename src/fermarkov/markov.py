@@ -21,11 +21,13 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
     state on C and y = x^{-1} rho, certified to lie in the B+C algebra;
   - for even Markov states, the central structure of B under the parity
     automorphism and the block decomposition of rho into parity-fixed blocks
-    and parity-swapped block pairs.  B's minimal central projections are
+    and parity-swapped block pairs.  B's minimal central projections p are
     drawn once, by the commutant solve for B~ in B's 2^|B| factor, and
-    matched there; every block cuts x and y by a minimal central projection
-    q of C, and each factor is certified by one rule for all blocks: q x
-    against C, q y against p_A C~ + (1 - p_A) C~.
+    matched and held there, C's q in A_AB's factor; every block cuts x and y
+    by a q, and each factor is certified by one rule for all blocks: q x
+    against C, q y against p_A C~ + (1 - p_A) C~.  Factors and blocks are
+    read in their regions' factors; only the residuals of the whole state
+    (reconstruction, commutator, reassembly) take D x D products.
   - C, E_C and C~ read in B's unit frame: the relative commutant of A_B in
     A_AB (A_BC) is 1 x M_e there, so C = W+ x M_e^+ (+) p W- x M_e^-, E_C
     projects block by block, and C~ = B~ x M_e, each a tensor form; when W+
@@ -43,6 +45,7 @@ import numpy as np
 from . import hs
 from .car import (
     CarAlgebra,
+    MatrixUnitFamily,
     RegionPartition,
     _parity_diagonal,
     build_algebra,
@@ -77,7 +80,6 @@ from .subalgebra import (
     _small,
     commutant,
     is_projection_family,
-    membership,
     parity_split,
     region_subalgebra,
     span_equality_residual,
@@ -140,18 +142,22 @@ class FlowStablePair:
         return _from_small(self.alg.dim, self.regions.AB, frame.unframe(small), True)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """E_C(x), block by block in B's frame of A_AB: the d x d block of
-        E_AB(x)~ in slot (j, j') projected onto W+ on an even slot, onto p W-
-        on an odd one; E_AB(x) itself when both W fill A_B."""
-        ab = _small(self.alg.dim, self.regions.AB, x)
-        if not self.fills:
-            frame, p, odd = _b_frame(self.regions, self.regions.A)
-            xt = frame.frame(ab)
-            blocks = frame._blocks(xt).transpose(1, 3, 0, 2)     # [j, j', r, r'], a view of xt
-            blocks[~odd] = hs.project_stack(self.plus, blocks[~odd])
-            blocks[odd] = p[:, None] * hs.project_stack(self.minus, p[:, None] * blocks[odd])
-            ab = frame.unframe(xt)
-        return matrix_units(self.alg, self.regions.AB).iso_from_small(ab)
+        """E_C(x): E_C of E_AB(x)'s small picture, scattered."""
+        return matrix_units(self.alg, self.regions.AB).iso_from_small(
+            self.project_small(_small(self.alg.dim, self.regions.AB, x)))
+
+    def project_small(self, ab: np.ndarray) -> np.ndarray:
+        """E_C of an element of A_AB in A_AB's factor, block by block in B's
+        frame: the d x d block of ab~ in slot (j, j') projected onto W+ on an
+        even slot, onto p W- on an odd one; ab itself when both W fill A_B."""
+        if self.fills:
+            return ab
+        frame, p, odd = _b_frame(self.regions, self.regions.A)
+        xt = frame.frame(ab)
+        blocks = frame._blocks(xt).transpose(1, 3, 0, 2)     # [j, j', r, r'], a view of xt
+        blocks[~odd] = hs.project_stack(self.plus, blocks[~odd])
+        blocks[odd] = p[:, None] * hs.project_stack(self.minus, p[:, None] * blocks[odd])
+        return frame.unframe(xt)
 
     @property
     def cond_exp_residual(self) -> float:
@@ -194,8 +200,18 @@ def _scaled_units(e: int) -> np.ndarray:
 
 
 def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Every l x r over two stacks, left-major: tau-orthonormal when both are."""
-    return np.kron(left[:, None], right[None]).reshape(-1, *np.multiply(left.shape[1:], right.shape[1:]))
+    """Every l x r over two stacks, left-major, in one broadcast: tau-orthonormal when both are."""
+    (m, a, b), (k, c, d) = left.shape, right.shape
+    return (left[:, None, :, None, :, None] * right[None, :, None, :, None, :]).reshape(m * k, a * c, b * d)
+
+
+def _left(family: MatrixUnitFamily, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W (m x 1) W^* x for m in a region's factor, as m times the (d, D D / d)
+    rows of W^* x: d D^2 work in place of a D x D product."""
+    rows = (x[family.perm] * family.sign[:, None]).reshape(family.small_dim, -1)
+    out = np.empty_like(x, dtype=np.result_type(m, x))
+    out[family.perm] = (m @ rows).reshape(x.shape) * family.sign[:, None]
+    return out
 
 
 def flow_stable_pair(rho_bc: SpectralDecomposition, alg: CarAlgebra, regions: RegionPartition) -> FlowStablePair:
@@ -264,21 +280,30 @@ class Factorization:
     y_parity: str                # "even" | "noneven"
     y_odd_norm: float
     y_min_eig: float
+    x_ab: np.ndarray = field(repr=False)     # x in A_AB's factor
+    y_bc: np.ndarray = field(repr=False)     # E_BC(y) in A_BC's factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralStructure:
     """Minimal central projections of B with the parity action resolved.
 
-    p_list is ordered parity-fixed first (k of them), then swapped pairs as
-    adjacent entries.  q_list holds the matching minimal central projections
-    of C, built from p_list and the A-side parity projection (1 + v_A) / 2.
+    p holds them in B's 2^|B| factor, ordered parity-fixed first (k of
+    them), then swapped pairs as adjacent entries.  q holds the matching
+    minimal central projections of C in A_AB's factor, built from p and the
+    A-side parity projection (1 + v_A) / 2.  p_list and q_list scatter them
+    to D x D on each read; the block decomposition certifies p and q as held.
     """
 
-    p_list: list[np.ndarray]
-    q_list: list[np.ndarray]
+    alg: CarAlgebra
+    regions: RegionPartition
+    p: np.ndarray                # (m, 2^|B|, 2^|B|)
+    q: np.ndarray                # (m, 2^|AB|, 2^|AB|)
     k: int
     pairs: list[tuple[int, int]]
+
+    p_list = property(lambda self: list(matrix_units(self.alg, self.regions.B).iso_from_small(self.p)))
+    q_list = property(lambda self: list(matrix_units(self.alg, self.regions.AB).iso_from_small(self.q)))
 
 
 @dataclass(frozen=True)
@@ -368,28 +393,38 @@ class Analysis:
         the A+B algebra; y = x^{-1} rho lands in the B+C algebra with the
         parity of its odd part deciding the Markov verdict.  For even states
         both factors come out even automatically.
+
+        Each factor is read in its region's factor.  x = W_AB (x_ab x 1) W_AB^*
+        for x_ab = E_C(rho)'s small picture, whose one eigh gives x's spectrum
+        (each value taken 2^|C| times) and x^{-1} = W_AB (x_ab^{-1} x 1) W_AB^*.
+        y_bc is E_BC(y)'s picture, and y_min_eig its least eigenvalue, within
+        ||y - E_BC(y)||_op <= sqrt(D) y_region_residual of y's (Weyl).
         """
         state, regions, tol_member = self.state, self.regions, self.tol_member
         if not self.ssa.saturated:
             raise NotSaturated(f"entropy gap {self.ssa.gap:.3e} > {self.tol_equality:.1e}")
 
-        x = hs.hermitian_part(self.pair.project(state.rho))
-        wx = np.linalg.eigvalsh(x)
-        if wx[0] <= EPS_FAITHFUL / state.alg.dim:
+        dim, ab, bc = state.alg.dim, matrix_units(state.alg, regions.AB), matrix_units(state.alg, regions.BC)
+        x_ab = hs.hermitian_part(self.pair.project_small(_small(dim, regions.AB, state.rho)))
+        wx, vx = np.linalg.eigh(x_ab)
+        if wx[0] <= EPS_FAITHFUL / dim:
             raise FactorizationFailed(f"restricted density nearly singular: min eig {wx[0]:.3e}")
-        y = np.linalg.solve(x, state.rho)
+        x = ab.iso_from_small(x_ab)
+        y = _left(ab, (vx / wx) @ vx.conj().T, state.rho)
         herm_defect = hs.hs_norm(y - y.conj().T)
         y = hs.hermitian_part(y)
+        y_bc = _small(dim, regions.BC, y)
 
         scale = 1.0 + hs.hs_norm(y)
         # the residual against a region algebra is the part its conditional expectation drops
         x_res = hs.hs_norm(x - cond_expect(state.alg, x, regions.AB))
-        y_res = hs.hs_norm(y - cond_expect(state.alg, y, regions.BC))
+        y_res = hs.hs_norm(y - bc.iso_from_small(y_bc))
         x_ok = x_res <= tol_member * (1.0 + hs.hs_norm(x))
         y_ok = y_res <= tol_member * scale
-        commute = hs.hs_norm(x @ y - y @ x)
-        recon = hs.hs_norm(x @ y - state.rho)
-        y_min = float(np.linalg.eigvalsh(y)[0])
+        xy = _left(ab, x_ab, y)
+        commute = hs.hs_norm(xy - xy.conj().T)     # y x = (x y)^* for Hermitian x and y
+        recon = hs.hs_norm(xy - state.rho)
+        y_min = float(np.linalg.eigvalsh(y_bc)[0])
 
         _, y_odd = even_odd_split(state.alg, y)
         y_odd_norm = hs.hs_norm(y_odd)
@@ -417,14 +452,16 @@ class Analysis:
             y_parity=y_parity,
             y_odd_norm=float(y_odd_norm),
             y_min_eig=y_min,
+            x_ab=x_ab,
+            y_bc=y_bc,
         )
 
     @cached_property
     def central(self) -> CentralStructure:
         """Minimal central projections of B, parity-matched and paired, with
         the induced minimal central projections of C.  B's, drawn with B~ in
-        B's 2^|B| factor, are matched and weighted there, the q are built and
-        checked in A_AB's factor, and both lists scatter to D x D at the end."""
+        B's 2^|B| factor, are matched, weighted and held there; the q are
+        built, checked and held in A_AB's factor."""
         self._require_even_markov("central structure")
         alg, regions = self.state.alg, self.regions
         p_raw = np.stack(self._b_tilde[1])
@@ -455,7 +492,7 @@ class Analysis:
         b_in_ab = matrix_units(build_algebra(len(regions.AB)), _positions(regions.B, regions.AB))   # in A_AB's lattice
         p_ab = list(b_in_ab.iso_from_small(p_raw[order]))
         # p_A = (1 + v_A) / 2 is diagonal: q = p_A p_i + (1 - p_A) p_j has p_i's rows where v_A = 1
-        rows = np.diag(parity_unitary(b_in_ab.alg, _positions(regions.A, regions.AB))).real[:, None] > 0
+        rows = _parity_diagonal(b_in_ab.alg, _positions(regions.A, regions.AB))[:, None] > 0
         q_list = p_ab[:k]
         for i, j in pairs:
             q_list += [np.where(rows, p_ab[i], p_ab[j]), np.where(rows, p_ab[j], p_ab[i])]
@@ -463,9 +500,7 @@ class Analysis:
         # q_i + q_j = p_i + p_j holds row by row by construction; what can fail is the family
         if not is_projection_family(q_list, b_in_ab.alg.dim):
             raise UnmatchedParityAction("central projections of C do not resolve the identity into the pairs of B")
-        scatter = matrix_units(alg, regions.AB).iso_from_small
-        return CentralStructure(p_list=list(scatter(np.stack(p_ab))), q_list=list(scatter(np.stack(q_list))),
-                                k=k, pairs=pairs)
+        return CentralStructure(alg, regions, p_raw[order], np.stack(q_list), k, pairs)
 
     @cached_property
     def _b_tilde(self) -> tuple[SubalgebraBasis, list[np.ndarray]]:
@@ -496,44 +531,56 @@ class Analysis:
         q lies in C and in C^ = span{p_A, 1 - p_A} v C~, p_A = (1 + v_A) / 2,
         and a block factor z = q x or w = q y keeps z = q z, so each is
         certified by one rule: x's block against C (read from the graded
-        pair), y's against C^.  v_A is an even unitary of A_A, so it commutes
-        with A_BC and tau(v_A c) = 0 for c in A_BC: C^ = C~ (+) v_A C~, an
-        orthogonal sum, and E_C^(w) = E_C~(w) + v_A E_C~(v_A w).
+        pair), y's against C^.
+
+        Each block is cut in its regions' factors: z_ab = q_ab x_ab, and w =
+        p_A a + (1 - p_A) b = s + v_A t for a = p_i y_bc, b = p_j y_bc (b = a
+        on a fixed block), s = (a + b) / 2, t = (a - b) / 2.  v_A is an even
+        unitary of A_A, so it commutes with A_BC and tau(v_A c) = 0 for c in
+        A_BC: C^ = C~ (+) v_A C~ is an orthogonal sum, and w's residual is s's
+        and t's against C~ in quadrature, as y's against C~ is y_bc's and y's
+        region residual.  A pair's partner residual q2 y - theta(w) =
+        p_A f - (1 - p_A) theta(f), f = b - theta(a), has norm ||f||.
         """
         self._require_even_markov("block decomposition")
         if not self.triplet.markov:
             raise NotMarkov(f"A-side generators escape the stable algebra: residual {self.triplet.a_in_c_residual:.3e}")
-        # C~'s stack in A_BC's factor is built before the D x D central projections exist
-        c_tilde = self._c_tilde
-        state, alg, tol_member = self.state, self.state.alg, self.tol_member
-        x, y, central = self.factorization.x, self.factorization.y, self.central
-        v_a = _parity_diagonal(alg, self.regions.A)[:, None]     # v_A is diagonal: a product is a row scaling
+        # C~'s stack in A_BC's factor is built before the D x D block factors exist
+        span = self._c_tilde.small
+        state, alg, regions, tol_member = self.state, self.state.alg, self.regions, self.tol_member
+        fact, central = self.factorization, self.central
+        ab, bc = matrix_units(alg, regions.AB), matrix_units(alg, regions.BC)
+        off = lambda *m: hs.residual_norms(span, np.stack(m))     # tau-norms off C~, in A_BC's factor
         lemma_join = self.pair.join_residual
-        y_comm_ok, y_comm_res = membership(y, c_tilde, tol_member)
+        y_comm_res = float(np.hypot(fact.y_region_residual, off(fact.y_bc)[0]))
+        y_comm_ok = y_comm_res <= tol_member * (1.0 + hs.hs_norm(fact.y))
+        b_in_bc = matrix_units(build_algebra(len(regions.BC)), _positions(regions.B, regions.BC))
+        u = b_in_bc.iso_from_small(central.p) @ fact.y_bc          # u_i = p_i y_bc
+        theta_ab, theta_bc = (f.parity.reshape(f.small_dim, -1) for f in (ab, bc))
+        rows = _parity_diagonal(alg, regions.A)[:, None] > 0       # p_A's rows
+        rho_ab = ab.trace_pairings(state.rho)
 
         blocks: list[Block] = []
         total = np.zeros_like(state.rho)
         k = central.k
         # a fixed block is cut by its q; a pair by its first q, and its second
         # q2 cuts the parity images of the pair's factors
-        for idx in [*range(k), *range(k, len(central.q_list), 2)]:
-            q = central.q_list[idx]
-            z, w = q @ x, q @ y
-            kind, projection, images, partners = "theta_fixed", q, 0, {}
-            if idx >= k:
-                q2 = central.q_list[idx + 1]
-                tz, tw = parity_automorphism(alg, z), parity_automorphism(alg, w)
-                kind, projection, images = "theta_pair", q + q2, tz @ tw
-                partners = {
-                    "partner_x_residual": hs.hs_norm(q2 @ x - tz),
-                    "partner_y_residual": hs.hs_norm(q2 @ y - tw),
-                }
-            y_res = hs.hs_norm(w - c_tilde.project(w) - v_a * c_tilde.project(v_a * w))
-            blocks.append(Block(kind=kind, projection=projection, x_factor=z, y_factor=w,
-                                weight=float(np.vdot(projection, state.rho).real),
-                                x_membership_residual=hs.hs_norm(z - self.pair.project(z)),
-                                y_membership_residual=y_res, **partners))
-            total = total + z @ w + images
+        for i in [*range(k), *range(k, len(central.q), 2)]:
+            j = i if i < k else i + 1
+            a, b, z_ab = u[i], u[j], central.q[i] @ fact.x_ab
+            w = bc.iso_from_small(a) if i == j else np.where(rows, *bc.iso_from_small(np.stack([a, b])))
+            zw = _left(ab, z_ab, w)
+            total += zw
+            kind, projection, partners = "theta_fixed", central.q[i], {}
+            if i != j:
+                total += parity_automorphism(alg, zw)
+                kind, projection = "theta_pair", central.q[i] + central.q[j]
+                partners = dict(partner_x_residual=hs.hs_norm(central.q[j] @ fact.x_ab - theta_ab * z_ab),
+                                partner_y_residual=hs.hs_norm(b - theta_bc * a))
+            blocks.append(Block(kind=kind, projection=ab.iso_from_small(projection), x_factor=ab.iso_from_small(z_ab),
+                                y_factor=w, weight=float(np.vdot(projection, rho_ab).real),
+                                x_membership_residual=hs.hs_norm(z_ab - self.pair.project_small(z_ab)),
+                                y_membership_residual=float(np.hypot(*off((a + b) / 2, (a - b) / 2))), **partners))
 
         reassembly = hs.hs_norm(total - state.rho)
         worst_member = max(max(b.x_membership_residual, b.y_membership_residual) for b in blocks)

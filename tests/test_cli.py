@@ -457,8 +457,8 @@ def test_build_document_takes_no_conditional_expectation_of_rho(monkeypatch):
     # the SSA cross-check and the flow generator read rho_BC, rho_AB and rho_B
     # in their own factors, with no E_I(rho); the triplet takes E_BC of C's
     # basis in the small picture of A_BC, with no full conditional
-    # expectation, and the factorization's region residuals take E_AB(x) and
-    # E_BC(y)
+    # expectation; the factorization's x region residual takes E_AB(x), and
+    # y's is read from y's own picture in A_BC's factor
     state = make_product_markov(REGIONS_4, 5)
     calls = []
     for module in (entropy, markov):
@@ -467,4 +467,4 @@ def test_build_document_takes_no_conditional_expectation_of_rho(monkeypatch):
                             lambda *a, _real=real, **k: calls.append((a[2], a[1] is state.rho)) or _real(*a, **k))
     build_document(state, REGIONS_4)
     assert [region for region, is_rho in calls if is_rho] == []
-    assert sorted(region for region, is_rho in calls if not is_rho) == sorted([REGIONS_4.AB, REGIONS_4.BC])
+    assert [region for region, is_rho in calls if not is_rho] == [REGIONS_4.AB]

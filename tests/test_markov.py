@@ -8,6 +8,7 @@ import pytest
 
 from fermarkov import hs, markov, subalgebra
 from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
+from fermarkov.cli import build_document
 from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import (
     BlockCertificationFailed,
@@ -307,17 +308,21 @@ def test_block_designs_that_grew_the_closure_decompose(k_fixed, n_pairs, seed):
 def test_tol_member_reaches_triplet_factorization_and_blocks(monkeypatch):
     regions = RegionPartition((0,), (1, 2), (3,))
     state, _ = make_block_markov(regions, 41, 1, 1)
-    tols = []
-    real = markov.membership
-
-    def spy(x, s, tol):
-        tols.append(tol)
-        return real(x, s, tol)
-
-    monkeypatch.setattr(markov, "membership", spy)
     an = Analysis(state, regions, tol_member=3e-9)
     an.decomposition
-    assert tols and set(tols) == {3e-9}
+    # the y commutant gate reads y's region residual in quadrature with y_bc's
+    # residual against C~: a planted region residual of 2e-9 (1 + ||y||)
+    # passes at the caller's 3e-9 and fails at 1e-9
+    for tol, passes in ((3e-9, True), (1e-9, False)):
+        planted = Analysis(state, regions, tol_member=tol)
+        fact = planted.factorization
+        planted.__dict__["factorization"] = dataclasses.replace(
+            fact, y_region_residual=2e-9 * (1.0 + hs.hs_norm(fact.y)))
+        if passes:
+            assert planted.decomposition.y_commutant_residual == pytest.approx(2e-9 * (1.0 + hs.hs_norm(fact.y)))
+        else:
+            with pytest.raises(BlockCertificationFailed, match="y commutant"):
+                planted.decomposition
     # the factorization gates its region residuals, read from conditional
     # expectations: a planted residual of 2e-9 (tau-norm of 2e-9 * 1) passes
     # at the caller's 3e-9 and fails at 1e-9
@@ -373,16 +378,106 @@ def test_every_block_is_read_against_c_and_c_tilde(monkeypatch, regions, design,
 @pytest.mark.parametrize("regions,design,seed", [BLOCK_CASES[0], BLOCK_CASES[2]], ids=["n4", "n5"])
 def test_block_certificate_rejects_a_non_central_projection(monkeypatch, regions, design, seed):
     # plant the rank-one projection e_00 of A_B's factor, which is not in B,
-    # as the first fixed block's q: neither q x lies in C nor q y in C^
+    # as the first fixed block's p and q, held in B's and A_AB's factors:
+    # neither q x lies in C nor q y in C^
     state, _ = make_block_markov(regions, seed, *design)
     an = Analysis(state, regions)
     planted = matrix_units(state.alg, regions.B).unit(0, 0)
     assert hs.hs_norm(planted - an.b_basis.project(planted)) > 0.1
-    an.__dict__["central"] = dataclasses.replace(an.central, q_list=[planted, *an.central.q_list[1:]])
+    e00 = np.zeros_like(an.central.p[0])
+    e00[0, 0] = 1.0
+    e00_ab = matrix_units(build_algebra(len(regions.AB)), markov._positions(regions.B, regions.AB)).iso_from_small(e00)
+    central = an.central
+    an.__dict__["central"] = dataclasses.replace(central, p=np.concatenate([e00[None], central.p[1:]]),
+                                                 q=np.concatenate([e00_ab[None], central.q[1:]]))
+    assert np.array_equal(an.central.p_list[0], planted) and np.array_equal(an.central.q_list[0], planted)
     # reassembly fails too; lift its bound so that the block certificate decides
     monkeypatch.setattr(markov, "TOL_BLOCK", float("inf"))
     with pytest.raises(BlockCertificationFailed, match="block certificates failed: membership"):
         an.decomposition
+
+
+def test_block_certificate_rejects_a_non_central_projection_on_a_pair(monkeypatch):
+    # plant q = p_A e_00 + (1 - p_A) p_j, e_00 the rank-one projection of A_B's
+    # factor that is not in B, as the pair's first q in A_AB's factor:
+    # q x leaves C, and q2 x is not its parity image
+    regions = RegionPartition((0,), (1, 2, 3), (4,))
+    state, _ = make_block_markov(regions, 0, 1, 1)
+    an = Analysis(state, regions)
+    central = an.central
+    (i, j), = central.pairs
+    e00 = np.zeros_like(central.p[0])
+    e00[0, 0] = 1.0
+    b_in_ab = matrix_units(build_algebra(len(regions.AB)), markov._positions(regions.B, regions.AB))
+    rows = markov._parity_diagonal(b_in_ab.alg, markov._positions(regions.A, regions.AB))[:, None] > 0
+    q = central.q.copy()
+    q[i] = np.where(rows, b_in_ab.iso_from_small(e00), b_in_ab.iso_from_small(central.p[j]))
+    assert not np.allclose(q[i], central.q[i])
+    an.__dict__["central"] = dataclasses.replace(central, q=q)
+    # reassembly fails too; lift its bound so that the block certificate decides
+    monkeypatch.setattr(markov, "TOL_BLOCK", float("inf"))
+    with pytest.raises(BlockCertificationFailed, match="block certificates failed"):
+        an.decomposition
+
+
+@pytest.mark.parametrize("regions,design,seed", BLOCK_CASES, ids=["n4-2fixed-1pair", "n4-2pairs", "n5-1fixed-1pair"])
+def test_block_residuals_match_the_full_matrix_formulas(regions, design, seed):
+    # the reference: every block cut and certified at D x D from the scattered
+    # factors and projections, as the decomposition read them before they
+    # were cut in the regions' factors
+    state, _ = make_block_markov(regions, seed, *design)
+    an = Analysis(state, regions)
+    dec, alg = an.decomposition, state.alg
+    x, y, q = an.factorization.x, an.factorization.y, an.central.q_list
+    c_tilde = an._c_tilde
+    v_a = markov._parity_diagonal(alg, regions.A)[:, None]
+    theta = lambda m: parity_automorphism(alg, m)
+    k = an.central.k
+    total = np.zeros_like(state.rho)
+    for b, i in zip(dec.blocks, [*range(k), *range(k, len(q), 2)], strict=True):
+        z, w = q[i] @ x, q[i] @ y
+        projection = q[i] if i < k else q[i] + q[i + 1]
+        assert b.kind == ("theta_fixed" if i < k else "theta_pair")
+        assert np.abs(b.x_factor - z).max() <= 1e-12 and np.abs(b.y_factor - w).max() <= 1e-12
+        assert np.array_equal(b.projection, projection)
+        assert abs(b.weight - np.vdot(projection, state.rho).real) <= 1e-12
+        assert abs(b.x_membership_residual - hs.hs_norm(z - an.pair.project(z))) <= 1e-12
+        assert abs(b.y_membership_residual
+                   - hs.hs_norm(w - c_tilde.project(w) - v_a * c_tilde.project(v_a * w))) <= 1e-12
+        total += z @ w
+        if i >= k:
+            assert abs(b.partner_x_residual - hs.hs_norm(q[i + 1] @ x - theta(z))) <= 1e-12
+            assert abs(b.partner_y_residual - hs.hs_norm(q[i + 1] @ y - theta(w))) <= 1e-12
+            total += theta(z) @ theta(w)
+    assert abs(dec.reassembly_residual - hs.hs_norm(total - state.rho)) <= 1e-12
+    assert abs(dec.y_commutant_residual - subalgebra.membership(y, c_tilde)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("design", [None, (2, 1)], ids=["product", "block-2-1"])
+def test_factors_are_decomposed_in_their_region_factors(design, monkeypatch):
+    # the factorization runs no solve and no spectral call above the larger
+    # region factor, and over the whole document rho's eigvalsh is the one
+    # D x D spectral call
+    regions = RegionPartition((0,), (1, 2, 3), (4,))
+    state = make_product_markov(regions, 3) if design is None else make_block_markov(regions, 0, *design)[0]
+    calls = []
+
+    def spy(name, real):
+        def call(m, *a, **kw):
+            calls.append((name, m.shape[-1], m.shape == state.rho.shape and np.allclose(m, state.rho)))
+            return real(m, *a, **kw)
+        return call
+
+    for name in ("solve", "eig", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    an = Analysis(state, regions)
+    calls.clear()
+    an.factorization
+    assert calls and not [c for c in calls if c[0] == "solve" or c[1] > 2 ** max(len(regions.AB), len(regions.BC))]
+    calls.clear()
+    doc = build_document(state, regions)
+    assert doc.decomposition is not None and doc.decomposition["k_fixed"] == (1 if design is None else 2)
+    assert [c for c in calls if c[1] == state.dim] == [("eigvalsh", state.dim, True)]
 
 
 def test_block_decomposition_solves_b_once_in_its_factor(monkeypatch):
