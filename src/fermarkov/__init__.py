@@ -10,6 +10,7 @@ from .car import (
     CarAlgebra,
     MatrixUnitFamily,
     RegionPartition,
+    annihilator,
     build_algebra,
     cond_expect,
     even_odd_split,

@@ -28,18 +28,12 @@ from .errors import DimensionTooLarge
 
 MAX_SITES = 10
 
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True, eq=False)
 class CarAlgebra:
-    """Annihilators a_0 .. a_{n-1} on a 2^n dimensional space.  Immutable."""
+    """The CAR algebra of n sites on a 2^n dimensional space.  Immutable."""
 
     n_sites: int
-    annihilators: tuple[np.ndarray, ...]
-    creators: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -55,20 +49,25 @@ class CarAlgebra:
 
 @lru_cache(maxsize=MAX_SITES)
 def build_algebra(n: int) -> CarAlgebra:
-    """Jordan-Wigner generators on n sites (1 <= n <= 10).  Cached: algebras
-    are immutable, and reuse keeps the per-region matrix-unit cache warm."""
+    """The algebra of n sites (1 <= n <= 10).  Cached: algebras are
+    immutable, and reuse keeps the per-region matrix-unit cache warm."""
     if n < 1:
         raise ValueError(f"need at least one site, got {n}")
     if n > MAX_SITES:
         raise DimensionTooLarge(f"n = {n} exceeds the supported maximum {MAX_SITES}")
-    ann = []
-    for j in range(n):
-        factors = [_Z] * j + [_LOWER] + [_I2] * (n - 1 - j)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ann.append(op)
-    return CarAlgebra(n, tuple(ann), tuple(a.conj().T for a in ann))
+    return CarAlgebra(n)
+
+
+def annihilator(alg: CarAlgebra, j: int) -> np.ndarray:
+    """a_j, formed on request: each column c with site j occupied holds one nonzero, at
+    row c - 2^(n-1-j), -1 to the number of occupied sites left of j."""
+    if not 0 <= j < alg.n_sites:
+        raise ValueError(f"site {j} outside range({alg.n_sites})")
+    bit = 1 << (alg.n_sites - 1 - j)            # site 0 most significant
+    cols = np.flatnonzero(np.arange(alg.dim) & bit)
+    out = np.zeros((alg.dim, alg.dim), dtype=complex)
+    out[cols - bit, cols] = 1.0 - 2.0 * (np.bitwise_count(cols & (alg.dim - 2 * bit)) % 2)
+    return out
 
 
 @dataclass(frozen=True)

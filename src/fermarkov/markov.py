@@ -309,10 +309,10 @@ class CentralStructure:
 @dataclass(frozen=True)
 class Block:
     kind: str                    # "theta_fixed" | "theta_pair"
-    projection: np.ndarray       # Q_j for fixed blocks, the pair sum for pairs
-    x_factor: np.ndarray         # x_j, or the stored pair representative
-    y_factor: np.ndarray
-    weight: float                # Tr(projection rho)
+    q: np.ndarray                # Q_j for fixed blocks, the pair sum for pairs, in A_AB's factor
+    z_ab: np.ndarray             # x_j, or the stored pair representative, in A_AB's factor
+    y_bc: tuple[np.ndarray, np.ndarray]   # (a, b) in A_BC's factor: y_j = p_A a + (1 - p_A) b, a = b if fixed
+    weight: float                # Tr(Q_j rho)
     x_membership_residual: float
     y_membership_residual: float
     partner_x_residual: float | None = None
@@ -371,11 +371,9 @@ class Analysis:
     @cached_property
     def triplet(self) -> TripletAnalysis:
         """Saturation and Markov verdicts with the flow-stable subalgebras."""
-        # an odd a in A_A projects onto a P(1) in C, P the projection onto W-,
-        # so its residual is its norm times 1's residual against W-
-        norms = [hs.hs_norm(self.state.alg.annihilators[i]) for i in self.regions.A]
-        a_res = max(norms) * self.pair.identity_residual
-        a_ok = all(n * self.pair.identity_residual <= self.tol_member * (1.0 + n) for n in norms)
+        # a_i projects onto a_i P(1) in C (P onto W-): its residual is ||a_i||_tau = sqrt(1/2) times 1's
+        a_res = 0.5 ** 0.5 * self.pair.identity_residual
+        a_ok = a_res <= self.tol_member * (1.0 + 0.5 ** 0.5)
         return TripletAnalysis(
             ssa=self.ssa,
             pair=self.pair,
@@ -571,14 +569,13 @@ class Analysis:
             w = bc.iso_from_small(a) if i == j else np.where(rows, *bc.iso_from_small(np.stack([a, b])))
             zw = _left(ab, z_ab, w)
             total += zw
-            kind, projection, partners = "theta_fixed", central.q[i], {}
+            kind, q, partners = "theta_fixed", central.q[i], {}
             if i != j:
                 total += parity_automorphism(alg, zw)
-                kind, projection = "theta_pair", central.q[i] + central.q[j]
+                kind, q = "theta_pair", central.q[i] + central.q[j]
                 partners = dict(partner_x_residual=hs.hs_norm(central.q[j] @ fact.x_ab - theta_ab * z_ab),
                                 partner_y_residual=hs.hs_norm(b - theta_bc * a))
-            blocks.append(Block(kind=kind, projection=ab.iso_from_small(projection), x_factor=ab.iso_from_small(z_ab),
-                                y_factor=w, weight=float(np.vdot(projection, rho_ab).real),
+            blocks.append(Block(kind=kind, q=q, z_ab=z_ab, y_bc=(a, b), weight=float(np.vdot(q, rho_ab).real),
                                 x_membership_residual=hs.hs_norm(z_ab - self.pair.project_small(z_ab)),
                                 y_membership_residual=float(np.hypot(*off((a + b) / 2, (a - b) / 2))), **partners))
 

@@ -18,6 +18,7 @@ from . import hs
 from .car import (
     CarAlgebra,
     RegionPartition,
+    annihilator,
     build_algebra,
     matrix_units,
     parity_automorphism,
@@ -212,11 +213,11 @@ def make_block_markov(
             fixed_groups = [[fixed_states[j]] for j in range(k_fixed)]
             fixed_groups[-1].extend(fixed_states[k_fixed:])
 
-        a_s, ad_s = alg.annihilators[i_star], alg.creators[i_star]
-        w_mix = a_s + ad_s
+        a_s = annihilator(alg, i_star)
+        w_mix = a_s + a_s.conj().T
         # central direction swapped by parity: odd corner elements anticommute
         # with i(a - a^*) alone, so the rest-parity factor is needed
-        w_cen = parity_unitary(alg, rest) @ (1j * (a_s - ad_s))
+        w_cen = parity_unitary(alg, rest) @ (1j * (a_s - a_s.conj().T))
     else:
         fixed_groups = [[j] for j in range(k_fixed)]
         fixed_groups[-1].extend(range(k_fixed, 2 ** len(b_sites)))

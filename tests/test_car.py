@@ -2,12 +2,15 @@
 and conditional expectations."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fermarkov import hs
 from fermarkov.car import (
     RegionPartition,
+    annihilator,
     build_algebra,
     cond_expect,
     even_odd_split,
@@ -31,10 +34,55 @@ def random_region_element(alg, region, rng):
 
 def test_single_site_generator_form():
     alg = build_algebra(1)
-    a = alg.annihilators[0]
+    a = annihilator(alg, 0)
     assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
     eye = np.eye(2)
     assert np.max(np.abs(a @ a.conj().T + a.conj().T @ a - eye)) == 0.0
+
+
+def kronecker_annihilator(n, j):
+    """The reference a_j = Z x ... x Z x s- x I x ... x I, j factors Z."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    op = np.ones((1, 1), dtype=complex)
+    for f in [z] * j + [lower] + [np.eye(2, dtype=complex)] * (n - 1 - j):
+        op = np.kron(op, f)
+    return op
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_annihilator_equals_the_kronecker_construction(n):
+    # entry for entry (the Kronecker product leaves -0.0 where a -1 of Z meets a zero)
+    alg = build_algebra(n)
+    for j in range(n):
+        a = annihilator(alg, j)
+        assert a.dtype == complex and np.array_equal(a, kronecker_annihilator(n, j))
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_annihilator_tau_norm_is_the_closed_form(n):
+    # Analysis.triplet reads ||a_i||_tau = sqrt(1/2) without forming a_i
+    alg = build_algebra(n)
+    for j in range(n):
+        assert abs(hs.hs_norm(annihilator(alg, j)) - np.sqrt(0.5)) <= np.spacing(np.sqrt(0.5))
+
+
+def test_annihilator_rejects_a_site_outside_the_lattice():
+    alg = build_algebra(3)
+    for j in (-1, 3):
+        with pytest.raises(ValueError):
+            annihilator(alg, j)
+
+
+def test_building_the_largest_algebra_allocates_no_generators():
+    # the 20 dense generators of n = 10 would be 320 MB
+    tracemalloc.start()
+    try:
+        build_algebra.__wrapped__(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_single_site_parity_unitary():
@@ -50,7 +98,7 @@ def test_car_relations_exact(n):
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            ai, aj, adj = alg.annihilators[i], alg.annihilators[j], alg.creators[j]
+            ai, aj, adj = annihilator(alg, i), annihilator(alg, j), annihilator(alg, j).conj().T
             worst = max(worst, np.max(np.abs(ai @ aj + aj @ ai)))
             worst = max(worst, np.max(np.abs(ai @ adj + adj @ ai - (eye if i == j else 0))))
     assert worst <= 1e-12
@@ -59,7 +107,7 @@ def test_car_relations_exact(n):
 def test_number_operator_trace_half():
     alg = build_algebra(4)
     for i in range(4):
-        val = tau(alg, alg.creators[i] @ alg.annihilators[i])
+        val = tau(alg, annihilator(alg, i).conj().T @ annihilator(alg, i))
         assert abs(val - 0.5) <= 1e-14
 
 
@@ -112,7 +160,7 @@ def test_parity_unitary_properties():
     # conjugation flips exactly the generators of the region
     for i in range(4):
         sign = -1.0 if i in region else 1.0
-        assert np.max(np.abs(v @ alg.annihilators[i] @ v - sign * alg.annihilators[i])) <= 1e-12
+        assert np.max(np.abs(v @ annihilator(alg, i) @ v - sign * annihilator(alg, i))) <= 1e-12
     # v_I is even and lies in the region algebra
     assert np.max(np.abs(parity_automorphism(alg, v) - v)) <= 1e-12
     fam = matrix_units(alg, region)
@@ -136,7 +184,7 @@ def test_parity_from_bit_counts_matches_the_generator_products(n):
         for region in itertools.combinations(range(n), k):
             v = alg.identity()
             for i in region:
-                a, ad = alg.annihilators[i], alg.creators[i]
+                a, ad = annihilator(alg, i), annihilator(alg, i).conj().T
                 v = v @ (ad @ a - a @ ad)
             assert np.array_equal(parity_unitary(alg, region), v)
             assert np.array_equal(parity_automorphism(alg, x, region), v @ x @ v)
@@ -160,11 +208,11 @@ def test_parity_automorphism_is_multiplicative_involution():
 
 def test_even_odd_split():
     alg = build_algebra(3)
-    a = alg.annihilators[1]
+    a = annihilator(alg, 1)
     plus, minus = even_odd_split(alg, a)
     assert np.max(np.abs(plus)) <= 1e-14
     assert np.max(np.abs(minus - a)) <= 1e-14
-    num = alg.creators[1] @ alg.annihilators[1]
+    num = annihilator(alg, 1).conj().T @ annihilator(alg, 1)
     plus, minus = even_odd_split(alg, num)
     assert np.max(np.abs(plus - num)) <= 1e-14 and np.max(np.abs(minus)) <= 1e-14
     rng = np.random.default_rng(3)
@@ -176,7 +224,7 @@ def test_even_odd_split():
 def test_single_site_matrix_units():
     alg = build_algebra(3)
     fam = matrix_units(alg, (1,))
-    a, ad = alg.annihilators[1], alg.creators[1]
+    a, ad = annihilator(alg, 1), annihilator(alg, 1).conj().T
     assert np.max(np.abs(fam.unit(0, 0) - a @ ad)) <= 1e-14
     assert np.max(np.abs(fam.unit(0, 1) - a)) <= 1e-14
     assert np.max(np.abs(fam.unit(1, 0) - ad)) <= 1e-14
@@ -239,7 +287,7 @@ def test_cond_expect_fixes_range_and_kills_disjoint():
     x = random_region_element(alg, (0, 1), rng)
     assert np.max(np.abs(cond_expect(alg, x, (0, 1)) - x)) <= 1e-12
     # generators with disjoint support project to their (zero) trace
-    assert np.max(np.abs(cond_expect(alg, alg.annihilators[2], (0, 1)))) <= 1e-12
+    assert np.max(np.abs(cond_expect(alg, annihilator(alg, 2), (0, 1)))) <= 1e-12
     y = random_region_element(alg, (2,), rng)
     proj = cond_expect(alg, y, (0, 1))
     assert np.max(np.abs(proj - tau(alg, y) * alg.identity())) <= 1e-12
@@ -367,7 +415,7 @@ def reference_units(alg, region):
     local = []
     v_prev = eye
     for site in region:
-        a, ad = alg.annihilators[site], alg.creators[site]
+        a, ad = annihilator(alg, site), annihilator(alg, site).conj().T
         local.append((a @ ad, v_prev @ a, v_prev @ ad, ad @ a))
         v_prev = v_prev @ (eye - 2 * ad @ a)
     k = len(region)
@@ -415,4 +463,4 @@ def test_out_of_range_sites_rejected(region):
     with pytest.raises(ValueError, match="range"):
         matrix_units(alg, region)
     with pytest.raises(ValueError, match="range"):
-        cond_expect(alg, alg.annihilators[0], region)
+        cond_expect(alg, annihilator(alg, 0), region)

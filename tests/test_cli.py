@@ -120,21 +120,15 @@ def test_selftest_passes():
 
 def test_selftest_negative_control():
     # corrupt the generator convention: drop the string factor entirely
-    def broken_algebra(n):
-        alg = build_algebra(n)
-        if n < 2:
-            return alg
+    def no_string(alg, j):
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        ann = []
-        for j in range(n):
-            op = np.array([[1.0]], dtype=complex)
-            for k in range(n):
-                op = np.kron(op, lower if k == j else np.eye(2))
-            ann.append(op)
-        return type(alg)(n, tuple(ann), tuple(a.conj().T for a in ann))
+        op = np.array([[1.0]], dtype=complex)
+        for k in range(alg.n_sites):
+            op = np.kron(op, lower if k == j else np.eye(2))
+        return op
 
     buf = io.StringIO()
-    assert run_selftest(3, algebra_factory=broken_algebra, out=buf) == 1
+    assert run_selftest(3, annihilator=no_string, out=buf) == 1
     text = buf.getvalue()
     failed = text.split("FAILED identities:")[-1]
     assert "FAIL" in text and "car_relations" in failed

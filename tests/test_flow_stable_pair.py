@@ -16,7 +16,14 @@ from scipy.linalg import expm
 
 import fermarkov
 from fermarkov import car, hs, markov, subalgebra
-from fermarkov.car import RegionPartition, build_algebra, matrix_units, parity_automorphism, region_orthobasis
+from fermarkov.car import (
+    RegionPartition,
+    annihilator,
+    build_algebra,
+    matrix_units,
+    parity_automorphism,
+    region_orthobasis,
+)
 from fermarkov.entropy import embedded_restriction, rel_entropy, restrict_density, vn_entropy
 from fermarkov.errors import NotAnAlgebra
 from fermarkov.markov import Analysis
@@ -68,7 +75,7 @@ def test_graded_pair_spans_the_invariant_subalgebra_of_a_ab(kind, cut):
     # x = E_C(rho) read from the pieces is the projection onto the reference C
     assert np.max(np.abs(an.pair.project(state.rho) - c_ref.project(state.rho))) <= 1e-12
 
-    a_in_ref = all(membership(alg.annihilators[i], c_ref, TOL_MEMBER)[0] for i in regions.A)
+    a_in_ref = all(membership(annihilator(alg, i), c_ref, TOL_MEMBER)[0] for i in regions.A)
     one_in_w_minus = an.pair.identity_residual <= TOL_MEMBER
     assert an.triplet.markov == (an.ssa.saturated and a_in_ref)
     assert an.triplet.markov == (an.ssa.saturated and one_in_w_minus)

@@ -40,6 +40,16 @@ REGIONS = RegionPartition((0,), (1,), (2,))
 ALG = build_algebra(3)
 
 
+def scattered(block, alg, regions):
+    """A block's projection and factors as D x D matrices: q and z_ab
+    scattered from A_AB's factor, and p_A a + (1 - p_A) b for its (a, b)
+    scattered from A_BC's, p_A = (1 + v_A) / 2."""
+    ab, bc = matrix_units(alg, regions.AB), matrix_units(alg, regions.BC)
+    rows = markov._parity_diagonal(alg, regions.A)[:, None] > 0
+    y = np.where(rows, *bc.iso_from_small(np.stack(block.y_bc)))
+    return ab.iso_from_small(block.q), ab.iso_from_small(block.z_ab), y
+
+
 def tracial(n=3):
     alg = build_algebra(n)
     return StateDensity.from_matrix(alg, np.eye(alg.dim, dtype=complex) / alg.dim)
@@ -225,9 +235,8 @@ def test_pair_block_reassembles_its_corner():
     dec = decompose_even(state, REGIONS)
     (pair,) = dec.blocks
     alg = state.alg
-    z, w = pair.x_factor, pair.y_factor
+    e_l, z, w = scattered(pair, alg, REGIONS)
     stored = z @ w + parity_automorphism(alg, z) @ parity_automorphism(alg, w)
-    e_l = pair.projection
     corner = e_l @ state.rho @ e_l
     assert np.max(np.abs(stored - corner)) <= 1e-8
 
@@ -237,7 +246,7 @@ def test_decompose_tracial_single_scalar_block():
     assert len(dec.blocks) == 1 and dec.blocks[0].kind == "theta_fixed"
     b = dec.blocks[0]
     # both factors are multiples of the identity
-    for m in (b.x_factor, b.y_factor):
+    for m in scattered(b, ALG, REGIONS)[1:]:
         off = m - (np.trace(m) / 8) * np.eye(8)
         assert np.max(np.abs(off)) <= 1e-10
 
@@ -438,8 +447,9 @@ def test_block_residuals_match_the_full_matrix_formulas(regions, design, seed):
         z, w = q[i] @ x, q[i] @ y
         projection = q[i] if i < k else q[i] + q[i + 1]
         assert b.kind == ("theta_fixed" if i < k else "theta_pair")
-        assert np.abs(b.x_factor - z).max() <= 1e-12 and np.abs(b.y_factor - w).max() <= 1e-12
-        assert np.array_equal(b.projection, projection)
+        b_projection, b_x, b_y = scattered(b, alg, regions)
+        assert np.abs(b_x - z).max() <= 1e-12 and np.abs(b_y - w).max() <= 1e-12
+        assert np.array_equal(b_projection, projection)
         assert abs(b.weight - np.vdot(projection, state.rho).real) <= 1e-12
         assert abs(b.x_membership_residual - hs.hs_norm(z - an.pair.project(z))) <= 1e-12
         assert abs(b.y_membership_residual

@@ -16,7 +16,7 @@ import pytest
 
 import fermarkov
 from fermarkov import hs
-from fermarkov.car import RegionPartition, build_algebra, matrix_units, region_orthobasis
+from fermarkov.car import RegionPartition, annihilator, build_algebra, matrix_units, region_orthobasis
 from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import FermarkovError
 from fermarkov.states import make_product_markov, perturb, random_state
@@ -115,7 +115,7 @@ def off_route_stacks():
     family = matrix_units(alg, (0, 1))
     units = family.orthobasis()
     leaky = family.orthobasis()
-    leaky[1] += 1e-6 * alg.annihilators[2] / hs.hs_norm(alg.annihilators[2])
+    leaky[1] += 1e-6 * annihilator(alg, 2) / hs.hs_norm(annihilator(alg, 2))
     six = np.stack([random_matrix(np.random.default_rng(6 + i), 6) for i in range(5)])
     return {
         "scaled": (units * np.arange(1.0, 17.0)[:, None, None], (0, 1), 16, _WholeFactor),
@@ -275,11 +275,11 @@ print(json.dumps({"b": an.b_basis.size, "c": an.triplet.c_basis.size}))
 def test_membership_in_a_seven_site_algebra_of_ten_projects_under_one_gib():
     # the units of A_{0..6} at n=10 would be 16384 matrices of 1024 x 1024
     out = run_capped("""
-from fermarkov.car import build_algebra
+from fermarkov.car import annihilator, build_algebra
 from fermarkov.subalgebra import membership, region_subalgebra
 alg = build_algebra(10)
 s = region_subalgebra(alg, range(7))
-inside, residual = membership(alg.annihilators[7] + alg.annihilators[0], s)
+inside, residual = membership(annihilator(alg, 7) + annihilator(alg, 0), s)
 print(json.dumps({"inside": bool(inside), "residual": residual, "basis": "basis" in vars(s)}))
 """)
     # a_7 lies outside A_{0..6}, a_0 inside: the residual is |a_7|_tau = 1 / sqrt(2)

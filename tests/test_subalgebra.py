@@ -8,6 +8,7 @@ import pytest
 from fermarkov import hs, subalgebra
 from fermarkov.car import (
     RegionPartition,
+    annihilator,
     build_algebra,
     cond_expect,
     parity_unitary,
@@ -69,17 +70,17 @@ def test_closure_of_identity_is_scalars():
 
 def test_closure_of_single_site_pair():
     alg2 = build_algebra(2)
-    s = span_closure([alg2.annihilators[1], alg2.creators[1]])
+    s = span_closure([annihilator(alg2, 1), annihilator(alg2, 1).conj().T])
     assert s.size == 4
 
 
 def test_closure_of_all_generators_is_full():
-    s = span_closure(list(ALG.annihilators))
+    s = span_closure([annihilator(ALG, j) for j in range(ALG.n_sites)])
     assert s.size == 64
 
 
 def test_closure_result_is_closed_under_products():
-    s = span_closure([ALG.annihilators[0], ALG.creators[1] @ ALG.annihilators[1]])
+    s = span_closure([annihilator(ALG, 0), annihilator(ALG, 1).conj().T @ annihilator(ALG, 1)])
     prods = np.stack([a @ b for a in s.basis for b in s.basis])
     assert hs.residual_norms(s.basis, prods).max() <= 1e-9
 
@@ -231,7 +232,7 @@ def test_invariant_subalgebra_even_flow_contains_a_side():
     rho_bc = (rho_bc + v @ rho_bc @ v) / 2
     h = mat_log((rho_bc + rho_bc.conj().T) / 2)
     c = invariant_subalgebra(h, region_alg((0, 1)))
-    ok, res = membership(ALG.annihilators[0], c)
+    ok, res = membership(annihilator(ALG, 0), c)
     assert ok and res <= 1e-9
     # the output is parity stable when the flow generator and ambient are
     conj = np.stack([v @ b @ v for b in c.basis])
@@ -272,9 +273,9 @@ def test_parity_split_dimensions():
 
 
 def test_subalgebra_from_matrices_flags():
-    s = subalgebra_from_matrices([ALG.identity(), ALG.annihilators[0]])
+    s = subalgebra_from_matrices([ALG.identity(), annihilator(ALG, 0)])
     assert s.contains_identity and s.size == 2
-    s2 = subalgebra_from_matrices([ALG.annihilators[0]])
+    s2 = subalgebra_from_matrices([annihilator(ALG, 0)])
     assert not s2.contains_identity
 
 
@@ -612,7 +613,7 @@ def test_out_of_region_component_is_not_an_algebra(certified):
     # small picture, so only the leak bound can see it
     state, regions, spans = certified
     c = spans["C"]
-    outside = state.alg.annihilators[regions.C[0]]
+    outside = annihilator(state.alg, regions.C[0])
     basis = c.basis.copy()
     basis[0] += 1e-6 * outside / hs.hs_norm(outside)
     leaky = SubalgebraBasis(c.dim_ambient, basis, True, None, c.region)
@@ -630,7 +631,7 @@ def test_out_of_region_component_is_not_an_algebra(certified):
 
 def test_out_of_region_product_factor_raises():
     alg = build_algebra(4)
-    outside = alg.annihilators[3] / hs.hs_norm(alg.annihilators[3])
+    outside = annihilator(alg, 3) / hs.hs_norm(annihilator(alg, 3))
     left = region_orthobasis(alg, (0,)).copy()
     left[1] += 1e-6 * outside
     with pytest.raises(NotAnAlgebra, match="leaves the algebra"):
@@ -639,7 +640,7 @@ def test_out_of_region_product_factor_raises():
 
 def test_non_closed_span_inside_a_region_raises():
     alg = build_algebra(4)
-    s = span_in((1, 2), [alg.identity(), alg.annihilators[1], alg.annihilators[2]])
+    s = span_in((1, 2), [alg.identity(), annihilator(alg, 1), annihilator(alg, 2)])
     assert s.leak.max() <= 1e-15
     with pytest.raises(NotAnAlgebra, match="product closure"):
         subalgebra._verify_algebra_closure(s, TOL_MEMBER)

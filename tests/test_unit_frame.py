@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fermarkov import hs, subalgebra, sufficiency
-from fermarkov.car import build_algebra, matrix_units, region_orthobasis
+from fermarkov.car import annihilator, build_algebra, matrix_units, region_orthobasis
 from fermarkov.entropy import StateDensity
 from fermarkov.errors import FermarkovError
 from fermarkov.spectral import eig_hermitian
@@ -119,7 +119,7 @@ def test_the_frame_pairs_reach_every_outcome():
 
 
 def number(alg, site):
-    a = alg.annihilators[site]
+    a = annihilator(alg, site)
     return a.conj().T @ a
 
 
@@ -301,7 +301,7 @@ def test_off_a_lattice_the_span_is_the_whole_space():
 def test_a_component_outside_the_region_widens_it(size, widened):
     alg = build_algebra(4)
     stack = region_orthobasis(alg, (0, 2))
-    stack[1] += size * alg.annihilators[1] * np.sqrt(alg.dim)
+    stack[1] += size * annihilator(alg, 1) * np.sqrt(alg.dim)
     s = subalgebra_from_matrices(stack)
     assert s.region == ((0, 1, 2) if widened else (0, 2))
     # a span that fills A_I within TOL_MEMBER is decided in its unit frame
