@@ -41,16 +41,15 @@ from .car import (
     parity_automorphism,
     parity_unitary,
 )
-from .entropy import TOL_CROSS, TOL_EQUALITY, TOL_GAP_NEG, StateDensity
+from .entropy import StateDensity
 from .errors import FermarkovError, ParseError
-from .markov import TOL_BLOCK, TOL_PAIR, Analysis, BlockDecomposition, decompose_even, factorize
-from .report import SCHEMA_VERSION, AnalysisDocument, Check, emit, state_digest
-from .spectral import EPS_FAITHFUL, TOL_HERM
+from .markov import Analysis, BlockDecomposition, decompose_even, factorize
+from .report import SCHEMA_VERSION, AnalysisDocument, emit, state_digest
 from .states import GeneratorSpec, generate, perturb
-from .subalgebra import TOL_MEMBER
+from .tolerances import SELFTEST_BOUND, TOL_EQUALITY, TOL_MEMBER
 
 STATE_FILE_VERSION = 1
-_SELFTEST_BOUND = 1e-10
+_HEAD_CHARS = 1 << 16    # characters of a state file read for the members before its matrix
 
 
 # --- state files ----------------------------------------------------------------
@@ -86,24 +85,16 @@ def parse_matrix_block(block: dict, what: str = "matrix") -> np.ndarray:
 
 def read_state_file(path: str) -> tuple[StateDensity, RegionPartition, dict]:
     try:
+        # write_state_file lists the header before the matrix: a header it
+        # refuses is refused before the 4^n entries are read
+        head = _members_before_matrix(path)
+        if {"version", "n_sites", "regions"} <= head.keys():
+            _header(path, head)
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if doc.get("version") != STATE_FILE_VERSION:
-        raise ParseError(f"{path}: unsupported state-file version {doc.get('version')!r}")
-    try:
-        n = int(doc["n_sites"])
-        regions = RegionPartition(
-            tuple(doc["regions"]["A"]), tuple(doc["regions"]["B"]), tuple(doc["regions"]["C"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed header: {exc}") from exc
-    # refused before the 4^n entries are parsed
-    if not 1 <= n <= MAX_SITES:
-        raise ParseError(f"{path}: n_sites {n} lies outside the supported 1..{MAX_SITES}")
-    if regions.n_sites != n:
-        raise ParseError(f"{path}: regions cover {regions.n_sites} sites, header says {n}")
+    n, regions = _header(path, doc)
     rho = parse_matrix_block(doc.get("matrix", {}), path)
     if rho.shape[0] != 2 ** n:
         raise ParseError(f"{path}: matrix dim {rho.shape[0]} is not 2^{n}")
@@ -113,6 +104,37 @@ def read_state_file(path: str) -> tuple[StateDensity, RegionPartition, dict]:
     except (ValueError, FermarkovError) as exc:
         raise ParseError(f"{path}: not a valid state density: {exc}") from exc
     return state, regions, doc.get("metadata", {})
+
+
+def _members_before_matrix(path: str) -> dict:
+    """The members before a state file's top-level "matrix" key, parsed from
+    its first _HEAD_CHARS characters; {} if it opens otherwise (text cut
+    anywhere but before a top-level member is no JSON object once closed)."""
+    with open(path) as fh:
+        head = fh.read(_HEAD_CHARS)
+    cut = head.find('"matrix"')
+    try:
+        return json.loads(head[:cut].rstrip().removesuffix(",") + "}") if cut > 0 else {}
+    except json.JSONDecodeError:
+        return {}
+
+
+def _header(path: str, doc: dict) -> tuple[int, RegionPartition]:
+    """n_sites and the regions of a state file's header, or ParseError."""
+    if doc.get("version") != STATE_FILE_VERSION:
+        raise ParseError(f"{path}: unsupported state-file version {doc.get('version')!r}")
+    try:
+        n = int(doc["n_sites"])
+        regions = RegionPartition(
+            tuple(doc["regions"]["A"]), tuple(doc["regions"]["B"]), tuple(doc["regions"]["C"])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed header: {exc}") from exc
+    if not 1 <= n <= MAX_SITES:
+        raise ParseError(f"{path}: n_sites {n} lies outside the supported 1..{MAX_SITES}")
+    if regions.n_sites != n:
+        raise ParseError(f"{path}: regions cover {regions.n_sites} sites, header says {n}")
+    return n, regions
 
 
 def parse_regions(spec: str) -> RegionPartition:
@@ -285,8 +307,8 @@ def run_selftest(max_sites: int = 5, annihilator=annihilator, out=sys.stdout) ->
     for n in range(1, max_sites + 1):
         res = exact_algebra_residuals(n, annihilator)
         for name, value in res.items():
-            status = "ok" if value <= _SELFTEST_BOUND else "FAIL"
-            if value > _SELFTEST_BOUND:
+            status = "ok" if value <= SELFTEST_BOUND else "FAIL"
+            if value > SELFTEST_BOUND:
                 failed.append(f"{name} (n={n})")
             print(f"n={n} {name:<24s} worst residual {value:.3e}  {status}", file=out)
     print(f"selftest wall time {time.perf_counter() - t0:.2f}s", file=out)
@@ -305,39 +327,27 @@ def build_document(
     tol_equality: float = TOL_EQUALITY,
     tol_member: float = TOL_MEMBER,
 ) -> AnalysisDocument:
-    """Run the full analysis pipeline on one shared Analysis into one verdict document."""
+    """Run the full analysis pipeline on one shared Analysis into one verdict
+    document: its sections, and the checks each stage's result carries, in
+    stage order.  The checks are contract checks only: saturation and the
+    Markov property are verdicts, not failures."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     an = Analysis(state, regions, tol_equality=tol_equality, tol_member=tol_member)
     analysis = an.triplet
     timings["analyze_s"] = time.perf_counter() - t0
 
-    # contract checks only: saturation / markov are verdicts, not failures
-    checks = [
-        Check.of("ssa.gap_nonnegative", -analysis.ssa.gap, TOL_GAP_NEG),
-        Check.of("ssa.cross_check", analysis.ssa.cross_residual, TOL_CROSS),
-        Check.of("triplet.cond_exp_in_b", analysis.cond_exp_residual, tol_member * 10),
-    ]
+    checks = list(analysis.checks)
+    ssa = analysis.ssa
     ssa_section = {
-        "gap": analysis.ssa.gap,
-        "entropies": {
-            "total": analysis.ssa.s_total,
-            "ab": analysis.ssa.s_ab,
-            "bc": analysis.ssa.s_bc,
-            "b": analysis.ssa.s_b,
-        },
-        "saturated": analysis.ssa.saturated,
-        "tol_equality": tol_equality,
-        "cross_residual": analysis.ssa.cross_residual,
+        "gap": ssa.gap,
+        "entropies": {"total": ssa.s_total, "ab": ssa.s_ab, "bc": ssa.s_bc, "b": ssa.s_b},
+        **_fields(ssa, "saturated", "tol_equality", "cross_residual"),
     }
     triplet_section = {
         "saturated": analysis.ssa.saturated,
-        "a_in_c": analysis.a_in_c,
-        "a_in_c_residual": analysis.a_in_c_residual,
-        "cond_exp_residual": analysis.cond_exp_residual,
-        "markov": analysis.markov,
-        "dim_c": analysis.pair.dim_c,
-        "dim_b": analysis.pair.dim_b,
+        **_fields(analysis, "a_in_c", "a_in_c_residual", "cond_exp_residual", "markov"),
+        **_fields(analysis.pair, "dim_c", "dim_b"),
         "even": state.is_even(),
     }
 
@@ -346,21 +356,9 @@ def build_document(
         t0 = time.perf_counter()
         fact = an.factorization
         timings["factorize_s"] = time.perf_counter() - t0
-        fact_section = {
-            "x_region_residual": fact.x_region_residual,
-            "y_region_residual": fact.y_region_residual,
-            "commute_residual": fact.commute_residual,
-            "reconstruction_residual": fact.reconstruction_residual,
-            "y_parity": fact.y_parity,
-            "y_odd_norm": fact.y_odd_norm,
-            "y_min_eig": fact.y_min_eig,
-        }
-        checks += [
-            Check.of("factorization.reconstruction", fact.reconstruction_residual, TOL_BLOCK),
-            Check.of("factorization.commute", fact.commute_residual, TOL_PAIR),
-            Check.of("factorization.x_region", fact.x_region_residual, tol_member * 2),
-            Check.of("factorization.y_region", fact.y_region_residual, tol_member * 2),
-        ]
+        fact_section = _fields(fact, "x_region_residual", "y_region_residual", "commute_residual",
+                               "reconstruction_residual", "y_parity", "y_odd_norm", "y_min_eig")
+        checks += fact.checks
 
     dec_section = None
     if analysis.markov and state.is_even():
@@ -368,23 +366,17 @@ def build_document(
         dec = an.decomposition
         timings["decompose_s"] = time.perf_counter() - t0
         dec_section = _decomposition_section(dec)
-        checks.append(Check.of("decomposition.reassembly", dec.reassembly_residual, TOL_BLOCK))
-        checks.append(Check.of("decomposition.lemma_join", dec.lemma_join_residual, TOL_BLOCK))
+        checks += dec.checks
 
     return AnalysisDocument(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
         input_digest=state_digest(state, regions),
-        tolerances={
-            "tol_equality": tol_equality,
-            "tol_member": tol_member,
-            "tol_herm": TOL_HERM,
-            "eps_faithful": EPS_FAITHFUL,
-        },
+        tolerances=an.tol.section(),
         ssa=ssa_section,
         triplet=triplet_section,
         timings=timings,
-        checks=[c.__dict__ for c in checks],
+        checks=[dict(vars(c)) for c in checks],
         factorization=fact_section,
         decomposition=dec_section,
     )
@@ -393,32 +385,27 @@ def build_document(
 def _decomposition_section(dec: BlockDecomposition) -> dict:
     """The block-decomposition section of a verdict document, which is also
     the body of the file `fermarkov decompose` writes."""
+    partners = ("partner_x_residual", "partner_y_residual")
     return {
         "m": len(dec.central.p),
         "k_fixed": dec.central.k,
         "n_pairs": len(dec.central.pairs),
-        "reassembly_residual": dec.reassembly_residual,
-        "lemma_join_residual": dec.lemma_join_residual,
-        "y_commutant_residual": dec.y_commutant_residual,
+        **_fields(dec, "reassembly_residual", "lemma_join_residual", "y_commutant_residual"),
         "blocks": [
             {
-                "kind": b.kind,
-                "weight": b.weight,
+                **_fields(b, "kind", "weight"),
                 "rank": int(round(2 ** len(dec.central.regions.C) * float(np.trace(b.q).real))),
-                "x_membership_residual": b.x_membership_residual,
-                "y_membership_residual": b.y_membership_residual,
-                **(
-                    {
-                        "partner_x_residual": b.partner_x_residual,
-                        "partner_y_residual": b.partner_y_residual,
-                    }
-                    if b.kind == "theta_pair"
-                    else {}
-                ),
+                **_fields(b, "x_membership_residual", "y_membership_residual",
+                          *(partners if b.kind == "theta_pair" else ())),
             }
             for b in dec.blocks
         ],
     }
+
+
+def _fields(result, *names: str) -> dict:
+    """A document section's entries read from a result's attributes of the same names."""
+    return {name: getattr(result, name) for name in names}
 
 
 # --- subcommands ---------------------------------------------------------------------

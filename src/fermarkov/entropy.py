@@ -34,13 +34,7 @@ from .spectral import (
     eig_hermitian,
     require_hermitian,
 )
-
-TOL_EQUALITY = 1e-8   # gap below which the entropy inequality counts as saturated
-TOL_TRACE = 1e-10
-TOL_PSD = 1e-12
-TOL_CROSS = 1e-8      # entropy gap against its relative-entropy cross-check
-TOL_GAP_NEG = 1e-9    # negative entropy gap still accepted as roundoff
-TOL_EVEN = 1e-10      # parity defect accepted as "even state"
+from .tolerances import RESTRICTION_PSD, RESTRICTION_TRACE, TOL_CROSS, TOL_EQUALITY, TOL_EVEN, TOL_PSD, TOL_TRACE
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +108,7 @@ def _restriction(state: StateDensity, region: Iterable[int], decompose):
     small = hs.hermitian_part(matrix_units(state.alg, region).trace_pairings(state.rho))
     spectrum = decompose(small)
     w = getattr(spectrum, "eigenvalues", spectrum)
-    if w[0] < -1e-10 or abs(np.trace(small).real - 1.0) > 1e-8:
+    if w[0] < -RESTRICTION_PSD or abs(np.trace(small).real - 1.0) > RESTRICTION_TRACE:
         raise InvariantViolation(
             f"restriction to {region} not a density: min eig {w[0]:.3e}, trace {np.trace(small).real!r}"
         )

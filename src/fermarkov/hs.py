@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-RANK_RTOL = 1e-9     # relative singular-value threshold for rank decisions
+from .tolerances import RANK_RTOL
 
 
 def hs_norm(x: np.ndarray) -> float:

@@ -55,7 +55,7 @@ from .car import (
     parity_automorphism,
     parity_unitary,
 )
-from .entropy import TOL_EQUALITY, SsaReport, StateDensity, _ssa_report
+from .entropy import SsaReport, StateDensity, _ssa_report
 from .errors import (
     BlockCertificationFailed,
     FactorizationFailed,
@@ -64,9 +64,9 @@ from .errors import (
     NotSaturated,
     UnmatchedParityAction,
 )
-from .spectral import EPS_FAITHFUL, TOL_FACTOR_HERM, TOL_FACTOR_POS, SpectralDecomposition
+from .report import Check
+from .spectral import SpectralDecomposition
 from .subalgebra import (
-    TOL_MEMBER,
     SubalgebraBasis,
     _stack,
     _UnitFrame,
@@ -85,9 +85,19 @@ from .subalgebra import (
     span_equality_residual,
     subalgebra_from_matrices,
 )
-
-TOL_BLOCK = 1e-8       # reassembly / span-identity residual bound
-TOL_PAIR = 1e-9        # partner-block parity-image residual bound
+from .tolerances import (
+    EPS_FAITHFUL,
+    PARITY_MATCH,
+    TOL_BLOCK,
+    TOL_CROSS,
+    TOL_EQUALITY,
+    TOL_FACTOR_HERM,
+    TOL_FACTOR_POS,
+    TOL_GAP_NEG,
+    TOL_MEMBER,
+    TOL_PAIR,
+    Tolerances,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +272,7 @@ class TripletAnalysis:
     a_in_c_residual: float
     cond_exp_residual: float     # worst membership of E_BC(C) in B
     markov: bool
+    checks: tuple[Check, ...]    # ssa.gap_nonnegative, ssa.cross_check, triplet.cond_exp_in_b
 
     c_basis = property(lambda self: self.pair.c_basis)   # built on first read
     b_basis = property(lambda self: self.pair.b_basis)
@@ -282,6 +293,7 @@ class Factorization:
     y_min_eig: float
     x_ab: np.ndarray = field(repr=False)     # x in A_AB's factor
     y_bc: np.ndarray = field(repr=False)     # E_BC(y) in A_BC's factor
+    checks: tuple[Check, ...]                # reconstruction, commute, x_region, y_region
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +338,7 @@ class BlockDecomposition:
     reassembly_residual: float
     lemma_join_residual: float       # C against the algebra generated by A_A and B
     y_commutant_residual: float      # y against the even-twisted commutant algebra
+    checks: tuple[Check, ...]        # reassembly, lemma_join
 
 
 @dataclass(frozen=True)
@@ -342,8 +355,9 @@ class Analysis:
     """One faithful state on one region partition.  Construction builds what
     every result shares: the SSA report and the graded pair that holds the
     flow-stable subalgebras C (in A_AB) and B (in A_B), with no D x D stack.
-    Each result below is computed on first access, with these tolerances, and
-    cached."""
+    Each result below is computed on first access, with the tolerances
+    `self.tol`, and cached; each carries the checks that gate its residuals,
+    named as the verdict document records them."""
 
     def __init__(
         self,
@@ -355,8 +369,8 @@ class Analysis:
     ):
         state.require_faithful()
         self.state, self.regions = state, regions
-        self.tol_equality, self.tol_member = tol_equality, tol_member
-        self.ssa, rho_bc = _ssa_report(state, regions, tol_equality)
+        self.tol = Tolerances(tol_equality, tol_member)
+        self.ssa, rho_bc = _ssa_report(state, regions, self.tol.equality)
         self.pair = flow_stable_pair(rho_bc, state.alg, regions)
 
     c_basis = property(lambda self: self.pair.c_basis)   # built on first read
@@ -373,14 +387,21 @@ class Analysis:
         """Saturation and Markov verdicts with the flow-stable subalgebras."""
         # a_i projects onto a_i P(1) in C (P onto W-): its residual is ||a_i||_tau = sqrt(1/2) times 1's
         a_res = 0.5 ** 0.5 * self.pair.identity_residual
-        a_ok = a_res <= self.tol_member * (1.0 + 0.5 ** 0.5)
+        a_ok = a_res <= self.tol.a_in_c
+        cond_exp = self.pair.cond_exp_residual
         return TripletAnalysis(
             ssa=self.ssa,
             pair=self.pair,
             a_in_c=a_ok,
             a_in_c_residual=float(a_res),
-            cond_exp_residual=self.pair.cond_exp_residual,
+            cond_exp_residual=cond_exp,
             markov=self.ssa.saturated and a_ok,
+            # _ssa_report has raised above TOL_CROSS already; the check records that gate
+            checks=(
+                Check.of("ssa.gap_nonnegative", -self.ssa.gap, TOL_GAP_NEG),
+                Check.of("ssa.cross_check", self.ssa.cross_residual, TOL_CROSS),
+                Check.of("triplet.cond_exp_in_b", cond_exp, self.tol.cond_exp_in_b),
+            ),
         )
 
     @cached_property
@@ -398,9 +419,9 @@ class Analysis:
         y_bc is E_BC(y)'s picture, and y_min_eig its least eigenvalue, within
         ||y - E_BC(y)||_op <= sqrt(D) y_region_residual of y's (Weyl).
         """
-        state, regions, tol_member = self.state, self.regions, self.tol_member
+        state, regions, tol = self.state, self.regions, self.tol
         if not self.ssa.saturated:
-            raise NotSaturated(f"entropy gap {self.ssa.gap:.3e} > {self.tol_equality:.1e}")
+            raise NotSaturated(f"entropy gap {self.ssa.gap:.3e} > {tol.equality:.1e}")
 
         dim, ab, bc = state.alg.dim, matrix_units(state.alg, regions.AB), matrix_units(state.alg, regions.BC)
         x_ab = hs.hermitian_part(self.pair.project_small(_small(dim, regions.AB, state.rho)))
@@ -417,8 +438,8 @@ class Analysis:
         # the residual against a region algebra is the part its conditional expectation drops
         x_res = hs.hs_norm(x - cond_expect(state.alg, x, regions.AB))
         y_res = hs.hs_norm(y - bc.iso_from_small(y_bc))
-        x_ok = x_res <= tol_member * (1.0 + hs.hs_norm(x))
-        y_ok = y_res <= tol_member * scale
+        x_ok = x_res <= tol.member * (1.0 + hs.hs_norm(x))
+        y_ok = y_res <= tol.member * scale
         xy = _left(ab, x_ab, y)
         commute = hs.hs_norm(xy - xy.conj().T)     # y x = (x y)^* for Hermitian x and y
         recon = hs.hs_norm(xy - state.rho)
@@ -428,8 +449,15 @@ class Analysis:
         y_odd_norm = hs.hs_norm(y_odd)
         y_parity = "even" if y_odd_norm <= TOL_PAIR * scale else "noneven"
 
+        reconstruction = Check.of("factorization.reconstruction", recon, TOL_BLOCK)
+        checks = (
+            reconstruction,
+            Check.of("factorization.commute", commute, TOL_PAIR),
+            Check.of("factorization.x_region", x_res, tol.factor_region),
+            Check.of("factorization.y_region", y_res, tol.factor_region),
+        )
         if (
-            recon > TOL_BLOCK
+            not reconstruction.passed
             or herm_defect > TOL_FACTOR_HERM * scale
             or commute > TOL_PAIR * scale
             or not (x_ok and y_ok)
@@ -452,6 +480,7 @@ class Analysis:
             y_min_eig=y_min,
             x_ab=x_ab,
             y_bc=y_bc,
+            checks=checks,
         )
 
     @cached_property
@@ -471,7 +500,7 @@ class Analysis:
         for i, p in enumerate(p_raw):
             dists = stretch * np.linalg.norm(parity_automorphism(b_lattice, p) - p_raw, axis=(1, 2))
             perm.append(int(np.argmin(dists)))
-            if dists.min() > 1e-8 * max(1.0, stretch * float(np.linalg.norm(p))):
+            if dists.min() > PARITY_MATCH * max(1.0, stretch * float(np.linalg.norm(p))):
                 raise UnmatchedParityAction(f"parity image of central projection {i} matches nothing: "
                                             f"distance {dists.min():.3e}")
         if any(perm[perm[i]] != i for i in range(m)):
@@ -545,13 +574,13 @@ class Analysis:
             raise NotMarkov(f"A-side generators escape the stable algebra: residual {self.triplet.a_in_c_residual:.3e}")
         # C~'s stack in A_BC's factor is built before the D x D block factors exist
         span = self._c_tilde.small
-        state, alg, regions, tol_member = self.state, self.state.alg, self.regions, self.tol_member
+        state, alg, regions, tol = self.state, self.state.alg, self.regions, self.tol
         fact, central = self.factorization, self.central
         ab, bc = matrix_units(alg, regions.AB), matrix_units(alg, regions.BC)
         off = lambda *m: hs.residual_norms(span, np.stack(m))     # tau-norms off C~, in A_BC's factor
         lemma_join = self.pair.join_residual
         y_comm_res = float(np.hypot(fact.y_region_residual, off(fact.y_bc)[0]))
-        y_comm_ok = y_comm_res <= tol_member * (1.0 + hs.hs_norm(fact.y))
+        y_comm_ok = y_comm_res <= tol.member * (1.0 + hs.hs_norm(fact.y))
         b_in_bc = matrix_units(build_algebra(len(regions.BC)), _positions(regions.B, regions.BC))
         u = b_in_bc.iso_from_small(central.p) @ fact.y_bc          # u_i = p_i y_bc
         theta_ab, theta_bc = (f.parity.reshape(f.small_dim, -1) for f in (ab, bc))
@@ -583,12 +612,16 @@ class Analysis:
         worst_member = max(max(b.x_membership_residual, b.y_membership_residual) for b in blocks)
         partner_residuals = [r for b in blocks for r in (b.partner_x_residual, b.partner_y_residual) if r is not None]
         worst_partner = max(partner_residuals, default=0.0)
-        if reassembly > TOL_BLOCK or lemma_join > TOL_BLOCK or not y_comm_ok:
+        checks = (
+            Check.of("decomposition.reassembly", reassembly, TOL_BLOCK),
+            Check.of("decomposition.lemma_join", lemma_join, TOL_BLOCK),
+        )
+        if not (all(c.passed for c in checks) and y_comm_ok):
             raise BlockCertificationFailed(
                 f"reassembly {reassembly:.3e}, join identity {lemma_join:.3e}, "
                 f"y commutant membership {y_comm_res:.3e}"
             )
-        if worst_member > tol_member * 10 or worst_partner > TOL_PAIR:
+        if worst_member > tol.block_member or worst_partner > TOL_PAIR:
             raise BlockCertificationFailed(
                 f"block certificates failed: membership {worst_member:.3e}, partner {worst_partner:.3e}"
             )
@@ -598,6 +631,7 @@ class Analysis:
             reassembly_residual=float(reassembly),
             lemma_join_residual=float(lemma_join),
             y_commutant_residual=float(y_comm_res),
+            checks=checks,
         )
 
     @cached_property

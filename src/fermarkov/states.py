@@ -26,8 +26,7 @@ from .car import (
 )
 from .entropy import StateDensity
 from .errors import CommutationFailed, RegionTooSmall
-
-_COMMUTE_TOL = 1e-10
+from .tolerances import COMMUTE_TOL, ODD_DRAW_FLOOR
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def _random_odd_selfadjoint_region(
     x = family.iso_from_small(g + g.conj().T)
     x = (x - parity_automorphism(alg, x)) / 2
     nrm = float(np.linalg.norm(x, 2))
-    if nrm < 1e-12:
+    if nrm < ODD_DRAW_FLOOR:
         raise CommutationFailed("degenerate odd draw")
     return hs.hermitian_part(x / nrm)
 
@@ -133,8 +132,8 @@ def make_product_markov(
         odd = _random_odd_selfadjoint_region(alg, regions.C, rng)
         y = y + 0.5 * float(np.linalg.eigvalsh(y)[0]) * odd
     comm = float(np.max(np.abs(x @ y - y @ x)))
-    if comm > _COMMUTE_TOL:
-        raise CommutationFailed(f"factors fail to commute within {_COMMUTE_TOL:.1e}: {comm:.3e}")
+    if comm > COMMUTE_TOL:
+        raise CommutationFailed(f"factors fail to commute within {COMMUTE_TOL:.1e}: {comm:.3e}")
     rho = x @ y
     rho = hs.hermitian_part(rho / np.trace(rho).real)
     state = StateDensity.from_matrix(alg, rho)
@@ -247,7 +246,7 @@ def make_block_markov(
 
     x, y = hs.hermitian_part(x), hs.hermitian_part(y)
     comm = float(np.max(np.abs(x @ y - y @ x)))
-    if comm > _COMMUTE_TOL:
+    if comm > COMMUTE_TOL:
         raise CommutationFailed(f"designed factors do not commute: {comm:.3e}")
     rho = x @ y
     rho = hs.hermitian_part(rho / np.trace(rho).real)

@@ -65,17 +65,13 @@ import numpy as np
 from . import hs
 from .car import MAX_SITES, CarAlgebra, MatrixUnitFamily, build_algebra, matrix_units
 from .errors import DegenerateCenter, InvariantViolation, NotAnAlgebra
-from .hs import RANK_RTOL
 from .spectral import require_hermitian
-
-TOL_MEMBER = 1e-9    # membership residual accepted as "inside the span"
+from .tolerances import GAP as _GAP
+from .tolerances import NORM_FLOOR, NULL_RTOL, PROJECTION_TOL, RANK_RTOL, TOL_MEMBER, adjoint_closure
 
 _DEFAULT_SEED = 0x5EED  # reproducible draws of commutants and central projections
 _SKETCH_SIZE = 4        # random elements of s a commutant solves for inside {h}'
-_NULL_RTOL = 1e-11      # relative cut on squared commutator norms of a nullspace
-_GAP = 1e-8             # relative eigenvalue gap that separates two clusters
 _CLOSURE_SAMPLES = 400  # products (and adjoints) a closure check draws at most
-_PROJECTION_TOL = 1e-9  # entrywise defect accepted in a projection family
 _CHUNK = 1 << 17        # entries of a stack a gather reads per step, 2 MB of complex
 
 
@@ -367,7 +363,7 @@ def span_closure(generators: list[np.ndarray] | np.ndarray) -> SubalgebraBasis:
         g = np.asarray(g, dtype=complex)
         for cand in (g, g.conj().T):
             nrm = hs.hs_norm(cand)
-            if nrm > 1e-14:
+            if nrm > NORM_FLOOR:
                 gens.append(cand / nrm)
     if not gens:
         return SubalgebraBasis(dim, eye[None, :, :], True, None)
@@ -436,7 +432,7 @@ def _hermitian_combos(basis: np.ndarray, count: int, rng: np.random.Generator) -
         g = np.einsum("k,kij->ij", w, basis)
         g = hs.hermitian_part(g)
         nrm = hs.hs_norm(g)
-        if nrm > 1e-14:
+        if nrm > NORM_FLOOR:
             combos.append(g / nrm)
     return combos
 
@@ -461,9 +457,9 @@ def _null_combinations(images: np.ndarray, stack: np.ndarray, floor: float) -> n
     elements that a linear map sends to zero, given the flattened image of each
     element as a row: the right singular vectors of images^T (read off the
     m x m R of images^T = QR, so no Gram matrix squares the gap) whose squared
-    singular value is at most _NULL_RTOL * max(largest, floor)."""
+    singular value is at most NULL_RTOL * max(largest, floor)."""
     _, sing, vh = np.linalg.svd(np.linalg.qr(images.T, mode="r"))
-    keep = sing ** 2 <= _NULL_RTOL * max(float(sing.max(initial=0.0)) ** 2, floor)
+    keep = sing ** 2 <= NULL_RTOL * max(float(sing.max(initial=0.0)) ** 2, floor)
     return hs.unflatten(vh[keep].conj() @ hs.flatten(stack), stack.shape[-1])
 
 
@@ -578,8 +574,8 @@ def minimal_central_projections(s: SubalgebraBasis, *, rng: np.random.Generator 
 
 def is_projection_family(projections: list[np.ndarray], dim: int) -> bool:
     """Orthogonal self-adjoint projections summing to the identity, entrywise
-    within _PROJECTION_TOL."""
-    tol = _PROJECTION_TOL
+    within PROJECTION_TOL."""
+    tol = PROJECTION_TOL
     total = np.zeros((dim, dim), dtype=complex)
     for i, p in enumerate(projections):
         if np.max(np.abs(p @ p - p)) > tol or np.max(np.abs(p - p.conj().T)) > tol:
@@ -1013,8 +1009,8 @@ def _closure_residuals(s: SubalgebraBasis) -> tuple[float, float]:
 def _require_closed(products: float, adjoints: float, tol: float) -> None:
     if products > tol:
         raise NotAnAlgebra(f"product closure residual {products:.3e} exceeds {tol:.1e}")
-    if adjoints > 2 * tol:
-        raise NotAnAlgebra(f"adjoint closure residual {adjoints:.3e} exceeds {2 * tol:.1e}")
+    if adjoints > adjoint_closure(tol):
+        raise NotAnAlgebra(f"adjoint closure residual {adjoints:.3e} exceeds {adjoint_closure(tol):.1e}")
 
 
 def _verify_algebra_closure(s: SubalgebraBasis, tol: float) -> None:

@@ -83,24 +83,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hs
-from .entropy import TOL_EQUALITY, StateDensity, _rel_entropy_of
+from .entropy import StateDensity, _rel_entropy_of
 from .errors import FlowUnstable, InvariantViolation, NotSufficient, SingularRestriction
-from .spectral import EPS_FAITHFUL, TOL_FACTOR_HERM, TOL_FACTOR_POS, SpectralDecomposition, eig_hermitian
-from .subalgebra import (
+from .spectral import SpectralDecomposition, eig_hermitian
+from .subalgebra import SubalgebraBasis, _unit_frame, _UnitFrame, _worst_commutator, invariant_subspace
+from .tolerances import (
+    EPS_FAITHFUL,
     RANK_RTOL,
+    TOL_CHANNEL,
+    TOL_EQUALITY,
+    TOL_FACTOR_HERM,
+    TOL_FACTOR_POS,
     TOL_MEMBER,
-    SubalgebraBasis,
-    _unit_frame,
-    _UnitFrame,
-    _worst_commutator,
-    invariant_subspace,
+    TOL_MONOTONE,
+    TOL_PETZ_EQ,
+    TOL_RECON,
+    WITNESS_MARGIN,
+    Tolerances,
 )
-
-TOL_CHANNEL = 1e-9       # unitality / state-preservation residual
-TOL_PETZ_EQ = 1e-8       # superoperator distance accepted as "equal maps"
-TOL_RECON = 1e-8         # tau-norm residual of a density rebuilt from the common factor
-TOL_MONOTONE = 1e-7      # relative entropy gained under restriction that is read as rounding
-_WITNESS_MARGIN = 0.1    # factor defect, as a share of the certificates' gates, that needs no certificate
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -305,6 +305,7 @@ def is_sufficient(
     """
     phi.require_faithful("first state")
     psi.require_faithful("second state")
+    tol = Tolerances(tol_equality, tol_member)
 
     frame = _unit_frame(s)
     e = 1 if frame is None else phi.dim // frame.d
@@ -332,11 +333,11 @@ def is_sufficient(
         rel_entropy_drop=float(drop),
         cocycle_residual=float(orbit_res),
         petz_residual=petz_res,
-        ok_rel_entropy=abs(drop) <= tol_equality,
-        ok_cocycle=orbit_res <= tol_member * 2.0,
+        ok_rel_entropy=abs(drop) <= tol.equality,
+        ok_cocycle=orbit_res <= tol.cocycle,
         ok_petz=petz_res <= TOL_PETZ_EQ,
-        tol_equality=tol_equality,
-        tol_member=tol_member,
+        tol_equality=tol.equality,
+        tol_member=tol.member,
     )
 
 
@@ -377,7 +378,7 @@ def factor_through(
     lambda_min(rho); a commutator residual c moves [log d, z] for tau-unit z
     in S by at most sqrt(dim S) c / lambda_min(d).  While the largest of
     these is below
-    _WITNESS_MARGIN times the tighter of tol_member and RANK_RTOL, no
+    WITNESS_MARGIN times the tighter of tol_member and RANK_RTOL, no
     direction of S leaves the cocycle's invariant subspace, the entropy drop
     stays below tol_equality and the recovery maps agree to first order far
     inside TOL_PETZ_EQ, so d is returned unaided.
@@ -389,23 +390,24 @@ def factor_through(
     """
     phi.require_faithful("first state")
     psi.require_faithful("second state")
+    tol = Tolerances(member=tol_member)
     dec = eig_hermitian(psi.rho)
     h = dec.func("log")
     stable, _ = _invariant_in(s, h, h, dec.log_radius())
     if stable < s.size:
         raise FlowUnstable(f"subalgebra not stable under the reference flow: {stable} < {s.size}")
     try:
-        d, defect = _certified_factor(phi, psi, s, tol_member)
+        d, defect = _certified_factor(phi, psi, s, tol)
     except InvariantViolation:
-        _require_sufficient(phi, psi, s, tol_member)
+        _require_sufficient(phi, psi, s, tol)
         raise
-    if defect > _WITNESS_MARGIN * min(tol_member, RANK_RTOL):
-        _require_sufficient(phi, psi, s, tol_member)
+    if defect > WITNESS_MARGIN * min(tol.member, RANK_RTOL):
+        _require_sufficient(phi, psi, s, tol)
     return d
 
 
-def _require_sufficient(phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float) -> None:
-    report = is_sufficient(phi, psi, s, tol_member=tol_member)
+def _require_sufficient(phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol: Tolerances) -> None:
+    report = is_sufficient(phi, psi, s, tol_equality=tol.equality, tol_member=tol.member)
     if not report.overall:
         raise NotSufficient(
             "pair is not sufficient for the subalgebra: "
@@ -416,7 +418,7 @@ def _require_sufficient(phi: StateDensity, psi: StateDensity, s: SubalgebraBasis
 
 
 def _certified_factor(
-    phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol_member: float
+    phi: StateDensity, psi: StateDensity, s: SubalgebraBasis, tol: Tolerances
 ) -> tuple[np.ndarray, float]:
     """d = rho_phi0^{-1} rho_phi and its largest defect in certificate units
     (see factor_through), or InvariantViolation naming the first check d
@@ -434,7 +436,7 @@ def _certified_factor(
     # the relative commutant by its defining property: [d, b] = 0 for every b
     frame = _unit_frame(s)
     res = _worst_commutator(d, s.basis) if frame is None else frame.worst_commutator(d)
-    if res > tol_member * (1.0 + hs.hs_norm(d)):
+    if res > tol.member * (1.0 + hs.hs_norm(d)):
         raise InvariantViolation(f"factor outside the relative commutant: residual {res:.3e}")
 
     rho_psi0 = hs.hermitian_part(s.project(psi.rho))

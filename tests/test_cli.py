@@ -104,6 +104,38 @@ def test_an_oversized_state_file_is_refused_before_its_matrix_is_read(tmp_path, 
     assert parsed == []
 
 
+def test_an_oversized_header_is_refused_before_the_matrix_text_is_read(tmp_path, capsys):
+    # write_state_file lists the header before the matrix; a matrix cut short
+    # would fail a parse of the whole file, so the refusal shows it is never read
+    n = MAX_SITES + 1
+    header = {"version": 1, "n_sites": n, "regions": {"A": [0], "B": list(range(1, n - 1)), "C": [n - 1]}}
+    cut_short = '"matrix": {"dim": %d, "data": [[0.0, 0.0], [0.0, 0.0], ' % 2 ** n
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(header)[:-1] + ", " + cut_short)
+    with pytest.raises(ParseError, match=f"n_sites {n} lies outside the supported 1..{MAX_SITES}"):
+        read_state_file(str(path))
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert f"1..{MAX_SITES}" in capsys.readouterr().err
+    # a file that lists its matrix first is parsed whole: refused as before
+    # when it parses, a JSON error when it does not
+    path.write_text(json.dumps({"matrix": {"dim": 1, "data": [[1.0, 0.0]]}, **header}))
+    with pytest.raises(ParseError, match=f"n_sites {n} lies outside"):
+        read_state_file(str(path))
+    path.write_text("{" + cut_short)
+    with pytest.raises(ParseError, match="Expecting"):
+        read_state_file(str(path))
+
+
+def test_a_matrix_key_inside_an_earlier_member_leaves_the_file_to_the_full_parse(tmp_path):
+    # the text before a "matrix" that is no top-level key is no JSON object
+    path = tmp_path / "s.json"
+    write_state_file(str(path), random_state(3, 0), REGIONS, {"kind": "matrix"})
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({"metadata": doc.pop("metadata"), **doc}))
+    state, regions, meta = read_state_file(str(path))
+    assert regions == REGIONS and meta == {"kind": "matrix"} and state.alg.n_sites == 3
+
+
 def test_parse_matrix_block_errors():
     with pytest.raises(ParseError):
         parse_matrix_block({"dim": 2, "data": [[1, 0]]})
