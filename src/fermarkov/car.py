@@ -219,6 +219,11 @@ class MatrixUnitFamily:
         return basis
 
 
+def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of a region's sites in the lattice of a region holding it."""
+    return tuple(within.index(i) for i in sites)
+
+
 @lru_cache(maxsize=32)
 def matrix_units(alg: CarAlgebra, region: tuple[int, ...]) -> MatrixUnitFamily:
     """Signed permutation of a strictly sorted site set in range(n); the empty

@@ -92,7 +92,7 @@ def read_state_file(path: str) -> tuple[StateDensity, RegionPartition, dict]:
             _header(path, head)
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     n, regions = _header(path, doc)
     rho = parse_matrix_block(doc.get("matrix", {}), path)

@@ -28,11 +28,12 @@ For a faithful state on sites partitioned into A, B, C the pipeline computes:
     against C, q y against p_A C~ + (1 - p_A) C~.  Factors and blocks are
     read in their regions' factors; only the residuals of the whole state
     (reconstruction, commutator, reassembly) take D x D products.
-  - C, E_C and C~ read in B's unit frame: the relative commutant of A_B in
-    A_AB (A_BC) is 1 x M_e there, so C = W+ x M_e^+ (+) p W- x M_e^-, E_C
-    projects block by block, and C~ = B~ x M_e, each a tensor form; when W+
-    and W- fill A_B (every even product Markov state), B~ = C1 with the one
-    projection 1 and no commutant solve, and E_C = E_AB.
+  - C, E_C, C~ and the structure lemmas read in B's unit frame: the relative
+    commutant of A_B in A_AB (A_BC) is 1 x M_e there, so C = W+ x M_e^+ (+)
+    p W- x M_e^-, E_C projects block by block, C~ = B~ x M_e and C' is
+    Y x M_e twisted by v_A, each a tensor form; when W+ and W- fill A_B
+    (every even product Markov state), B~ = Y = C1 with no commutant solve,
+    and E_C = E_AB.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ from .car import (
     MatrixUnitFamily,
     RegionPartition,
     _parity_diagonal,
+    _positions,
     build_algebra,
     cond_expect,
     even_odd_split,
     matrix_units,
     parity_automorphism,
-    parity_unitary,
 )
 from .entropy import SsaReport, StateDensity, _ssa_report
 from .errors import (
@@ -80,10 +81,8 @@ from .subalgebra import (
     _small,
     commutant,
     is_projection_family,
-    parity_split,
     region_subalgebra,
     span_equality_residual,
-    subalgebra_from_matrices,
 )
 from .tolerances import (
     EPS_FAITHFUL,
@@ -188,11 +187,6 @@ def _inclusion_residual(target: np.ndarray | _WholeFactor, stack: np.ndarray | _
     return 0.0 if _fills_factor(target) else float(hs.residual_norms(target, _stack(stack)).max(initial=0.0))
 
 
-def _positions(sites: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
-    """Positions of a region's sites in the lattice of a region holding it."""
-    return tuple(within.index(i) for i in sites)
-
-
 def _b_frame(regions: RegionPartition, other: tuple[int, ...]) -> tuple[_UnitFrame, np.ndarray, np.ndarray]:
     """B's unit frame W in the lattice of R = B + X (X = A or C), B's parities p
     and the e x e mask of odd slots.  W^* A_B W = M_d x 1, W^* v_B W = p x 1 and
@@ -202,6 +196,14 @@ def _b_frame(regions: RegionPartition, other: tuple[int, ...]) -> tuple[_UnitFra
     frame = _UnitFrame(matrix_units(build_algebra(len(region)), _positions(regions.B, region)))
     p, q = (_parity_diagonal(build_algebra(len(sites)), range(len(sites))) for sites in (regions.B, other))
     return frame, p, q[:, None] != q[None, :]
+
+
+def _lift_to_bc(alg: CarAlgebra, regions: RegionPartition, small: np.ndarray) -> SubalgebraBasis:
+    """The algebra a tau-orthonormal stack s in B's factor generates with A_B's
+    relative commutant in A_BC: W (s x M_e) W^* in B's frame (``_b_frame``)."""
+    frame, _, odd = _b_frame(regions, regions.C)
+    lifted = frame.unframe(_kron(small, _scaled_units(len(odd)).reshape(-1, *odd.shape)))
+    return _from_small(alg.dim, regions.BC, lifted, True)
 
 
 def _scaled_units(e: int) -> np.ndarray:
@@ -539,14 +541,9 @@ class Analysis:
 
     @cached_property
     def _c_tilde(self) -> SubalgebraBasis:
-        """C~ = B~ v ((A_C)^+ + v_B (A_C)^-), shared by the block decomposition
-        and the lemma validation.  The second factor is the relative commutant
-        of A_B in A_BC, W (1 x M_e) W^* in B's unit frame (``_b_frame``), so C~
-        is W (B~ x M_e) W^*, read from B~'s small picture: a tensor product of
-        two algebras, with no product round."""
-        frame, _, odd = _b_frame(self.regions, self.regions.C)
-        c_tilde = frame.unframe(_kron(self._b_tilde[0].small, _scaled_units(len(odd)).reshape(-1, *odd.shape)))
-        return _from_small(self.state.alg.dim, self.regions.BC, c_tilde, True)
+        """C~ = B~ v ((A_C)^+ + v_B (A_C)^-) = W (B~ x M_e) W^* (``_lift_to_bc``),
+        shared by the block decomposition and the lemma validation."""
+        return _lift_to_bc(self.state.alg, self.regions, self._b_tilde[0].small)
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
@@ -637,34 +634,41 @@ class Analysis:
     @cached_property
     def lemmas(self) -> StructureLemmaReport:
         """Span-equality residuals of the three structural identities of even
-        saturating states:
+        saturating states, K = B' n A_BC, each read in the regions' factors:
 
           1. C equals the algebra generated by A_A and B;
-          2. C' equals (B' in A_BC)_even + (B' in A_BC)_odd v_A;
-          3. B' in A_BC equals the algebra generated by B' in A_B together
-             with (A_C)_even + v_B (A_C)_odd.
+          2. C' equals K_even + K_odd v_A;
+          3. K equals the algebra generated by B~ = B' n A_B and
+             (A_C)_even + v_B (A_C)_odd.
+
+        J(k) = k_even + v_A k_odd is a tau-preserving *-isomorphism of A_BC
+        onto A_A', which holds C', so 2 reads J^-1(C') = K.  C' is generated by
+        C' n A_AB = J(Y) and A_AB's relative commutant, J of A_B's in A_BC, so
+        J^-1(C') = W (Y x M_e) W^*, lifted as C~ is.  C' n A_AB is solved in
+        A_AB's factor (C1 when the pair fills A_B); in B's frame of A_AB J(y)
+        = y_even x 1 + y_odd x q, so Y is its diagonal block at an even A-slot,
+        and the other blocks' departure from J(y) enters the commutant residual.
         """
         self._require_even_markov("structure lemmas")
-        state, regions = self.state, self.regions
-        alg = state.alg
-        v_all = parity_unitary(alg, alg.sites)
-        v_a = parity_unitary(alg, regions.A)
-
-        join_res = self.pair.join_residual
-
-        c_comm = commutant(self.c_basis)
-        kom = commutant(self.b_basis, ambient=region_subalgebra(state.alg, regions.BC))
-        k_even, k_odd, _ = parity_split(kom, v_all)
-        rhs_parts = list(k_even) + [k @ v_a for k in k_odd]
-        rhs1 = subalgebra_from_matrices(np.stack(rhs_parts)) if rhs_parts else c_comm
-        comm_res = span_equality_residual(c_comm, rhs1)
-
-        middle_res = span_equality_residual(kom, self._c_tilde)
-
+        alg, regions = self.state.alg, self.regions
+        kom = commutant(self.b_basis, ambient=region_subalgebra(alg, regions.BC))
+        y, y_res = np.eye(2 ** len(regions.B), dtype=complex)[None], 0.0
+        if not self.pair.fills:
+            frame, p, _ = _b_frame(regions, regions.A)
+            q = _parity_diagonal(build_algebra(len(regions.A)), range(len(regions.A)))
+            ct = frame.frame(commutant(self.c_basis, ambient=region_subalgebra(alg, regions.AB)).small)
+            j = int(np.argmax(q > 0))
+            y = frame._blocks(ct)[:, :, j, :, j]
+            odd = (y - p[:, None] * y * p) / 2      # (y - theta(y)) / 2, theta = p . p on B's factor
+            j_of_y = _kron(y - odd, np.eye(len(q))[None]) + _kron(odd, np.diag(q)[None])
+            y_res = max(map(hs.hs_norm, ct - j_of_y))
+        c_comm = _lift_to_bc(alg, regions, y)
+        twisted = parity_automorphism(build_algebra(len(regions.BC)), kom.small)
+        k_even, k_odd = (hs.orthonormalize((kom.small + sign * twisted) / 2) for sign in (1, -1))
         return StructureLemmaReport(
-            join_residual=float(join_res),
-            commutant_residual=float(comm_res),
-            middle_residual=float(middle_res),
+            join_residual=self.pair.join_residual,
+            commutant_residual=max(y_res, span_equality_residual(c_comm, kom)),
+            middle_residual=span_equality_residual(kom, self._c_tilde),
             dims={
                 "c": self.pair.dim_c,
                 "b": self.pair.dim_b,

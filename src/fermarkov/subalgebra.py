@@ -63,7 +63,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hs
-from .car import MAX_SITES, CarAlgebra, MatrixUnitFamily, build_algebra, matrix_units
+from .car import MAX_SITES, CarAlgebra, MatrixUnitFamily, _positions, build_algebra, matrix_units
 from .errors import DegenerateCenter, InvariantViolation, NotAnAlgebra
 from .spectral import require_hermitian
 from .tolerances import GAP as _GAP
@@ -189,8 +189,15 @@ def _gather(dim: int, region: tuple[int, ...] | None, stack: np.ndarray) -> tupl
 
 
 def _picture_in(s: SubalgebraBasis, region: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(small picture, leak) of a basis in the factor of a region holding s's, as held in s's own."""
-    return s._picture if region == s.region else _gather(s.dim_ambient, region, s.basis)
+    """(small picture, leak) of a basis in the factor of a region holding s's:
+    as held in s's own, lifted from the small picture s is held by through the
+    signed permutation of s's sites in the region's lattice, else gathered."""
+    if region == s.region:
+        return s._picture
+    if not s._by_small or region is None:
+        return _gather(s.dim_ambient, region, s.basis)
+    within = matrix_units(build_algebra(len(region)), _positions(s.region, region))
+    return within.iso_from_small(_stack(s._picture[0])), s.leak
 
 
 def _from_small(dim: int, region: Iterable[int] | None, small: np.ndarray | _WholeFactor,
@@ -792,9 +799,9 @@ class _UnitFrame:
         return self.family.small_dim
 
     def frame(self, x: np.ndarray) -> np.ndarray:
-        """W^* x W: x~[a, b] = sign[a] sign[b] x[perm[a], perm[b]]."""
+        """W^* x W, per matrix of a stack: x~[a, b] = sign[a] sign[b] x[perm[a], perm[b]]."""
         perm, sign = self.family.perm, self.family.sign
-        return x[np.ix_(perm, perm)] * np.outer(sign, sign)
+        return x.take(perm, axis=-1).take(perm, axis=-2) * np.outer(sign, sign)
 
     def unframe(self, xt: np.ndarray) -> np.ndarray:
         """W x~ W^*, per matrix of a stack, the inverse of frame: x[a, b] =
@@ -804,9 +811,9 @@ class _UnitFrame:
         return xt.take(inv, axis=-1).take(inv, axis=-2) * np.outer(sign, sign)
 
     def _blocks(self, xt: np.ndarray) -> np.ndarray:
-        """x~ as [r, j, r', j']."""
+        """x~ as [r, j, r', j'], per matrix of a stack."""
         d, dim = self.d, xt.shape[-1]
-        return xt.reshape(d, dim // d, d, dim // d)
+        return xt.reshape(xt.shape[:-2] + (d, dim // d, d, dim // d))
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """(x - E_I(x))~: x~ less the mean of its diagonal complement entries,
@@ -1018,20 +1025,3 @@ def _verify_algebra_closure(s: SubalgebraBasis, tol: float) -> None:
     region of at most tol; NotAnAlgebra otherwise."""
     _require_inside(s.leak, tol, s.region, "basis")
     _require_closed(*_closure_residuals(s), tol)
-
-
-# --- parity helpers -----------------------------------------------------------
-
-def parity_split(s: SubalgebraBasis, parity_unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Even and odd tau-orthonormal stacks of a parity-stable span.
-
-    Returns (even_stack, odd_stack, stability_residual) where the residual
-    measures how far conjugation by the parity unitary maps the span outside
-    itself.
-    """
-    v = parity_unitary
-    conj = v @ s.basis @ v
-    stability = float(hs.residual_norms(s.basis, conj).max()) if s.size else 0.0
-    even = hs.orthonormalize((s.basis + conj) / 2)
-    odd = hs.orthonormalize((s.basis - conj) / 2)
-    return even, odd, stability

@@ -4,9 +4,11 @@ same verdict documents.
 Cuts 1|2|1, 1|3|1, 2|2|2, 02|13|4 and 1|02|3, crossed with the kinds
 random, random_even, product_markov in both parity modes and block_markov
 with designs (k_fixed, n_pairs) = (1,0), (1,1), (2,1) and (0,2), at seeds
-0-2.  Each record holds every `build_document` field except `timings`, and
-the `is_sufficient` report of the pair (rho, E_BC(rho)) against A_AB; a
-typed library error is recorded by its name.
+0-2.  Each record holds every `build_document` field except `timings`, the
+`is_sufficient` report of the pair (rho, E_BC(rho)) against A_AB, and the six
+`dims` of the `validate_structure_lemmas` report; a typed library error is
+recorded by its name.  The lemma residuals are left out: they are roundoff
+that two correct routes to C' need not share to 1e-12.
 
 Write the records of the tree on PYTHONPATH, then diff two record files:
 
@@ -30,6 +32,7 @@ from fermarkov.car import RegionPartition
 from fermarkov.cli import build_document
 from fermarkov.entropy import StateDensity, embedded_restriction
 from fermarkov.errors import FermarkovError
+from fermarkov.markov import validate_structure_lemmas
 from fermarkov.states import make_block_markov, make_product_markov, random_even_state, random_state
 from fermarkov.subalgebra import region_subalgebra
 from fermarkov.sufficiency import is_sufficient
@@ -73,6 +76,10 @@ def record(state: StateDensity, regions: RegionPartition) -> dict:
         out["sufficiency"] = {**dataclasses.asdict(report), "overall": report.overall}
     except FermarkovError as exc:
         out["sufficiency"] = {"error": type(exc).__name__}
+    try:
+        out["lemmas"] = validate_structure_lemmas(state, regions).dims
+    except FermarkovError as exc:
+        out["lemmas"] = {"error": type(exc).__name__}
     return out
 
 

@@ -32,11 +32,11 @@ from fermarkov.states import (
 )
 from fermarkov.subalgebra import (
     commutant,
-    parity_split,
     span_equality_residual,
     subalgebra_from_matrices,
 )
 from fermarkov.sufficiency import is_sufficient, petz_map, projection_channel
+from lemma_oracle import parity_split
 
 R3 = RegionPartition((0,), (1,), (2,))
 R4 = RegionPartition((0,), (1, 2), (3,))

@@ -349,6 +349,19 @@ def test_bad_usage_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_analyze_rejects_a_file_that_is_not_text(tmp_path, capsys):
+    # 100 random bytes are no UTF-8: a usage error with exit 2, not a traceback
+    bad = tmp_path / "bytes.json"
+    bad.write_bytes(np.random.default_rng(0).bytes(100))
+    with pytest.raises(UnicodeDecodeError):
+        bad.read_bytes().decode("utf-8")
+    with pytest.raises(ParseError):
+        read_state_file(str(bad))
+    assert main(["analyze", "--in", str(bad), "--out", str(tmp_path / "doc.json")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("entry", [[0.125], ["a", "b"], None], ids=["one-number", "strings", "null"])
 def test_analyze_rejects_a_malformed_matrix_entry(entry, tmp_path, capsys):
     # a 3-site file whose 64 entries are not [re, im] number pairs is a parse error

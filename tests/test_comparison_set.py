@@ -11,6 +11,10 @@ def test_one_seed_of_the_comparison_set_records_and_diffs():
     for name, rec in got.items():
         assert "timings" not in rec["document"] and "error" not in rec["document"], name
         assert "error" not in rec["sufficiency"], name
+        # six integer lemma dims on an even Markov state, else the typed refusal
+        lemmas = rec["lemmas"]
+        assert lemmas in ({"error": "NotEven"}, {"error": "NotMarkov"}) or (
+            len(lemmas) == 6 and all(type(v) is int for v in lemmas.values())), name
     # a JSON round trip is bit-identical; a nudged float and a flipped verdict are not
     again = json.loads(json.dumps(got))
     assert diff(got, again) == ([], 0.0)

@@ -19,12 +19,12 @@ from fermarkov.subalgebra import (
     commutant,
     invariant_subspace,
     invariant_subspace_under,
-    parity_split,
     region_subalgebra,
     span_equality_residual,
     subalgebra_from_matrices,
 )
 from fermarkov.sufficiency import is_sufficient
+from lemma_oracle import parity_split
 
 N4 = RegionPartition((0,), (1, 2), (3,))
 N5 = RegionPartition((0,), (1, 2, 3), (4,))

